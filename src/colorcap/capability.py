@@ -17,7 +17,7 @@ pool is 1 .. 2**color_bits - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Final, Optional
 
@@ -72,9 +72,6 @@ class PermissionSet:
             and (other.store_cap or not self.store_cap)
             and (other.sw_vmem or not self.sw_vmem)
         )
-
-    def without_sw_vmem(self) -> "PermissionSet":
-        return replace(self, sw_vmem=False) if self.sw_vmem else self
 
     def to_bits(self) -> int:
         return (
@@ -158,13 +155,6 @@ class Capability:
 
     def is_sealed(self, otypeth: int = DEFAULT_OTYPETH) -> bool:
         return self.otype is not None and self.otype >= otypeth
-
-    def color(self, otypeth: int = DEFAULT_OTYPETH) -> Optional[int]:
-        """The provenance color, or None for unsealed/sealed capabilities."""
-        ot = self.otype
-        if ot is not None and 0 < ot < otypeth:
-            return ot
-        return None
 
     def __str__(self) -> str:
         ot = "unsealed" if self.otype is None else f"otype={self.otype}"
@@ -306,10 +296,7 @@ class MachineConfig:
     heap_base: int = 0x0001_0000
     heap_size: int = 1 << 20
     scratch_slots: int = 64  # capability spill slots, 16 bytes each
-    capability_width: int = CAPABILITY_WIDTH
     pvt_base: Optional[int] = None  # defaults to just past the scratch region
-    pvt_buffer_ways: int = 4
-    pvt_buffer_sets: int = 16
     pvt_buffer_enabled: bool = True
     pvt_mapped_bytes: Optional[int] = None  # < pvt_bytes models an unmapped tail
 
@@ -334,8 +321,6 @@ class MachineConfig:
         lo, hi = self.pvt_base, self.pvt_base + self.pvt_bytes
         if lo < self.scratch_base + self.scratch_size and hi > self.heap_base:
             raise ValueError("PVT region overlaps the heap or scratch region")
-        if self.pvt_buffer_ways < 1 or self.pvt_buffer_sets < 1:
-            raise ValueError("PVT buffer geometry must be positive")
 
     @property
     def color_count(self) -> int:
@@ -353,7 +338,3 @@ class MachineConfig:
     @property
     def scratch_size(self) -> int:
         return self.scratch_slots * CAPABILITY_WIDTH
-
-    @property
-    def address_space_size(self) -> int:
-        return self.pvt_base + self.pvt_bytes

@@ -7,7 +7,8 @@
 
 Exit codes: 0 on success (expectations matched; for `corpus`, the picasso
 row detected every bad case with no false positives), 1 on expectation or
-gate mismatch, 2 on configuration or parse errors.
+gate mismatch, 2 on configuration or parse errors, 3 when the run ran out
+of heap (OutOfMemory) or of colors (PoolExhausted).
 
 Reports go to stdout in json, csv, or human form; --out (or the
 COLORCAP_OUTPUT_DIR environment variable) additionally writes them to a
@@ -33,6 +34,8 @@ from .harness import (
     run_corpus,
     run_trace,
 )
+from .heap import OutOfMemory
+from .mrs import PoolExhausted
 from .schemes import SCHEME_NAMES
 from .trace import ParseError, Trace, parse_trace
 from .workloads import gen_churn, gen_corpus, gen_locality
@@ -79,11 +82,11 @@ def _reject_extra(params: dict) -> dict:
     return {}
 
 
-def _load_trace(args, config: RunConfig) -> Trace:
+def _load_trace(args) -> Trace:
     if args.trace is not None:
         with open(args.trace, "r", encoding="utf-8") as handle:
             return parse_trace(handle.read(), name=os.path.basename(args.trace))
-    return _parse_gen(args.gen, config.seed)
+    return _parse_gen(args.gen, args.seed)
 
 
 def _sweep_window(text: str) -> Optional[int]:
@@ -106,8 +109,6 @@ def _config_from(args) -> RunConfig:
         heap_size=args.heap_size,
         pvt_buffer=args.pvt_buffer == "on",
         sweep_window=_sweep_window(args.sweep),
-        seed=args.seed,
-        out_format=args.format,
     )
     config.validate()
     return config
@@ -144,7 +145,7 @@ def _emit(text: str, args, stem: str) -> None:
 
 def _cmd_run(args) -> int:
     config = _config_from(args)
-    trace = _load_trace(args, config)
+    trace = _load_trace(args)
     result = run_trace(trace, args.scheme, config)
     _emit(_metrics_text([result.metrics], args.format), args, "run")
     for index, expected, actual in result.mismatches:
@@ -158,7 +159,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     config = _config_from(args)
     schemes = _scheme_list(args.schemes)
-    trace = _load_trace(args, config)
+    trace = _load_trace(args)
     rows = [run_trace(trace, scheme, config).metrics for scheme in sorted(schemes)]
     _emit(_metrics_text(rows, args.format), args, "compare")
     return 1 if any(m.expect_mismatches for m in rows) else 0
@@ -259,6 +260,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, ParseError, OSError, ValueError) as exc:
         print(f"colorcap: error: {exc}", file=sys.stderr)
         return 2
+    except (OutOfMemory, PoolExhausted) as exc:
+        print(f"colorcap: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

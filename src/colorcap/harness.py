@@ -13,11 +13,11 @@ produce identical metrics and outcome sequences.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .capability import (
+    NULL_CAP,
     PERMS_APP,
     UNSEALED,
     Capability,
@@ -67,10 +67,7 @@ class RunConfig:
     heap_size: int = 1 << 20
     pvt_buffer: bool = True
     sweep_window: Optional[int] = None  # None = sweep to completion at trigger
-    seed: int = 0
-    out_format: str = "json"
     versioning_fallback: bool = True
-    spill_slots: Optional[int] = None  # None = sized from the trace
 
     def validate(self) -> None:
         if not 4 <= self.color_bits <= 24:
@@ -83,17 +80,12 @@ class RunConfig:
             raise ConfigError("heap_size must be a positive multiple of 16")
         if self.sweep_window is not None and self.sweep_window < 1:
             raise ConfigError("sweep window must be >= 1")
-        if self.out_format not in ("json", "csv", "human"):
-            raise ConfigError(f"unknown output format {self.out_format!r}")
-        if self.spill_slots is not None and self.spill_slots < 0:
-            raise ConfigError("spill_slots must be >= 0")
 
     def machine_config(self, slots_needed: int = 0) -> MachineConfig:
-        slots = self.spill_slots if self.spill_slots is not None else slots_needed
         return MachineConfig(
             color_bits=self.color_bits,
             heap_size=self.heap_size,
-            scratch_slots=max(slots, 1),
+            scratch_slots=max(slots_needed, 1),
             pvt_buffer_enabled=self.pvt_buffer,
         )
 
@@ -300,7 +292,7 @@ def run_trace(
             oracle.copy(op[1], op[2])
         elif code == OP_SPILL:
             outcome = machine.store_cap(
-                scratch_auth, op[2] * 16, regs[op[1]] or _NULL_UNTAGGED
+                scratch_auth, op[2] * 16, regs[op[1]] or NULL_CAP
             )
             oracle.spill(op[1], op[2])
         elif code == OP_RELOAD:
@@ -386,9 +378,6 @@ def run_trace(
     for kind, count in fault_hist.items():
         setattr(metrics, f"fault_{kind.value}", count)
     return RunResult(metrics=metrics, outcomes=outcomes, mismatches=mismatches)
-
-
-_NULL_UNTAGGED = Capability(0, 0, 0)
 
 
 # -- corpus evaluation --------------------------------------------------

@@ -60,10 +60,3 @@ class FreeListHeap:
             blocks[i - 1][1] += size
         else:
             insort(blocks, [base, size])
-
-    def __contains__(self, addr: int) -> bool:
-        i = bisect_left(self.free_blocks, [addr + 1, 0]) - 1
-        if i < 0:
-            return False
-        blk = self.free_blocks[i]
-        return blk[0] <= addr < blk[0] + blk[1]

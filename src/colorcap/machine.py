@@ -147,11 +147,7 @@ class TaggedMachine:
         self.caps: dict[int, Capability] = {}
         self.regs: list[Optional[Capability]] = [None] * NUM_REGISTERS
         self.pvt = bytearray(self.config.pvt_bytes)
-        self.pvt_buffer = (
-            PvtBuffer(self.config.pvt_buffer_sets, self.config.pvt_buffer_ways)
-            if self.config.pvt_buffer_enabled
-            else None
-        )
+        self.pvt_buffer = PvtBuffer() if self.config.pvt_buffer_enabled else None
         self.pvt_lookups = 0
         self._otypeth = self.config.otypeth
         self._pvt_base = self.config.pvt_base
@@ -189,6 +185,7 @@ class TaggedMachine:
         """
         return (self.pvt[color >> 3] >> (color & 7)) & 1 == 1
 
+    # Not folded into pvt_set_many: this per-malloc/free path is measurably slower through it.
     def pvt_set(self, color: int, retracted: bool) -> None:
         """Write one provenance-validity bit.
 

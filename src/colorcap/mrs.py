@@ -1,5 +1,5 @@
 """Malloc revocation shim: color lifecycle, double-free detection, and
-snapshot-based revocation sweeps over the tagged machine.
+revocation sweeps over the tagged machine.
 
 Allocation claims the lowest free color, stamps it onto the capability with
 the shim's sw_vmem authority, and strips that authority from what the
@@ -9,19 +9,21 @@ list immediately; no quarantine is needed because retraction already makes
 every stale capability fault.
 
 Colors stay out of rotation until a revocation sweep completes.  When the
-unclaimed population drops below the threshold, the shim snapshots the PVT,
-freezes the retracted set as the sweep's targets, scans memory and
-registers clearing matching tags, then clears the target bits and batch
-releases the colors.  Colors retracted after the snapshot stay retracted
-and wait for the next sweep.  The sweep runs to completion at trigger time
-by default; a window size makes it advance incrementally across subsequent
-allocation calls instead.
+unclaimed population drops below the threshold, the shim freezes the
+retracted set as the sweep's targets, scans memory and registers clearing
+matching tags, then clears the target bits and batch releases the colors.
+Colors retracted after the targets froze stay retracted and wait for the
+next sweep.  The hardware sweep works from a snapshot of the PVT; the
+simulator keeps no copy and models the snapshot only by counting the PVT
+twice in the resident bytes while a sweep is in flight.  The sweep runs to
+completion at trigger time by default; a window size makes it advance
+incrementally across subsequent allocation calls instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .capability import (
@@ -36,7 +38,6 @@ from .heap import FreeListHeap, OutOfMemory, round_up
 from .machine import (
     FAULT_DOUBLE_FREE,
     FAULT_MALFORMED_FREE,
-    Fault,
     TaggedMachine,
 )
 from .unr import Exhausted, UnrState
@@ -55,10 +56,10 @@ class PoolExhausted(Exception):
 
 @dataclass
 class RevocationJob:
-    """One in-flight sweep: a PVT snapshot, the frozen target colors, and a
-    cursor over the tagged addresses captured at snapshot time."""
+    """One in-flight sweep: the frozen target colors and a cursor over the
+    tagged addresses captured when it started.  The PVT snapshot it stands
+    for is modelled only by the doubled-PVT accounting in `_sample`."""
 
-    snapshot: bytes
     targets: frozenset[int]
     addresses: list[int]
     cursor: int = 0
@@ -81,7 +82,6 @@ class MallocRevocationShim:
         self.heap = FreeListHeap(config.heap_base, config.heap_size)
         self.pool = config.color_count - 1  # color 0 is reserved
         self.unr = UnrState(self.pool)
-        self.threshold_fraction = threshold_fraction
         self.threshold_count = math.ceil(threshold_fraction * self.pool)
         self.sweep_window = sweep_window
         self.root = Capability(
@@ -112,16 +112,9 @@ class MallocRevocationShim:
     def unclaimed(self) -> int:
         return self.pool - self.unr.population
 
-    @property
-    def resident_bytes(self) -> int:
-        """Live heap bytes plus the PVT (doubled while a snapshot is held)
-        plus the ID-allocator node memory."""
-        pvt = self.machine.config.pvt_bytes
-        if self.job is not None:
-            pvt *= 2
-        return self.live_bytes + pvt + self.unr.node_memory()
-
     def _sample(self) -> None:
+        """Peak accounting: live heap bytes plus the PVT (doubled while a
+        sweep holds its snapshot) plus the ID-allocator node memory."""
         unr_bytes = self.unr.node_memory()
         pvt = self.machine.config.pvt_bytes
         if self.job is not None:
@@ -242,7 +235,6 @@ class MallocRevocationShim:
         targets = frozenset(self.retracted_pending)
         self.retracted_pending.clear()
         self.job = RevocationJob(
-            snapshot=bytes(self.machine.pvt),
             targets=targets,
             addresses=sorted(self.machine.caps),
         )

@@ -1,7 +1,9 @@
 """Comparison allocators over the shared tagged machine.
 
-Five schemes expose one adapter interface (malloc / free / load / store plus
-uniform counters):
+Five schemes implement the `Scheme` protocol that the harness drives.
+Picasso is the malloc revocation shim itself; cornucopia (both variants)
+and versioning's fallback share one quarantine component,
+`_QuarantineScheme`:
 
 * picasso         - colored capabilities, provenance retraction, threshold
                     sweeps, immediate heap reuse.
@@ -17,7 +19,7 @@ uniform counters):
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Optional, Protocol, Union
 
 from .capability import (
     PERMS_APP,
@@ -76,9 +78,27 @@ def _sweep_shadowed(machine: TaggedMachine, shadow: set[int]) -> int:
     return cleared
 
 
-class _BaseScheme:
-    name = "?"
+class Scheme(Protocol):
+    """What `run_trace` drives: the allocator calls, checked data access,
+    and the counters it harvests into `Metrics`."""
 
+    name: str
+    allocations: int
+    frees: int
+    revocations: int
+    swept_tags: int
+    peak_live_bytes: int
+    peak_quarantine_bytes: int
+    peak_resident_bytes: int
+    peak_unr_bytes: int
+
+    def malloc(self, size: int) -> Capability: ...
+    def free(self, cap: Optional[Capability]) -> Optional[Fault]: ...
+    def load(self, cap: Optional[Capability], offset: int, width: int) -> Union[bytes, Fault]: ...
+    def store(self, cap: Optional[Capability], offset: int, data: bytes) -> Optional[Fault]: ...
+
+
+class _BaseScheme:
     def __init__(self, machine: TaggedMachine) -> None:
         config = machine.config
         self.machine = machine
@@ -91,6 +111,7 @@ class _BaseScheme:
             otype=UNSEALED,
             tag=True,
         )
+        self.live: dict = {}  # base -> the scheme's allocation record
         self.allocations = 0
         self.frees = 0
         self.revocations = 0
@@ -102,125 +123,76 @@ class _BaseScheme:
         self.peak_resident_bytes = 0
         self.peak_unr_bytes = 0
 
-    @property
-    def resident_bytes(self) -> int:
-        return self.live_bytes + self.quarantine_bytes
-
     def _sample(self) -> None:
         if self.live_bytes > self.peak_live_bytes:
             self.peak_live_bytes = self.live_bytes
         if self.quarantine_bytes > self.peak_quarantine_bytes:
             self.peak_quarantine_bytes = self.quarantine_bytes
-        resident = self.resident_bytes
+        resident = self.live_bytes + self.quarantine_bytes
         if resident > self.peak_resident_bytes:
             self.peak_resident_bytes = resident
 
-    # Data access: spatial/tag/permission checks via the machine.  Colored
-    # capabilities never reach these paths in the baseline schemes.
-    def load(self, cap, offset: int, width: int):
-        return self.machine.load_data(cap, offset, width)
-
-    def store(self, cap, offset: int, data: bytes):
-        return self.machine.store_data(cap, offset, data)
-
-
-class PicassoScheme:
-    """Adapter over the malloc revocation shim."""
-
-    name = "picasso"
-
-    def __init__(
-        self,
-        machine: TaggedMachine,
-        threshold_fraction: float = 0.01,
-        sweep_window: Optional[int] = None,
-    ) -> None:
-        self.machine = machine
-        self.mrs = MallocRevocationShim(
-            machine,
-            threshold_fraction=threshold_fraction,
-            sweep_window=sweep_window,
-        )
-        self.quarantine_bytes = 0
-        self.peak_quarantine_bytes = 0
-
-    def malloc(self, size: int) -> Capability:
-        return self.mrs.m_malloc(size)
-
-    def free(self, cap):
-        return self.mrs.m_free(cap)
-
-    def load(self, cap, offset: int, width: int):
-        return self.machine.load_data(cap, offset, width)
-
-    def store(self, cap, offset: int, data: bytes):
-        return self.machine.store_data(cap, offset, data)
-
-    allocations = property(lambda self: self.mrs.allocations)
-    frees = property(lambda self: self.mrs.frees)
-    revocations = property(lambda self: self.mrs.revocations)
-    swept_tags = property(lambda self: self.mrs.swept_tags)
-    live_bytes = property(lambda self: self.mrs.live_bytes)
-    peak_live_bytes = property(lambda self: self.mrs.peak_live_bytes)
-    peak_resident_bytes = property(lambda self: self.mrs.peak_resident_bytes)
-    peak_unr_bytes = property(lambda self: self.mrs.peak_unr_bytes)
-    resident_bytes = property(lambda self: self.mrs.resident_bytes)
-
-
-class CornucopiaScheme(_BaseScheme):
-    """Quarantine plus shadow bitmap; freed memory is not reused until a
-    completed sweep revokes every capability into it."""
-
-    name = "cornucopia"
-
-    def __init__(
-        self,
-        machine: TaggedMachine,
-        quarantine_fraction: float = 0.25,
-        revoke_on_free: bool = False,
-    ) -> None:
-        super().__init__(machine)
-        self.quarantine_fraction = quarantine_fraction
-        self.revoke_on_free = revoke_on_free
-        if revoke_on_free:
-            self.name = "cornucopia-rof"
-        self.live: dict[int, int] = {}  # base -> size
-        self.quarantine: deque[tuple[int, int]] = deque()
-        self.shadow: set[int] = set()  # word addresses of quarantined bytes
-
-    def malloc(self, size: int) -> Capability:
+    def _carve(self, size: int) -> tuple[int, int]:
+        """Carve a block for `size` bytes from the heap and count it live."""
         block = round_up(size)
         base = self.heap.alloc(block)  # quarantined blocks are off the list
-        self.live[base] = block
         self.live_bytes += block
         self.allocations += 1
         self._sample()
+        return base, block
+
+    def malloc(self, size: int) -> Capability:
+        base, block = self._carve(size)
+        self.live[base] = block
         return derive(self.root, base, block, PERMS_APP)
 
+    # Data access: spatial/tag/permission checks via the machine, plus the
+    # provenance check for colored capabilities (picasso's only).
+    def load(self, cap, offset: int, width: int):
+        return self.machine.load_data(cap, offset, width)
+
+    def store(self, cap, offset: int, data: bytes):
+        return self.machine.store_data(cap, offset, data)
+
+
+class PicassoScheme(MallocRevocationShim):
+    """The malloc revocation shim driven as a scheme.  Retraction replaces
+    quarantine, so nothing is ever quarantined."""
+
+    name = "picasso"
+    peak_quarantine_bytes = 0
+    load = _BaseScheme.load
+    store = _BaseScheme.store
+
+    def malloc(self, size: int) -> Capability:
+        return self.m_malloc(size)
+
     def free(self, cap):
-        if cap is None or not cap.tag:
-            return FAULT_MALFORMED_FREE
-        base = cap.base
-        if (base & ~15) in self.shadow:
-            return FAULT_DOUBLE_FREE  # base already quarantined
-        size = self.live.pop(base, None)
-        if size is None:
-            return FAULT_MALFORMED_FREE
-        self.live_bytes -= size
+        return self.m_free(cap)
+
+
+class _QuarantineScheme(_BaseScheme):
+    """Cornucopia-style quarantine (Filardo et al., IEEE S&P 2020): freed
+    blocks wait in a FIFO, their words marked in a shadow set, until a
+    sweep has revoked every capability into them."""
+
+    def __init__(self, machine: TaggedMachine, quarantine_fraction: float) -> None:
+        super().__init__(machine)
+        self.quarantine_fraction = quarantine_fraction
+        self.quarantine: deque[tuple[int, int]] = deque()
+        self.shadow: set[int] = set()  # word addresses of quarantined bytes
+
+    def _quarantine(self, base: int, size: int, force: bool = False) -> None:
+        """Hold a freed block back; sweep when forced or once the
+        quarantine reaches its share of the resident bytes."""
         self.quarantine.append((base, size))
         self.quarantine_bytes += size
-        for word in range(base, base + size, 16):
-            self.shadow.add(word)
-        self.frees += 1
-        if self.revoke_on_free:
-            self.revoke()
-        elif self.quarantine_bytes >= max(
+        self.shadow.update(range(base, base + size, 16))
+        if force or self.quarantine_bytes >= max(
             MIN_QUARANTINE_BYTES,
             self.quarantine_fraction * (self.live_bytes + self.quarantine_bytes),
         ):
             self.revoke()
-        self._sample()
-        return None
 
     def revoke(self) -> int:
         """Sweep memory and registers, clear the shadow, and return the
@@ -238,25 +210,45 @@ class CornucopiaScheme(_BaseScheme):
         return reclaimed
 
 
+class CornucopiaScheme(_QuarantineScheme):
+    """Quarantine plus shadow bitmap; freed memory is not reused until a
+    completed sweep revokes every capability into it."""
+
+    name = "cornucopia"
+
+    def __init__(
+        self,
+        machine: TaggedMachine,
+        quarantine_fraction: float = 0.25,
+        revoke_on_free: bool = False,
+    ) -> None:
+        super().__init__(machine, quarantine_fraction)
+        self.revoke_on_free = revoke_on_free
+        if revoke_on_free:
+            self.name = "cornucopia-rof"
+
+    def free(self, cap):
+        if cap is None or not cap.tag:
+            return FAULT_MALFORMED_FREE
+        base = cap.base
+        if (base & ~15) in self.shadow:
+            return FAULT_DOUBLE_FREE  # base already quarantined
+        size = self.live.pop(base, None)
+        if size is None:
+            return FAULT_MALFORMED_FREE
+        self.live_bytes -= size
+        self.frees += 1
+        self._quarantine(base, size, force=self.revoke_on_free)
+        self._sample()
+        return None
+
+
 class NoneScheme(_BaseScheme):
     """Spatial safety only.  Frees that do not name a live allocation are
     silently ignored - there is no temporal bookkeeping to catch them - and
     dangling capabilities stay usable."""
 
     name = "none"
-
-    def __init__(self, machine: TaggedMachine) -> None:
-        super().__init__(machine)
-        self.live: dict[int, int] = {}
-
-    def malloc(self, size: int) -> Capability:
-        block = round_up(size)
-        base = self.heap.alloc(block)
-        self.live[base] = block
-        self.live_bytes += block
-        self.allocations += 1
-        self._sample()
-        return derive(self.root, base, block, PERMS_APP)
 
     def free(self, cap):
         if cap is None or not cap.tag:
@@ -271,7 +263,7 @@ class NoneScheme(_BaseScheme):
         return None
 
 
-class VersioningScheme(_BaseScheme):
+class VersioningScheme(_QuarantineScheme):
     """4-bit memory versioning composed with quarantine fallback.
 
     Each 16-byte heap granule carries a version; the capability carries the
@@ -290,18 +282,13 @@ class VersioningScheme(_BaseScheme):
         exhaustion_fallback: bool = True,
         quarantine_fraction: float = 0.25,
     ) -> None:
-        super().__init__(machine)
+        super().__init__(machine, quarantine_fraction)
         self.exhaustion_fallback = exhaustion_fallback
-        self.quarantine_fraction = quarantine_fraction
         self.granule_version: dict[int, int] = {}
-        self.live: dict[int, tuple[int, int]] = {}  # base -> (size, version)
-        self.quarantine: deque[tuple[int, int]] = deque()
-        self.shadow: set[int] = set()
         self.wraps = 0
 
     def malloc(self, size: int) -> Capability:
-        block = round_up(size)
-        base = self.heap.alloc(block)
+        base, block = self._carve(size)
         versions = self.granule_version
         version = versions.get(base, 0)
         # A coalesced block can span granules with divergent histories;
@@ -309,9 +296,6 @@ class VersioningScheme(_BaseScheme):
         for granule in range(base, base + block, 16):
             versions[granule] = version
         self.live[base] = (block, version)
-        self.live_bytes += block
-        self.allocations += 1
-        self._sample()
         # The version rides in the otype directly; version 0 is legitimate
         # here, so the color-assignment path (which reserves 0) is bypassed.
         return Capability(base, base, block, PERMS_APP, version, True)
@@ -345,32 +329,11 @@ class VersioningScheme(_BaseScheme):
         if wrapped:
             self.wraps += 1
         if wrapped and self.exhaustion_fallback:
-            self.quarantine.append((cap.base, size))
-            self.quarantine_bytes += size
-            for word in range(cap.base, cap.base + size, 16):
-                self.shadow.add(word)
-            if self.quarantine_bytes >= max(
-                MIN_QUARANTINE_BYTES,
-                self.quarantine_fraction * (self.live_bytes + self.quarantine_bytes),
-            ):
-                self.revoke()
+            self._quarantine(cap.base, size)
         else:
             self.heap.free(cap.base, size)
         self._sample()
         return None
-
-    def revoke(self) -> int:
-        self.revocations += 1
-        self._sample()
-        if self.shadow:
-            self.swept_tags += _sweep_shadowed(self.machine, self.shadow)
-        reclaimed = self.quarantine_bytes
-        while self.quarantine:
-            base, size = self.quarantine.popleft()
-            self.heap.free(base, size)
-        self.shadow.clear()
-        self.quarantine_bytes = 0
-        return reclaimed
 
     def _check(self, cap, offset: int, width: int, kind: str):
         fault = self.machine.check_access(cap, offset, width, kind, provenance=False)
@@ -408,7 +371,7 @@ def make_scheme(
     quarantine_fraction: float = 0.25,
     sweep_window: Optional[int] = None,
     versioning_fallback: bool = True,
-):
+) -> Scheme:
     if name == "picasso":
         return PicassoScheme(machine, threshold_fraction, sweep_window)
     if name == "cornucopia":

@@ -63,11 +63,12 @@ class ParseError(Exception):
 class ReplayableOps:
     """Re-iterable view over generated operations: every iteration replays
     the factory from scratch, so a trace can be run any number of times
-    without materializing it."""
+    without materializing it.  A stream of unknown length (None) has no
+    len(), which makes the harness stream it."""
 
     __slots__ = ("_factory", "_length")
 
-    def __init__(self, factory: Callable[[], Iterator[TraceOp]], length: int) -> None:
+    def __init__(self, factory: Callable[[], Iterator[TraceOp]], length: Optional[int]) -> None:
         self._factory = factory
         self._length = length
 
@@ -75,6 +76,8 @@ class ReplayableOps:
         return self._factory()
 
     def __len__(self) -> int:
+        if self._length is None:
+            raise TypeError("operation stream of unknown length")
         return self._length
 
 

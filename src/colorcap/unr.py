@@ -63,9 +63,6 @@ class BitmapNode:
         self.bits = bits
         self.length = length
 
-    def claimed_count(self) -> int:
-        return self.bits.bit_count()
-
     def __repr__(self) -> str:
         return f"BitmapNode(len={self.length}, bits={self.bits:#x})"
 

@@ -147,23 +147,10 @@ def gen_churn(
     extra = inject is not None or touch_rate > 0
     name = f"churn:n={n_pairs},live={live_set},seed={seed}"
     return Trace(
-        ops=ReplayableOps(ops, base) if not extra else _CountedOps(ops),
+        ops=ReplayableOps(ops, None if extra else base),
         slots=live_set if spill else 0,
         name=name,
     )
-
-
-class _CountedOps:
-    """Re-iterable ops stream of unknown length (forces streaming mode
-    unless the caller materializes it)."""
-
-    __slots__ = ("_factory",)
-
-    def __init__(self, factory) -> None:
-        self._factory = factory
-
-    def __iter__(self):
-        return self._factory()
 
 
 def gen_locality(

@@ -68,6 +68,22 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, exception",
+        [
+            (["--scheme", "cornucopia", "--gen", "churn:n=20000,live=100,size=2048",
+              "--heap-size", "262144"], "OutOfMemory"),
+            (["--scheme", "picasso", "--gen", "churn:n=2000,live=100",
+              "--color-bits", "4"], "PoolExhausted"),
+        ],
+    )
+    def test_exhaustion_exits_three_with_one_line(self, capsys, argv, exception):
+        code, out, err = run_cli(capsys, "run", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"colorcap: error: {exception}: ")
+        assert err.count("\n") == 1
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--gen", "churn:n=50,live=5", "--format", "csv"

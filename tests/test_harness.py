@@ -138,8 +138,9 @@ class TestBufferTransparency:
     def test_fault_sequences_identical(self):
         trace = gen_churn(500, 16, (32,), seed=5, touch_rate=0.5,
                           inject="mixed", inject_rate=0.1)
-        on = run_trace(trace, "picasso", RunConfig(pvt_buffer=True))
-        off = run_trace(trace, "picasso", RunConfig(pvt_buffer=False))
+        on = run_trace(trace, "picasso", RunConfig(pvt_buffer=True), collect_outcomes=True)
+        off = run_trace(trace, "picasso", RunConfig(pvt_buffer=False), collect_outcomes=True)
+        assert on.outcomes is not None
         assert on.outcomes == off.outcomes
         assert on.metrics.data_digest == off.metrics.data_digest
         assert on.metrics.faults_total == off.metrics.faults_total
