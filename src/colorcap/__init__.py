@@ -38,7 +38,7 @@ from .harness import (
     run_corpus,
     run_trace,
 )
-from .heap import FreeListHeap, OutOfMemory
+from .heap import FreeListHeap, HeapScheme, OutOfMemory
 from .machine import Fault, FaultKind, NUM_REGISTERS, PvtBuffer, TaggedMachine
 from .mrs import MallocRevocationShim, PoolExhausted, RevocationJob
 from .schemes import SCHEME_NAMES, make_scheme

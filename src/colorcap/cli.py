@@ -8,7 +8,8 @@
 Exit codes: 0 on success (expectations matched; for `corpus`, the picasso
 row detected every bad case with no false positives), 1 on expectation or
 gate mismatch, 2 on configuration or parse errors, 3 when the run ran out
-of heap (OutOfMemory) or of colors (PoolExhausted).
+of heap (OutOfMemory; a quarantining scheme first revokes its quarantine)
+or of colors (PoolExhausted).
 
 Reports go to stdout in json, csv, or human form; --out (or the
 COLORCAP_OUTPUT_DIR environment variable) additionally writes them to a
@@ -201,14 +202,14 @@ def _scheme_list(text: str) -> list[str]:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", help="trace file to replay")
     parser.add_argument("--gen", help="generator spec, e.g. churn:n=1000,live=10,seed=1")
-    parser.add_argument("--color-bits", type=int, default=21, dest="color_bits")
-    parser.add_argument("--threshold-fraction", type=float, default=0.01,
-                        dest="threshold_fraction",
+    parser.add_argument("--color-bits", type=int, default=RunConfig.color_bits, dest="color_bits")
+    parser.add_argument("--threshold-fraction", type=float,
+                        default=RunConfig.threshold_fraction, dest="threshold_fraction",
                         help="revocation trigger: unclaimed colors below this fraction")
-    parser.add_argument("--quarantine-fraction", type=float, default=0.25,
-                        dest="quarantine_fraction",
+    parser.add_argument("--quarantine-fraction", type=float,
+                        default=RunConfig.quarantine_fraction, dest="quarantine_fraction",
                         help="quarantine limit as a fraction of allocated bytes")
-    parser.add_argument("--heap-size", type=int, default=1 << 20, dest="heap_size")
+    parser.add_argument("--heap-size", type=int, default=RunConfig.heap_size, dest="heap_size")
     parser.add_argument("--pvt-buffer", choices=("on", "off"), default="on",
                         dest="pvt_buffer")
     parser.add_argument("--sweep", default="sync",

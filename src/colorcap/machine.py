@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Final, Iterable, Optional
+from typing import Callable, Final, Iterable, Optional
 
 from .capability import (
     CAPABILITY_WIDTH,
@@ -272,20 +272,20 @@ class TaggedMachine:
                 return Fault(FaultKind.PROVENANCE_RETRACTED, color)
         return None
 
-    def load_data(self, cap, offset: int, width: int, provenance: bool = True):
+    def load_data(self, cap, offset: int, width: int):
         """Checked data read; returns bytes or a Fault."""
-        fault = self.check_access(cap, offset, width, "read", provenance)
+        fault = self.check_access(cap, offset, width, "read")
         if fault is not None:
             return fault
         return self.read_bytes(cap.address + offset, width)
 
-    def store_data(self, cap, offset: int, data: bytes, provenance: bool = True):
+    def store_data(self, cap, offset: int, data: bytes):
         """Checked data write; returns None or a Fault.
 
         Clears the tag of every word it overlaps.  The check completes
         before any mutation, so a faulting store leaves memory bit-identical.
         """
-        fault = self.check_access(cap, offset, len(data), "write", provenance)
+        fault = self.check_access(cap, offset, len(data), "write")
         if fault is not None:
             return fault
         self.write_bytes(cap.address + offset, data)
@@ -373,38 +373,31 @@ class TaggedMachine:
 
     def sweep_scan(
         self,
-        colors,
+        doomed: Callable[[Capability], bool],
         addresses: Optional[Iterable[int]] = None,
         include_registers: bool = True,
     ) -> int:
-        """Clear the tag of every capability whose color is in `colors`.
-
-        Visits tagged memory words in ascending address order (or only the
-        given addresses), then the register file; returns the number of
-        tags cleared.
-        """
+        """Clear the tag of every capability for which `doomed(cap)` holds:
+        picasso dooms a revocation's target colors, quarantine any range
+        touching quarantined memory.  Visits tagged memory words in
+        ascending address order (or only the given addresses), then the
+        register file; returns the number of tags cleared."""
         cleared = 0
         caps = self.caps
-        otypeth = self._otypeth
         if addresses is None:
             addresses = sorted(caps)
         for addr in addresses:
             cap = caps.get(addr)
-            if cap is None:
-                continue
-            ot = cap.otype
-            if ot is not None and 0 < ot < otypeth and ot in colors:
+            if cap is not None and doomed(cap):
                 del caps[addr]  # tag cleared; the packed image remains
                 cleared += 1
         if include_registers:
             regs = self.regs
             for i in range(NUM_REGISTERS):
                 cap = regs[i]
-                if cap is not None and cap.tag:
-                    ot = cap.otype
-                    if ot is not None and 0 < ot < otypeth and ot in colors:
-                        regs[i] = clear_tag(cap)
-                        cleared += 1
+                if cap is not None and cap.tag and doomed(cap):
+                    regs[i] = clear_tag(cap)
+                    cleared += 1
         return cleared
 
     def start_cap_write_log(self) -> None:

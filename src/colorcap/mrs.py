@@ -8,10 +8,14 @@ detecting double frees as a side effect - and returns the block to the free
 list immediately; no quarantine is needed because retraction already makes
 every stale capability fault.
 
+The shim is a `heap.HeapScheme`: heap, root capability, live map and
+counters come from the base, and only the color lifecycle lives here.
+
 Colors stay out of rotation until a revocation sweep completes.  When the
 unclaimed population drops below the threshold, the shim freezes the
 retracted set as the sweep's targets, scans memory and registers clearing
-matching tags, then clears the target bits and batch releases the colors.
+matching tags (`TaggedMachine.sweep_scan` with the job's `doomed`
+predicate), then clears the target bits and batch releases the colors.
 Colors retracted after the targets froze stay retracted and wait for the
 next sweep.  The hardware sweep works from a snapshot of the PVT; the
 simulator keeps no copy and models the snapshot only by counting the PVT
@@ -26,15 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .capability import (
-    PERMS_APP,
-    PERMS_ROOT,
-    UNSEALED,
-    Capability,
-    derive,
-    set_color,
-)
-from .heap import FreeListHeap, OutOfMemory, round_up
+from .capability import PERMS_APP, Capability, derive, set_color
+from .heap import HeapScheme, OutOfMemory, round_up
 from .machine import (
     FAULT_DOUBLE_FREE,
     FAULT_MALFORMED_FREE,
@@ -69,40 +66,29 @@ class RevocationJob:
     def state(self) -> str:
         return "done" if self.cursor >= len(self.addresses) else "scanning"
 
+    def doomed(self, cap: Capability) -> bool:
+        """Sweep predicate; targets are colors 1..pool, so no other otype matches."""
+        return cap.otype in self.targets
 
-class MallocRevocationShim:
+
+class MallocRevocationShim(HeapScheme):
+    """The heap scheme plus colors: `live` maps base -> (size, color), and
+    nothing is ever quarantined."""
+
     def __init__(
         self,
         machine: TaggedMachine,
         threshold_fraction: float = 0.01,
         sweep_window: Optional[int] = None,
     ) -> None:
+        super().__init__(machine)
         config = machine.config
-        self.machine = machine
-        self.heap = FreeListHeap(config.heap_base, config.heap_size)
         self.pool = config.color_count - 1  # color 0 is reserved
         self.unr = UnrState(self.pool)
         self.threshold_count = math.ceil(threshold_fraction * self.pool)
         self.sweep_window = sweep_window
-        self.root = Capability(
-            address=config.heap_base,
-            base=config.heap_base,
-            length=config.heap_size,
-            perms=PERMS_ROOT,
-            otype=UNSEALED,
-            tag=True,
-        )
-        self.live: dict[int, tuple[int, int]] = {}  # base -> (size, color)
-        self.live_bytes = 0
         self.retracted_pending: set[int] = set()
         self.job: Optional[RevocationJob] = None
-        self.allocations = 0
-        self.frees = 0
-        self.revocations = 0
-        self.swept_tags = 0
-        self.peak_resident_bytes = 0
-        self.peak_live_bytes = 0
-        self.peak_unr_bytes = 0
         self._otypeth = config.otypeth
         self._sample()
 
@@ -262,7 +248,7 @@ class MallocRevocationShim:
             end = min(job.cursor + window, end)
         chunk = job.addresses[job.cursor : end]
         job.swept += self.machine.sweep_scan(
-            job.targets, addresses=chunk, include_registers=False
+            job.doomed, addresses=chunk, include_registers=False
         )
         scanned = end - job.cursor
         job.cursor = end
@@ -280,7 +266,7 @@ class MallocRevocationShim:
             raise RuntimeError("revocation scan has not completed")
         rewrites = self.machine.take_cap_write_log()
         job.swept += self.machine.sweep_scan(
-            job.targets, addresses=sorted(rewrites), include_registers=True
+            job.doomed, addresses=sorted(rewrites), include_registers=True
         )
         self.machine.pvt_set_many(job.targets, retracted=False)
         if job.targets:

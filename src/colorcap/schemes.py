@@ -1,9 +1,11 @@
 """Comparison allocators over the shared tagged machine.
 
-Five schemes implement the `Scheme` protocol that the harness drives.
+All five schemes build on `heap.HeapScheme`, which sets up the heap, the
+root capability, the live map and the counters the harness harvests, so
+they differ only in what free does and how a stale capability is caught.
 Picasso is the malloc revocation shim itself; cornucopia (both variants)
 and versioning's fallback share one quarantine component,
-`_QuarantineScheme`:
+`_QuarantineScheme`, whose sweep is `TaggedMachine.sweep_scan`:
 
 * picasso         - colored capabilities, provenance retraction, threshold
                     sweeps, immediate heap reuse.
@@ -19,17 +21,10 @@ and versioning's fallback share one quarantine component,
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Protocol, Union
+from typing import Optional
 
-from .capability import (
-    PERMS_APP,
-    PERMS_ROOT,
-    UNSEALED,
-    Capability,
-    clear_tag,
-    derive,
-)
-from .heap import FreeListHeap, round_up
+from .capability import PERMS_APP, Capability
+from .heap import HeapScheme
 from .machine import (
     FAULT_DOUBLE_FREE,
     FAULT_MALFORMED_FREE,
@@ -49,120 +44,11 @@ VERSION_MASK = (1 << VERSION_BITS) - 1
 MIN_QUARANTINE_BYTES = 4096
 
 
-def _intersects_shadow(shadow: set[int], base: int, top: int) -> bool:
-    """Full-range test: does [base, top) touch any shadowed 16-byte word?"""
-    if top <= base:
-        return False
-    first = base & ~15
-    last = (top - 1) & ~15
-    if (last - first) // 16 + 1 <= len(shadow):
-        return any(w in shadow for w in range(first, last + 16, 16))
-    return any(w + 16 > base and w < top for w in shadow)
-
-
-def _sweep_shadowed(machine: TaggedMachine, shadow: set[int]) -> int:
-    """Clear the tag of every capability whose range intersects the shadow
-    bitmap; memory in ascending address order, then registers."""
-    cleared = 0
-    caps = machine.caps
-    for addr in sorted(caps):
-        cap = caps[addr]
-        if _intersects_shadow(shadow, cap.base, cap.base + cap.length):
-            del caps[addr]
-            cleared += 1
-    for i, cap in enumerate(machine.regs):
-        if cap is not None and cap.tag:
-            if _intersects_shadow(shadow, cap.base, cap.base + cap.length):
-                machine.regs[i] = clear_tag(cap)
-                cleared += 1
-    return cleared
-
-
-class Scheme(Protocol):
-    """What `run_trace` drives: the allocator calls, checked data access,
-    and the counters it harvests into `Metrics`."""
-
-    name: str
-    allocations: int
-    frees: int
-    revocations: int
-    swept_tags: int
-    peak_live_bytes: int
-    peak_quarantine_bytes: int
-    peak_resident_bytes: int
-    peak_unr_bytes: int
-
-    def malloc(self, size: int) -> Capability: ...
-    def free(self, cap: Optional[Capability]) -> Optional[Fault]: ...
-    def load(self, cap: Optional[Capability], offset: int, width: int) -> Union[bytes, Fault]: ...
-    def store(self, cap: Optional[Capability], offset: int, data: bytes) -> Optional[Fault]: ...
-
-
-class _BaseScheme:
-    def __init__(self, machine: TaggedMachine) -> None:
-        config = machine.config
-        self.machine = machine
-        self.heap = FreeListHeap(config.heap_base, config.heap_size)
-        self.root = Capability(
-            address=config.heap_base,
-            base=config.heap_base,
-            length=config.heap_size,
-            perms=PERMS_ROOT,
-            otype=UNSEALED,
-            tag=True,
-        )
-        self.live: dict = {}  # base -> the scheme's allocation record
-        self.allocations = 0
-        self.frees = 0
-        self.revocations = 0
-        self.swept_tags = 0
-        self.live_bytes = 0
-        self.quarantine_bytes = 0
-        self.peak_live_bytes = 0
-        self.peak_quarantine_bytes = 0
-        self.peak_resident_bytes = 0
-        self.peak_unr_bytes = 0
-
-    def _sample(self) -> None:
-        if self.live_bytes > self.peak_live_bytes:
-            self.peak_live_bytes = self.live_bytes
-        if self.quarantine_bytes > self.peak_quarantine_bytes:
-            self.peak_quarantine_bytes = self.quarantine_bytes
-        resident = self.live_bytes + self.quarantine_bytes
-        if resident > self.peak_resident_bytes:
-            self.peak_resident_bytes = resident
-
-    def _carve(self, size: int) -> tuple[int, int]:
-        """Carve a block for `size` bytes from the heap and count it live."""
-        block = round_up(size)
-        base = self.heap.alloc(block)  # quarantined blocks are off the list
-        self.live_bytes += block
-        self.allocations += 1
-        self._sample()
-        return base, block
-
-    def malloc(self, size: int) -> Capability:
-        base, block = self._carve(size)
-        self.live[base] = block
-        return derive(self.root, base, block, PERMS_APP)
-
-    # Data access: spatial/tag/permission checks via the machine, plus the
-    # provenance check for colored capabilities (picasso's only).
-    def load(self, cap, offset: int, width: int):
-        return self.machine.load_data(cap, offset, width)
-
-    def store(self, cap, offset: int, data: bytes):
-        return self.machine.store_data(cap, offset, data)
-
-
 class PicassoScheme(MallocRevocationShim):
     """The malloc revocation shim driven as a scheme.  Retraction replaces
     quarantine, so nothing is ever quarantined."""
 
     name = "picasso"
-    peak_quarantine_bytes = 0
-    load = _BaseScheme.load
-    store = _BaseScheme.store
 
     def malloc(self, size: int) -> Capability:
         return self.m_malloc(size)
@@ -171,10 +57,11 @@ class PicassoScheme(MallocRevocationShim):
         return self.m_free(cap)
 
 
-class _QuarantineScheme(_BaseScheme):
+class _QuarantineScheme(HeapScheme):
     """Cornucopia-style quarantine (Filardo et al., IEEE S&P 2020): freed
     blocks wait in a FIFO, their words marked in a shadow set, until a
-    sweep has revoked every capability into them."""
+    sweep has revoked every capability into them; running out of heap
+    forces that sweep early (see `HeapScheme._carve`)."""
 
     def __init__(self, machine: TaggedMachine, quarantine_fraction: float) -> None:
         super().__init__(machine)
@@ -200,7 +87,7 @@ class _QuarantineScheme(_BaseScheme):
         self.revocations += 1
         self._sample()  # quarantine peaks right before it drains
         if self.shadow:
-            self.swept_tags += _sweep_shadowed(self.machine, self.shadow)
+            self.swept_tags += self.machine.sweep_scan(self._in_quarantine)
         reclaimed = self.quarantine_bytes
         while self.quarantine:
             base, size = self.quarantine.popleft()
@@ -208,6 +95,19 @@ class _QuarantineScheme(_BaseScheme):
         self.shadow.clear()
         self.quarantine_bytes = 0
         return reclaimed
+
+    def _in_quarantine(self, cap: Capability) -> bool:
+        """Does the capability's full range touch any shadowed word?"""
+        base = cap.base
+        top = base + cap.length
+        if top <= base:
+            return False
+        shadow = self.shadow
+        first = base & ~15
+        last = (top - 1) & ~15
+        if (last - first) // 16 + 1 <= len(shadow):
+            return any(w in shadow for w in range(first, last + 16, 16))
+        return any(w + 16 > base and w < top for w in shadow)
 
 
 class CornucopiaScheme(_QuarantineScheme):
@@ -243,7 +143,7 @@ class CornucopiaScheme(_QuarantineScheme):
         return None
 
 
-class NoneScheme(_BaseScheme):
+class NoneScheme(HeapScheme):
     """Spatial safety only.  Frees that do not name a live allocation are
     silently ignored - there is no temporal bookkeeping to catch them - and
     dangling capabilities stay usable."""
@@ -371,7 +271,7 @@ def make_scheme(
     quarantine_fraction: float = 0.25,
     sweep_window: Optional[int] = None,
     versioning_fallback: bool = True,
-) -> Scheme:
+) -> HeapScheme:
     if name == "picasso":
         return PicassoScheme(machine, threshold_fraction, sweep_window)
     if name == "cornucopia":

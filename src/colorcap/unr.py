@@ -102,17 +102,8 @@ class _Builder:
             self.win_len += length
             self._settle()
             return
-        out = self.out
-        if out:
-            tail = out[-1]
-            if type(tail) is Run and tail.claimed == claimed:
-                tail.length += length
-                return
-            if type(tail) is BitmapNode and tail.length + length <= BITMAP_CAPACITY:
-                if claimed:
-                    tail.bits |= ((1 << length) - 1) << tail.length
-                tail.length += length
-                return
+        if self._fold(claimed, length):
+            return
         win.append([claimed, length])
         self.win_len = length
         self._settle()
@@ -127,16 +118,9 @@ class _Builder:
             return
         if self.win and self.win_len + length <= BITMAP_CAPACITY:
             # Fold the pending runs in as the bitmap's prefix.
-            prefix = 0
-            at = 0
-            for claimed, run_len in self.win:
-                if claimed:
-                    prefix |= ((1 << run_len) - 1) << at
-                at += run_len
+            prefix, at = self._take_window()
             bits = prefix | (bits << at)
             length += at
-            self.win.clear()
-            self.win_len = 0
         else:
             self._flush_window()
         self._push_bitmap(bits, length)
@@ -156,15 +140,19 @@ class _Builder:
             self.win_len = 0
             self._commit(claimed, length)
         elif len(win) >= 3:
-            bits = 0
-            at = 0
-            for claimed, run_len in win:
-                if claimed:
-                    bits |= ((1 << run_len) - 1) << at
-                at += run_len
-            win.clear()
-            self.win_len = 0
-            self._push_bitmap(bits, at)
+            self._push_bitmap(*self._take_window())
+
+    def _take_window(self) -> tuple[int, int]:
+        """Empty the window into one (bits, length) bitmap image."""
+        bits = 0
+        at = 0
+        for claimed, run_len in self.win:
+            if claimed:
+                bits |= ((1 << run_len) - 1) << at
+            at += run_len
+        self.win.clear()
+        self.win_len = 0
+        return bits, at
 
     def _flush_window(self) -> None:
         for claimed, length in self.win:
@@ -173,18 +161,24 @@ class _Builder:
         self.win_len = 0
 
     def _commit(self, claimed: bool, length: int) -> None:
+        if not self._fold(claimed, length):
+            self.out.append(Run(claimed, length))
+
+    def _fold(self, claimed: bool, length: int) -> bool:
+        """Extend the last emitted node by a run, if it can take one."""
         out = self.out
         if out:
             tail = out[-1]
-            if type(tail) is Run and tail.claimed == claimed:
-                tail.length += length
-                return
-            if type(tail) is BitmapNode and tail.length + length <= BITMAP_CAPACITY:
+            if type(tail) is Run:
+                if tail.claimed == claimed:
+                    tail.length += length
+                    return True
+            elif tail.length + length <= BITMAP_CAPACITY:
                 if claimed:
                     tail.bits |= ((1 << length) - 1) << tail.length
                 tail.length += length
-                return
-        out.append(Run(claimed, length))
+                return True
+        return False
 
     def _push_bitmap(self, bits: int, length: int) -> None:
         out = self.out

@@ -258,13 +258,18 @@ class TestPvt:
         assert buf.misses == 6  # way 0 was evicted round-robin
 
 
+def colored(*colors):
+    """The sweep predicate of a revocation that targets `colors`."""
+    return lambda cap: cap.otype in colors
+
+
 class TestSweep:
     def test_empty_predicate(self):
         m = machine()
         auth = heap_cap(m)
         m.store_cap(auth, 0, heap_cap(m, offset=0x20, otype=3))
         before = dict(m.words)
-        assert m.sweep_scan(frozenset()) == 0
+        assert m.sweep_scan(colored()) == 0
         assert m.words == before
 
     def test_counts_memory_and_registers(self):
@@ -274,7 +279,7 @@ class TestSweep:
         for i in range(3):
             m.store_cap(auth, i * 16, stale)
         m.regs[4] = stale
-        assert m.sweep_scan({3}) == 4
+        assert m.sweep_scan(colored(3)) == 4
         assert not m.caps
         assert m.regs[4].tag is False
 
@@ -282,7 +287,7 @@ class TestSweep:
         m = machine()
         auth = heap_cap(m)
         m.store_cap(auth, 0, heap_cap(m, offset=0x20, otype=3))
-        assert m.sweep_scan({4, 5, 6}) == 0
+        assert m.sweep_scan(colored(4, 5, 6)) == 0
         assert auth.base in m.caps
 
     def test_uncolored_caps_survive(self):
@@ -290,7 +295,7 @@ class TestSweep:
         auth = heap_cap(m)
         m.store_cap(auth, 0, heap_cap(m, offset=0x20))
         m.regs[0] = heap_cap(m)
-        assert m.sweep_scan({1, 2, 3}) == 0
+        assert m.sweep_scan(colored(1, 2, 3)) == 0
         assert m.regs[0].tag
 
     def test_address_window(self):
@@ -300,7 +305,7 @@ class TestSweep:
         m.store_cap(auth, 0, stale)
         m.store_cap(auth, 16, stale)
         first_word = auth.base
-        assert m.sweep_scan({3}, addresses=[first_word], include_registers=False) == 1
+        assert m.sweep_scan(colored(3), addresses=[first_word], include_registers=False) == 1
         assert first_word not in m.caps
         assert first_word + 16 in m.caps
 

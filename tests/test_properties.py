@@ -1,0 +1,121 @@
+"""Differential property test over random traces.
+
+Hypothesis generates traces whose accesses stay inside each register's
+allocation (the generator tracks every register's size), so the lifetime
+oracle is the only judge of legality.  On each trace, at 7 color bits:
+
+* picasso lets no violation escape and faults no legal access, with sweeps
+  run to completion and with every sweep window from 1 to 8 words;
+* the PVT buffer on and off give identical outcome lists;
+* the color allocator's invariants hold after every sweep;
+* the text format round-trips the trace.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from colorcap.harness import RunConfig, run_trace
+from colorcap.mrs import MallocRevocationShim
+from colorcap.trace import (
+    OP_COPY,
+    OP_DERIVE,
+    OP_FREE,
+    OP_MALLOC,
+    OP_READ,
+    OP_RELOAD,
+    OP_SPILL,
+    OP_WRITE,
+    Trace,
+    format_trace,
+    parse_trace,
+)
+
+REGS = 3
+SLOTS = 4
+
+
+@st.composite
+def traces(draw):
+    """20 to 120 ops over 3 registers and 4 spill slots; reads and writes
+    fall inside the register's current allocation, whether or not it is
+    still live.  At most 120 mallocs never outgrow the 127 colors, so
+    every trace runs to the end."""
+    size = [0] * REGS  # bytes reachable through each register's capability
+    slot_size = [0] * SLOTS
+    ops = []
+    for _ in range(draw(st.integers(20, 120))):
+        reg = draw(st.integers(0, REGS - 1))
+        kind = draw(st.sampled_from(("malloc", "malloc", "free", "free", "access", "access",
+                                     "copy", "spill", "spill", "reload", "reload", "derive")))
+        if kind == "malloc":
+            size[reg] = draw(st.integers(1, 64))
+            ops.append((OP_MALLOC, reg, size[reg], 0))
+        elif kind == "free":
+            ops.append((OP_FREE, reg, 0, 0))
+        elif kind == "access" and size[reg]:
+            offset = draw(st.integers(0, size[reg] - 1))
+            width = draw(st.integers(1, size[reg] - offset))
+            ops.append((draw(st.sampled_from((OP_READ, OP_WRITE))), reg, offset, width))
+        elif kind == "copy":
+            src = draw(st.integers(0, REGS - 1))
+            size[reg] = size[src]
+            ops.append((OP_COPY, reg, src, 0))
+        elif kind == "spill":
+            slot = draw(st.integers(0, SLOTS - 1))
+            slot_size[slot] = size[reg]
+            ops.append((OP_SPILL, reg, slot, 0))
+        elif kind == "reload":
+            slot = draw(st.integers(0, SLOTS - 1))
+            size[reg] = slot_size[slot]
+            ops.append((OP_RELOAD, reg, slot, 0))
+        elif kind == "derive":
+            src = draw(st.integers(0, REGS - 1))
+            offset = draw(st.integers(0, size[src]))
+            size[reg] = size[src] - offset
+            ops.append((OP_DERIVE, reg, src, offset))
+    return Trace(ops=ops, slots=SLOTS, name="property")
+
+
+@contextmanager
+def validated_sweeps():
+    """Check the color allocator after every completed picasso sweep."""
+    finalize = MallocRevocationShim.revocation_finalize
+
+    def checked(shim):
+        reclaimed = finalize(shim)
+        shim.unr.validate()
+        return reclaimed
+
+    with mock.patch.object(MallocRevocationShim, "revocation_finalize", checked):
+        yield
+
+
+def outcomes(trace, config):
+    result = run_trace(trace, "picasso", config, collect_outcomes=True)
+    assert result.metrics.uaf_escapes == 0
+    assert result.metrics.false_positives == 0
+    return result.outcomes
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    trace=traces(),
+    # High thresholds make short traces sweep: at 0.97 a revocation starts
+    # once 4 of the 127 colors are claimed.
+    threshold=st.sampled_from((0.5, 0.9, 0.97)),
+)
+def test_picasso_matches_the_oracle(trace, threshold):
+    config = RunConfig(color_bits=7, threshold_fraction=threshold)
+    with validated_sweeps():
+        expected = outcomes(trace, config)
+        for window in range(1, 9):
+            outcomes(trace, RunConfig(color_bits=7, threshold_fraction=threshold,
+                                      sweep_window=window))
+        unbuffered = RunConfig(color_bits=7, threshold_fraction=threshold, pvt_buffer=False)
+        assert outcomes(trace, unbuffered) == expected
+    parsed = parse_trace(format_trace(trace))
+    assert parsed.ops == trace.ops
+    assert parsed.slots <= trace.slots

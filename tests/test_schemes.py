@@ -1,6 +1,8 @@
 import pytest
 
-from colorcap.capability import MachineConfig
+from colorcap.capability import MachineConfig, derive
+from colorcap.harness import RunConfig, run_trace
+from colorcap.heap import OutOfMemory
 from colorcap.machine import FaultKind, TaggedMachine
 from colorcap.schemes import (
     MIN_QUARANTINE_BYTES,
@@ -9,6 +11,7 @@ from colorcap.schemes import (
     VersioningScheme,
     make_scheme,
 )
+from colorcap.workloads import gen_churn
 
 
 def machine(**kw):
@@ -66,6 +69,27 @@ class TestCornucopia:
         assert m.regs[3].tag is False
         fault = corn.load(m.regs[3], 0, 8)
         assert fault.kind is FaultKind.UNTAGGED_OPERAND
+
+    def test_revoke_spares_zero_length_cap_at_quarantined_base(self):
+        # A capability is revoked when its range touches quarantined memory;
+        # an empty range at the block's base touches nothing.
+        m = machine()
+        corn = CornucopiaScheme(m)
+        auth = corn.malloc(64)
+        cap = corn.malloc(64)
+        empty = derive(cap, cap.base, 0, cap.perms)
+        assert m.store_cap(auth, 0, cap) is None
+        assert m.store_cap(auth, 16, empty) is None
+        m.regs[3] = cap
+        m.regs[4] = empty
+        corn.free(cap)
+        assert corn.revocations == 0
+        corn.revoke()
+        assert corn.swept_tags == 2
+        assert auth.base not in m.caps
+        assert m.caps[auth.base + 16] == empty
+        assert m.regs[3].tag is False
+        assert m.regs[4].tag is True
 
     def test_empty_quarantine_revoke(self):
         corn = CornucopiaScheme(machine())
@@ -231,6 +255,42 @@ class TestVersioning:
         # check fires the Cornucopia-style sweep.
         assert ver.revocations == 1
         assert m.regs[0].tag is False
+
+
+class TestOutOfMemory:
+    def test_quarantine_revoked_before_giving_up(self):
+        m = machine(heap_size=0x4000)
+        corn = CornucopiaScheme(m)
+        blocks = [corn.malloc(1024) for _ in range(16)]
+        stale = blocks[5]
+        m.regs[0] = stale
+        corn.free(stale)  # 1 KiB quarantined, under the sweep floor
+        assert corn.revocations == 0
+        again = corn.malloc(1024)
+        assert corn.revocations == 1
+        assert again.base == stale.base
+        assert m.regs[0].tag is False
+
+    def test_nothing_to_revoke_still_raises(self):
+        corn = CornucopiaScheme(machine(heap_size=0x4000))
+        for _ in range(16):
+            corn.malloc(1024)
+        with pytest.raises(OutOfMemory):
+            corn.malloc(16)
+        assert corn.revocations == 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("scheme", ["cornucopia", "versioning"])
+    def test_churn_that_once_ran_out_of_memory(self, scheme, seed):
+        # The live set fits the 16 KiB heap, but quarantined 1 KiB blocks
+        # once exhausted it before any sweep was due.
+        trace = gen_churn(900, 25, (16, 64, 200, 1024), seed=seed, touch_rate=0.4,
+                          inject="mixed", inject_rate=0.07)
+        config = RunConfig(color_bits=8, heap_size=1 << 14)
+        metrics = run_trace(trace, scheme, config).metrics
+        assert metrics.allocations == run_trace(trace, "none", config).metrics.allocations
+        assert metrics.revocations > 0
+        assert metrics.false_positives == 0
 
 
 class TestNoneMode:
