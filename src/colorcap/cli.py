@@ -9,7 +9,8 @@ Exit codes: 0 on success (expectations matched; for `corpus`, the picasso
 row detected every bad case with no false positives), 1 on expectation or
 gate mismatch, 2 on configuration or parse errors, 3 when the run ran out
 of heap (OutOfMemory; a quarantining scheme first revokes its quarantine)
-or of colors (PoolExhausted).
+or of colors (PoolExhausted, also when out of both; picasso first sweeps
+back any retracted color).
 
 Reports go to stdout in json, csv, or human form; --out (or the
 COLORCAP_OUTPUT_DIR environment variable) additionally writes them to a

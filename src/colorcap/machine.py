@@ -69,9 +69,6 @@ FAULT_PVT_UNMAPPED: Final = Fault(FaultKind.PVT_UNMAPPED)
 _ZERO_WORD: Final = bytes(16)
 _PVB_UNMAPPED: Final = object()
 
-#: Permission required for each access kind.
-_KIND_PERM = ("read", "write", "read_cap", "write_cap")
-
 
 class PvtBuffer:
     """Set-associative cache of 128-bit PVT words, keyed by their virtual

@@ -1,15 +1,15 @@
 """Malloc revocation shim: color lifecycle, double-free detection, and
 revocation sweeps over the tagged machine.
 
-Allocation claims the lowest free color, stamps it onto the capability with
-the shim's sw_vmem authority, and strips that authority from what the
-application receives.  Free retracts the color's provenance-validity bit -
+Allocation claims the lowest free color before it carves the block, stamps
+the color onto the capability with the shim's sw_vmem authority, and strips
+that authority from what the application receives.  Free retracts the color's provenance-validity bit -
 detecting double frees as a side effect - and returns the block to the free
 list immediately; no quarantine is needed because retraction already makes
 every stale capability fault.
 
-The shim is a `heap.HeapScheme`: heap, root capability, live map and
-counters come from the base, and only the color lifecycle lives here.
+The shim is a `heap.HeapScheme`: heap, root capability, live map, counters
+and block carving come from the base; only the color lifecycle lives here.
 
 Colors stay out of rotation until a revocation sweep completes.  When the
 unclaimed population drops below the threshold, the shim freezes the
@@ -21,7 +21,8 @@ next sweep.  The hardware sweep works from a snapshot of the PVT; the
 simulator keeps no copy and models the snapshot only by counting the PVT
 twice in the resident bytes while a sweep is in flight.  The sweep runs to
 completion at trigger time by default; a window size makes it advance
-incrementally across subsequent allocation calls instead.
+incrementally across subsequent allocation calls instead.  With no color
+free, allocation sweeps until a retracted one comes back.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .capability import PERMS_APP, Capability, derive, set_color
-from .heap import HeapScheme, OutOfMemory, round_up
+from .heap import HeapScheme, OutOfMemory
 from .machine import (
     FAULT_DOUBLE_FREE,
     FAULT_MALFORMED_FREE,
@@ -63,8 +64,8 @@ class RevocationJob:
     swept: int = 0
 
     @property
-    def state(self) -> str:
-        return "done" if self.cursor >= len(self.addresses) else "scanning"
+    def done(self) -> bool:
+        return self.cursor >= len(self.addresses)
 
     def doomed(self, cap: Capability) -> bool:
         """Sweep predicate; targets are colors 1..pool, so no other otype matches."""
@@ -118,61 +119,39 @@ class MallocRevocationShim(HeapScheme):
     def m_malloc(self, size: int) -> Capability:
         """Allocate >= size bytes and return a freshly colored capability.
 
-        Polls any in-flight sweep first, then runs the threshold check.
-        Raises OutOfMemory (heap) or PoolExhausted (no color reclaimable).
+        Polls any in-flight sweep, runs the threshold check, then claims a
+        color before `_carve` takes the block and the one peak sample.
+        Raises PoolExhausted (every color live) or OutOfMemory (heap).
         """
         if size <= 0:
             raise ValueError("allocation size must be positive")
         self._poll_job()
         if self.maybe_revoke() and self.sweep_window is None:
-            self.revocation_step()
-            self.revocation_finalize()
-        block_size = round_up(size)
-        base = self.heap.alloc(block_size)
+            self._finish_job()
+        color = self._claim_color()
         try:
-            color = self._claim_color()
-        except PoolExhausted:
-            self.heap.free(base, block_size)
+            base, block = self._carve(size)
+        except OutOfMemory:
+            self.unr.free_one(color)
             raise
-        narrowed = derive(self.root, base, block_size, PERMS_APP, self._otypeth)
+        narrowed = derive(self.root, base, block, PERMS_APP, self._otypeth)
         cap = set_color(narrowed, self.root, color, self._otypeth)
-        # Fresh colors already read valid; recycled ones were cleared when
-        # their sweep finalized, so this is a coherence no-op either way.
-        self.machine.pvt_set(color, retracted=False)
-        self.live[base] = (block_size, color)
-        self.live_bytes += block_size
-        self.allocations += 1
-        self._sample()
-        return cap
-
-    def m_calloc(self, size: int) -> Capability:
-        """m_malloc plus zero fill."""
-        cap = self.m_malloc(size)
-        self.machine.write_bytes(cap.base, b"\x00" * cap.length)
+        self.live[base] = (block, color)
         return cap
 
     def _claim_color(self) -> int:
-        try:
-            return self.unr.alloc_first_free()
-        except Exhausted:
-            pass
-        self._force_reclaim()
-        try:
-            return self.unr.alloc_first_free()
-        except Exhausted:
-            raise PoolExhausted(
-                "provenance identifiers exhausted and none reclaimable"
-            ) from None
-
-    def _force_reclaim(self) -> None:
-        """Run a sweep to completion right now; allocation cannot proceed
-        until IDs come back."""
-        if self.job is None:
-            if not self.retracted_pending:
-                raise PoolExhausted("provenance identifiers exhausted")
-            self._start_job()
-        self.revocation_step()
-        self.revocation_finalize()
+        """Claim the lowest free color, finishing the sweep in flight or
+        starting one over the retracted colors until one comes back."""
+        while True:
+            try:
+                return self.unr.alloc_first_free()
+            except Exhausted:
+                pass
+            if self.job is None:
+                if not self.retracted_pending:
+                    raise PoolExhausted("provenance identifiers exhausted")
+                self._start_job()
+            self._finish_job()
 
     # -- free --------------------------------------------------------------
 
@@ -200,7 +179,6 @@ class MallocRevocationShim(HeapScheme):
         self.live_bytes -= size
         self.heap.free(cap.base, size)  # immediately reusable
         self.frees += 1
-        self._sample()
         return None
 
     # -- revocation ----------------------------------------------------------
@@ -232,10 +210,15 @@ class MallocRevocationShim(HeapScheme):
         job = self.job
         if job is None:
             return
-        if self.sweep_window is not None and job.state != "done":
+        if self.sweep_window is not None and not job.done:
             self.revocation_step(self.sweep_window)
-        if job.state == "done":
+        if job.done:
             self.revocation_finalize()
+
+    def _finish_job(self) -> None:
+        """Run the job in flight to completion right now."""
+        self.revocation_step()
+        self.revocation_finalize()
 
     def revocation_step(self, window: Optional[int] = None) -> int:
         """Advance the sweep over up to `window` tagged words (all of them
@@ -262,7 +245,7 @@ class MallocRevocationShim(HeapScheme):
         job = self.job
         if job is None:
             raise RuntimeError("no revocation in progress")
-        if job.state != "done":
+        if not job.done:
             raise RuntimeError("revocation scan has not completed")
         rewrites = self.machine.take_cap_write_log()
         job.swept += self.machine.sweep_scan(
@@ -271,7 +254,6 @@ class MallocRevocationShim(HeapScheme):
         self.machine.pvt_set_many(job.targets, retracted=False)
         if job.targets:
             self.unr.batch_release(sorted(job.targets))
-        self.retracted_pending.difference_update(job.targets)
         self.swept_tags += job.swept
         self.job = None
         self._sample()

@@ -74,6 +74,7 @@ class _QuarantineScheme(HeapScheme):
         quarantine reaches its share of the resident bytes."""
         self.quarantine.append((base, size))
         self.quarantine_bytes += size
+        self._sample()  # the only point after a free where a peak can rise
         self.shadow.update(range(base, base + size, 16))
         if force or self.quarantine_bytes >= max(
             MIN_QUARANTINE_BYTES,
@@ -85,7 +86,6 @@ class _QuarantineScheme(HeapScheme):
         """Sweep memory and registers, clear the shadow, and return the
         quarantined blocks (FIFO) to the free list.  Returns bytes reclaimed."""
         self.revocations += 1
-        self._sample()  # quarantine peaks right before it drains
         if self.shadow:
             self.swept_tags += self.machine.sweep_scan(self._in_quarantine)
         reclaimed = self.quarantine_bytes
@@ -139,7 +139,6 @@ class CornucopiaScheme(_QuarantineScheme):
         self.live_bytes -= size
         self.frees += 1
         self._quarantine(base, size, force=self.revoke_on_free)
-        self._sample()
         return None
 
 
@@ -159,7 +158,6 @@ class NoneScheme(HeapScheme):
         self.live_bytes -= size
         self.heap.free(cap.base, size)
         self.frees += 1
-        self._sample()
         return None
 
 
@@ -232,7 +230,6 @@ class VersioningScheme(_QuarantineScheme):
             self._quarantine(cap.base, size)
         else:
             self.heap.free(cap.base, size)
-        self._sample()
         return None
 
     def _check(self, cap, offset: int, width: int, kind: str):
