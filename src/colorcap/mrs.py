@@ -185,8 +185,8 @@ class MallocRevocationShim(HeapScheme):
 
     def maybe_revoke(self) -> bool:
         """Start a revocation job if the unclaimed population fell below the
-        threshold and none is in flight."""
-        if self.job is not None:
+        threshold, some color waits to be reclaimed and none is in flight."""
+        if self.job is not None or not self.retracted_pending:
             return False
         if self.unclaimed >= self.threshold_count:
             return False

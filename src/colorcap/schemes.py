@@ -9,8 +9,8 @@ and versioning's fallback share one quarantine component,
 
 * picasso         - colored capabilities, provenance retraction, threshold
                     sweeps, immediate heap reuse.
-* cornucopia      - freed blocks quarantine behind a shadow bitmap until a
-                    sweep revokes every capability into them; reuse waits.
+* cornucopia      - freed blocks wait in a quarantine list until a sweep
+                    revokes every capability into them; reuse waits.
 * cornucopia-rof  - same, but every free triggers the sweep immediately.
 * versioning      - 4-bit granule versions carried in the capability otype;
                     frees recolor the granules; version wrap optionally
@@ -20,7 +20,7 @@ and versioning's fallback share one quarantine component,
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from typing import Optional
 
 from .capability import PERMS_APP, Capability
@@ -59,23 +59,21 @@ class PicassoScheme(MallocRevocationShim):
 
 class _QuarantineScheme(HeapScheme):
     """Cornucopia-style quarantine (Filardo et al., IEEE S&P 2020): freed
-    blocks wait in a FIFO, their words marked in a shadow set, until a
-    sweep has revoked every capability into them; running out of heap
-    forces that sweep early (see `HeapScheme._carve`)."""
+    blocks wait, as (base, top) pairs in one list, until a sweep has
+    revoked every capability into them; running out of heap forces that
+    sweep early (see `HeapScheme._carve`)."""
 
     def __init__(self, machine: TaggedMachine, quarantine_fraction: float) -> None:
         super().__init__(machine)
         self.quarantine_fraction = quarantine_fraction
-        self.quarantine: deque[tuple[int, int]] = deque()
-        self.shadow: set[int] = set()  # word addresses of quarantined bytes
+        self.quarantine: list[tuple[int, int]] = []  # disjoint, in free order
 
     def _quarantine(self, base: int, size: int, force: bool = False) -> None:
         """Hold a freed block back; sweep when forced or once the
         quarantine reaches its share of the resident bytes."""
-        self.quarantine.append((base, size))
+        self.quarantine.append((base, base + size))
         self.quarantine_bytes += size
         self._sample()  # the only point after a free where a peak can rise
-        self.shadow.update(range(base, base + size, 16))
         if force or self.quarantine_bytes >= max(
             MIN_QUARANTINE_BYTES,
             self.quarantine_fraction * (self.live_bytes + self.quarantine_bytes),
@@ -83,35 +81,37 @@ class _QuarantineScheme(HeapScheme):
             self.revoke()
 
     def revoke(self) -> int:
-        """Sweep memory and registers, clear the shadow, and return the
-        quarantined blocks (FIFO) to the free list.  Returns bytes reclaimed."""
+        """Sweep memory and registers for capabilities into the quarantine,
+        then return its blocks to the free list.  Returns bytes reclaimed."""
         self.revocations += 1
-        if self.shadow:
-            self.swept_tags += self.machine.sweep_scan(self._in_quarantine)
+        blocks = self.quarantine
+        if blocks:
+            blocks.sort()
+            bases = [base for base, _ in blocks]
+
+            def doomed(cap: Capability) -> bool:
+                # Blocks are disjoint, so only the last one starting below
+                # the capability's top can overlap it.
+                base = cap.base
+                top = base + cap.length
+                i = bisect_left(bases, top) - 1
+                return top > base and i >= 0 and blocks[i][1] > base
+
+            self.swept_tags += self.machine.sweep_scan(doomed)
+        for base, top in blocks:  # coalescing makes the order immaterial
+            self.heap.free(base, top - base)
+        self.quarantine = []
         reclaimed = self.quarantine_bytes
-        while self.quarantine:
-            base, size = self.quarantine.popleft()
-            self.heap.free(base, size)
-        self.shadow.clear()
         self.quarantine_bytes = 0
         return reclaimed
 
-    def _in_quarantine(self, cap: Capability) -> bool:
-        """Does the capability's full range touch any shadowed word?"""
-        base = cap.base
-        top = base + cap.length
-        if top <= base:
-            return False
-        shadow = self.shadow
-        first = base & ~15
-        last = (top - 1) & ~15
-        if (last - first) // 16 + 1 <= len(shadow):
-            return any(w in shadow for w in range(first, last + 16, 16))
-        return any(w + 16 > base and w < top for w in shadow)
+    def _held(self, addr: int) -> bool:
+        """Is `addr` inside a quarantined block?  Fault path only."""
+        return any(base <= addr < top for base, top in self.quarantine)
 
 
 class CornucopiaScheme(_QuarantineScheme):
-    """Quarantine plus shadow bitmap; freed memory is not reused until a
+    """Quarantine as a block list; freed memory is not reused until a
     completed sweep revokes every capability into it."""
 
     name = "cornucopia"
@@ -131,11 +131,9 @@ class CornucopiaScheme(_QuarantineScheme):
         if cap is None or not cap.tag:
             return FAULT_MALFORMED_FREE
         base = cap.base
-        if (base & ~15) in self.shadow:
-            return FAULT_DOUBLE_FREE  # base already quarantined
         size = self.live.pop(base, None)
-        if size is None:
-            return FAULT_MALFORMED_FREE
+        if size is None:  # a live block's base is never quarantined
+            return FAULT_DOUBLE_FREE if self._held(base) else FAULT_MALFORMED_FREE
         self.live_bytes -= size
         self.frees += 1
         self._quarantine(base, size, force=self.revoke_on_free)

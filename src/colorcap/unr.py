@@ -352,32 +352,7 @@ class UnrState:
         """Release one claimed ID."""
         if not 1 <= ident <= self.total:
             raise ValueError(f"id {ident} outside [1, {self.total}]")
-        nodes = self.nodes
-        self.node_scan_passes += 1
-        offset = 0
-        for i, node in enumerate(nodes):
-            length = node.length
-            if ident <= offset + length:
-                pos = ident - offset - 1
-                if type(node) is Run:
-                    if not node.claimed:
-                        raise NotClaimed(f"id {ident} is not claimed")
-                    parts: list = []
-                    if pos:
-                        parts.append(Run(True, pos))
-                    parts.append(Run(False, 1))
-                    if length - pos - 1:
-                        parts.append(Run(True, length - pos - 1))
-                    nodes[i : i + 1] = parts
-                else:
-                    if not (node.bits >> pos) & 1:
-                        raise NotClaimed(f"id {ident} is not claimed")
-                    node.bits &= ~(1 << pos)
-                self.population -= 1
-                self._rebuild()
-                return
-            offset += length
-        raise AssertionError("node coverage broken")
+        self.batch_release((ident,))
 
     def batch_release(self, ids: Sequence[int] | Iterable[int]) -> None:
         """Release a strictly ascending sequence of claimed IDs in one

@@ -29,6 +29,9 @@ CASES = {
     "churn-window7": RunConfig(color_bits=8, sweep_window=7),
     "churn-nobuffer": RunConfig(color_bits=8, pvt_buffer=False),
     "churn-nofallback": RunConfig(color_bits=8, versioning_fallback=False),
+    # Out of heap with blocks in quarantine: cornucopia and versioning
+    # revoke early and retry (43 and 2 revocations against 37 and 1).
+    "churn-heap8k": RunConfig(color_bits=8, heap_size=8192),
 }
 
 
@@ -74,6 +77,11 @@ GOLDEN = {
     "churn-nofallback/cornucopia-rof": ("7131189e72afa7ef", "6569fc8f57c691a7"),
     "churn-nofallback/versioning": ("c79414c6ad54badf", "5b1115ab667eb044"),
     "churn-nofallback/none": ("9f091406a243f055", "6e79ebf36a0ecc15"),
+    "churn-heap8k/picasso": ("ea4ce8ff48294851", "5b1115ab667eb044"),
+    "churn-heap8k/cornucopia": ("d07e18bcab003d14", "47e123545cd27ea4"),
+    "churn-heap8k/cornucopia-rof": ("7131189e72afa7ef", "6569fc8f57c691a7"),
+    "churn-heap8k/versioning": ("b906af5f3cebfdbc", "5b1115ab667eb044"),
+    "churn-heap8k/none": ("9f091406a243f055", "6e79ebf36a0ecc15"),
     "corpus/picasso": ("e4b4f882e8f20c8e", "59fc615c2e4e1bf8"),
     "corpus/cornucopia": ("8c042ad965e97f6a", "a4a3eef6ce713a02"),
     "corpus/cornucopia-rof": ("9763684bbf7a6db1", "a9e2b8d3a8f128d8"),

@@ -172,10 +172,26 @@ class TestThreshold:
         assert mrs.unclaimed == mrs.threshold_count
         assert mrs.maybe_revoke() is False  # strict less-than
 
+    def test_no_sweep_without_a_retracted_color(self):
+        # Below the threshold with nothing retracted, a sweep would scan
+        # every tagged word and reclaim nothing: only r0..r2's frees give
+        # the one sweep something to target.
+        lines = []
+        for i in range(8):
+            lines += [f"malloc r{i} 16", f"spill r{i} {i}"]
+        lines += ["malloc r8 16", "free r0", "free r1", "free r2"]
+        lines += [f"malloc r{i} 16" for i in range(9, 16)]
+        config = RunConfig(color_bits=4, threshold_fraction=0.5)
+        metrics = run_trace(parse_trace("\n".join(lines)), "picasso", config).metrics
+        assert metrics.revocations == 1
+        assert metrics.uaf_escapes == 0
+        assert metrics.false_positives == 0
+
     def test_single_outstanding_job(self):
         _, mrs = make(window=1)
         while mrs.unclaimed >= mrs.threshold_count:
             mrs.unr.alloc_first_free()
+        mrs.retracted_pending.add(5)  # something to reclaim
         assert mrs.maybe_revoke() is True
         assert mrs.maybe_revoke() is False
 
@@ -267,10 +283,9 @@ class TestExhaustion:
             mrs.m_malloc(32)
 
     def test_windowed_sweep_reclaims_colors_retracted_after_it_started(self):
-        # r8's malloc starts a threshold sweep with nothing retracted; r0..r2
-        # are retracted while it crawls one word per malloc.  Running dry at
-        # r15 must finish that sweep and then sweep again over r0..r2, not
-        # give up with three colors waiting.
+        # r0..r2 are retracted once the pool is half claimed; the sweep over
+        # them crawls one word per malloc and must reclaim them, not give
+        # up with three colors waiting.
         lines = []
         for i in range(8):
             lines += [f"malloc r{i} 16", f"spill r{i} {i}"]

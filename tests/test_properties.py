@@ -10,6 +10,10 @@ oracle is the only judge of legality.  On each trace, at 7 color bits:
 * the color allocator's invariants hold after every sweep;
 * the text format round-trips the trace.
 
+Cornucopia's sweep clears a tag exactly when the capability's range
+touches a quarantined 16-byte word, whatever its base, length and the
+blocks it spans.
+
 At 4 color bits the same traces run out of colors: with any sweep window
 picasso raises PoolExhausted exactly when it does with sweeps run to
 completion (only when every color is live), and a run that finishes still
@@ -22,8 +26,11 @@ from unittest import mock
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from colorcap.capability import PERMS_APP, Capability, MachineConfig
 from colorcap.harness import RunConfig, run_trace
+from colorcap.machine import NUM_REGISTERS, TaggedMachine
 from colorcap.mrs import MallocRevocationShim, PoolExhausted
+from colorcap.schemes import CornucopiaScheme
 from colorcap.trace import (
     OP_COPY,
     OP_DERIVE,
@@ -138,9 +145,9 @@ def exhausts(trace, config):
     return False
 
 
-# Few random traces reach the pool's last color while an empty sweep crawls,
-# so pin one: two spilled words keep a window-1 sweep (started with nothing
-# retracted) in flight across the free that precedes the 16th malloc.
+# Few random traces reach the pool's last color under a sweep window, so pin
+# one: the 16th malloc starts a window-1 sweep over the one retracted color
+# with every color claimed, and must finish it rather than give up.
 _LAST_COLOR_UNDER_AN_EMPTY_SWEEP = Trace(
     ops=[(OP_MALLOC, 0, 16, 0), (OP_SPILL, 0, 0, 0), (OP_MALLOC, 0, 16, 0), (OP_SPILL, 0, 1, 0)]
     + [(OP_MALLOC, 0, 16, 0)] * 13
@@ -158,3 +165,48 @@ def test_sweep_window_never_exhausts_colors_early(trace, threshold):
     for window in range(1, 9):
         config = RunConfig(color_bits=4, threshold_fraction=threshold, sweep_window=window)
         assert exhausts(trace, config) == expected
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_quarantine_sweep_clears_exactly_the_caps_touching_quarantined_words(data):
+    m = TaggedMachine(MachineConfig(color_bits=8, heap_size=0x4000, scratch_slots=64))
+    heap_base, heap_top = m.config.heap_base, m.config.scratch_base
+    corn = CornucopiaScheme(m, quarantine_fraction=0.25)
+    # At most 12 blocks of up to 256 bytes: the quarantine stays under the
+    # sweep floor and the heap never runs out, so nothing sweeps early.
+    caps = [corn.malloc(size) for size in data.draw(st.lists(st.integers(1, 256),
+                                                             min_size=1, max_size=12))]
+    words = set()
+    for cap in caps:
+        if data.draw(st.booleans()):
+            assert corn.free(cap) is None
+            words.update(range(cap.base, cap.top, 16))
+    assert corn.revocations == 0
+    extent = max(cap.top for cap in caps) + 64
+
+    def planted():
+        base = data.draw(st.integers(heap_base, min(extent, heap_top)))
+        length = data.draw(st.one_of(st.just(0), st.integers(0, heap_top - base)))
+        return Capability(base, base, length, PERMS_APP, None, True)
+
+    def touches(cap):
+        # Some 16-byte word of [base, top) is quarantined; an empty range
+        # touches nothing.
+        return cap.length > 0 and any(
+            word in words for word in range(cap.base & ~15, cap.top, 16))
+
+    slots = data.draw(st.lists(st.integers(0, 63), unique=True, max_size=12))
+    for slot in slots:
+        m.caps[m.config.scratch_base + 16 * slot] = planted()
+    for reg in data.draw(st.lists(st.integers(0, NUM_REGISTERS - 1), unique=True,
+                                  max_size=NUM_REGISTERS)):
+        m.regs[reg] = planted()
+    expected = {("mem", addr) for addr, cap in m.caps.items() if touches(cap)}
+    expected |= {("reg", i) for i, cap in enumerate(m.regs) if cap is not None and touches(cap)}
+    corn.revoke()
+    cleared = {("mem", m.config.scratch_base + 16 * slot) for slot in slots}
+    cleared -= {("mem", addr) for addr in m.caps}
+    cleared |= {("reg", i) for i, cap in enumerate(m.regs) if cap is not None and not cap.tag}
+    assert cleared == expected
+    assert corn.swept_tags == len(expected)

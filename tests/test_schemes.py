@@ -112,6 +112,24 @@ class TestCornucopia:
         untagged = Capability(cap.base, cap.base, 64, cap.perms, None, False)
         assert corn.free(untagged).kind is FaultKind.MALFORMED_FREE
 
+    def test_interior_free_of_quarantined_block_is_double_free(self):
+        corn = CornucopiaScheme(machine())
+        cap = corn.malloc(64)
+        interior = derive(cap, cap.base + 16, 48, cap.perms)
+        assert corn.free(interior).kind is FaultKind.MALFORMED_FREE  # block live
+        assert corn.free(cap) is None
+        assert corn.free(interior).kind is FaultKind.DOUBLE_FREE
+
+    def test_empty_cap_at_top_of_live_block_into_quarantine_is_double_free(self):
+        corn = CornucopiaScheme(machine())
+        a = corn.malloc(64)
+        b = corn.malloc(64)
+        assert b.base == a.base + 64
+        assert corn.free(b) is None
+        empty = derive(a, a.base + 64, 0, a.perms)
+        assert corn.free(empty).kind is FaultKind.DOUBLE_FREE
+        assert corn.live == {a.base: 64}
+
     def test_quarantine_exits_fifo(self):
         corn = CornucopiaScheme(machine())
         a = corn.malloc(64)
@@ -119,7 +137,7 @@ class TestCornucopia:
         corn.free(a)
         corn.free(b)
         corn.revoke()
-        # First-fit finds a's (lower) block first because FIFO returned it.
+        # First-fit finds a's (lower) block first once the sweep returned both.
         assert corn.malloc(64).base == a.base
 
     def test_no_quarantined_byte_handed_out_before_sweep(self):
@@ -236,7 +254,7 @@ class TestVersioning:
             ver.free(fresh)  # the 16th recoloring wraps
         assert ver.wraps == 1
         assert ver.quarantine_bytes == 32
-        assert (cap.base & ~15) in ver.shadow
+        assert ver.quarantine == [(cap.base, cap.base + 32)]
         assert ver.malloc(32).base != cap.base  # block held back
 
     def test_fallback_sweep_engages_at_limit(self):
