@@ -15,15 +15,12 @@ from .capability import (
     ColorOutOfRange,
     MachineConfig,
     MonotonicityViolation,
-    OtypeInterpretation,
-    OtypeKind,
     PermissionDenied,
     PermissionSet,
     SealedOperand,
     UntaggedOperand,
     clear_tag,
     derive,
-    interpret,
     pack,
     set_color,
     unpack,

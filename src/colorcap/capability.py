@@ -18,7 +18,6 @@ pool is 1 .. 2**color_bits - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Final, Optional
 
 COLOR_BITS_DEFAULT: Final = 21
@@ -102,35 +101,6 @@ PERMS_APP: Final = PermissionSet(load=True, store=True, load_cap=True, store_cap
 PERMS_ROOT: Final = PermissionSet(
     load=True, store=True, load_cap=True, store_cap=True, sw_vmem=True
 )
-
-
-class OtypeKind(Enum):
-    UNSEALED = "unsealed"
-    COLORED = "colored"
-    SEALED = "sealed"
-
-
-@dataclass(frozen=True, slots=True)
-class OtypeInterpretation:
-    kind: OtypeKind
-    color: Optional[int] = None  # set iff kind is COLORED
-
-
-_UNSEALED_INTERP: Final = OtypeInterpretation(OtypeKind.UNSEALED)
-_SEALED_INTERP: Final = OtypeInterpretation(OtypeKind.SEALED)
-
-
-def interpret(otype: Otype, otypeth: int = DEFAULT_OTYPETH) -> OtypeInterpretation:
-    """Classify an otype against a threshold.
-
-    Total over inputs: the UNSEALED sentinel and the reserved value 0 read
-    as unsealed; 0 < otype < otypeth is a color; otype >= otypeth is sealed.
-    """
-    if otype is None or otype == 0:
-        return _UNSEALED_INTERP
-    if otype < otypeth:
-        return OtypeInterpretation(OtypeKind.COLORED, otype)
-    return _SEALED_INTERP
 
 
 @dataclass(frozen=True, slots=True)

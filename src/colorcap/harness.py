@@ -48,10 +48,6 @@ from .trace import (
     Trace,
 )
 
-#: Outcome lists are collected by default only for traces at most this long.
-COLLECT_LIMIT = 200_000
-
-
 class ConfigError(Exception):
     pass
 
@@ -208,7 +204,7 @@ class LifetimeOracle:
 @dataclass
 class RunResult:
     metrics: Metrics
-    #: Per-op fault kinds (None = ok); omitted for very long traces.
+    #: Per-op fault kinds (None = ok); None unless collect_outcomes is set.
     outcomes: Optional[list[Optional[FaultKind]]]
     #: (op index, expected, actual) triples, capped at 25 entries.
     mismatches: list[tuple[int, Optional[FaultKind], Optional[FaultKind]]]
@@ -218,7 +214,7 @@ def run_trace(
     trace: Trace,
     scheme: str,
     config: Optional[RunConfig] = None,
-    collect_outcomes: Optional[bool] = None,
+    collect_outcomes: bool = False,
 ) -> RunResult:
     """Replay a trace under one scheme on a fresh machine."""
     if scheme not in SCHEME_NAMES:
@@ -245,10 +241,6 @@ def run_trace(
     )
     oracle = LifetimeOracle()
     otypeth = machine_config.otypeth
-
-    if collect_outcomes is None:
-        n_ops = trace.n_ops
-        collect_outcomes = n_ops is not None and n_ops <= COLLECT_LIMIT
     outcomes: Optional[list] = [] if collect_outcomes else None
 
     expects = trace.expects

@@ -30,33 +30,29 @@ def round_up(size: int) -> int:
 
 
 class FreeListHeap:
-    __slots__ = ("base", "size", "free_blocks", "free_bytes")
+    __slots__ = ("free_blocks",)
 
     def __init__(self, base: int, size: int) -> None:
-        self.base = base
-        self.size = size
         # [base, size] pairs sorted by base; disjoint and non-adjacent.
         self.free_blocks: list[list[int]] = [[base, size]]
-        self.free_bytes = size
 
     def alloc(self, size: int) -> int:
         """Return the base of a block of exactly `size` bytes (caller rounds)."""
         if size <= 0 or size % GRANULE:
             raise ValueError("allocation size must be a positive granule multiple")
-        for block in self.free_blocks:
+        blocks = self.free_blocks
+        for block in blocks:  # enumerate() would slow this hot scan
             if block[1] >= size:
                 base = block[0]
                 if block[1] == size:
-                    self.free_blocks.remove(block)
+                    del blocks[bisect_left(blocks, block)]  # bases are distinct
                 else:
                     block[0] += size
                     block[1] -= size
-                self.free_bytes -= size
                 return base
         raise OutOfMemory(f"no free block of {size} bytes")
 
     def free(self, base: int, size: int) -> None:
-        self.free_bytes += size
         blocks = self.free_blocks
         i = bisect_left(blocks, [base, 0])
         # Coalesce with the successor, then the predecessor.

@@ -4,8 +4,8 @@ provenance-validity table.
 Memory is word-granular: each 16-byte word holds raw bytes plus one validity
 tag bit.  A tagged word additionally retains the exact capability stored
 into it, so capability round-trips are lossless; the packed byte image is
-what data reads observe and what dumps show.  Any non-capability write to a
-word clears its tag.
+what data reads observe.  Any non-capability write to a word clears its
+tag.
 
 The provenance-validity table (PVT) holds one bit per color; bit = 1 means
 the color has been retracted and every dereference through a capability of
@@ -68,47 +68,42 @@ FAULT_PVT_UNMAPPED: Final = Fault(FaultKind.PVT_UNMAPPED)
 
 _ZERO_WORD: Final = bytes(16)
 _PVB_UNMAPPED: Final = object()
+PVB_SETS: Final = 16
+PVB_WAYS: Final = 4
 
 
 class PvtBuffer:
-    """Set-associative cache of 128-bit PVT words, keyed by their virtual
-    address, with round-robin replacement per set.
+    """Set-associative buffer of 128-bit PVT words, keyed by their virtual
+    address, with round-robin replacement per set: PVB_SETS * PVB_WAYS words.
 
-    Capacity: sets * ways words (one word covers 128 provenance-validity
-    bits).  Coherence is by whole-buffer invalidation on table writes.
+    Lines hold only tags.  Coherence is by whole-buffer invalidation on
+    every table write that changes a bit, so a buffered word always equals
+    the table: lookups read the bit from the table, and the buffer only
+    decides hit or miss.
     """
 
-    __slots__ = ("sets", "ways", "lines", "rr", "hits", "misses", "invalidations")
+    __slots__ = ("lines", "rr", "hits", "misses", "invalidations")
 
-    def __init__(self, sets: int = 16, ways: int = 4) -> None:
-        self.sets = sets
-        self.ways = ways
-        self.lines: list[list[list]] = [[] for _ in range(sets)]
-        self.rr = [0] * sets
+    def __init__(self) -> None:
+        self.lines: list[list[int]] = [[] for _ in range(PVB_SETS)]
+        self.rr = [0] * PVB_SETS
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
 
-    def set_index(self, word_addr: int) -> int:
-        return (word_addr >> 4) % self.sets
-
-    def get(self, word_addr: int) -> Optional[bytes]:
-        for entry in self.lines[self.set_index(word_addr)]:
-            if entry[0] == word_addr:
-                self.hits += 1
-                return entry[1]
-        self.misses += 1
-        return None
-
-    def fill(self, word_addr: int, word: bytes) -> None:
-        idx = self.set_index(word_addr)
+    def lookup(self, word_addr: int) -> None:
+        """Count a hit if the word is buffered, else a miss and a fill."""
+        idx = (word_addr >> 4) % PVB_SETS
         ways = self.lines[idx]
-        if len(ways) < self.ways:
-            ways.append([word_addr, word])
+        if word_addr in ways:
+            self.hits += 1
+            return
+        self.misses += 1
+        if len(ways) < PVB_WAYS:
+            ways.append(word_addr)
         else:
-            ways[self.rr[idx]] = [word_addr, word]
-            self.rr[idx] = (self.rr[idx] + 1) % self.ways
-        return None
+            ways[self.rr[idx]] = word_addr
+            self.rr[idx] = (self.rr[idx] + 1) % PVB_WAYS
 
     def invalidate_all(self) -> None:
         # The round-robin pointers persist across flushes; replacement
@@ -164,16 +159,9 @@ class TaggedMachine:
         byte_off = color >> 3
         if byte_off >= self._pvt_mapped:
             return _PVB_UNMAPPED
-        buf = self.pvt_buffer
-        if buf is None:
-            return (self.pvt[byte_off] >> (color & 7)) & 1 == 1
-        word_index = color >> 7
-        word = buf.get(self._pvt_base + (word_index << 4))
-        if word is None:
-            base = word_index << 4
-            word = bytes(self.pvt[base : base + 16])
-            buf.fill(self._pvt_base + (word_index << 4), word)
-        return (word[(color >> 3) & 15] >> (color & 7)) & 1 == 1
+        if self.pvt_buffer is not None:
+            self.pvt_buffer.lookup(self._pvt_base + ((color >> 7) << 4))
+        return (self.pvt[byte_off] >> (color & 7)) & 1 == 1
 
     def pvb_retracted(self, color: int) -> bool:
         """Software read of a provenance-validity bit (allocator path).
@@ -406,30 +394,3 @@ class TaggedMachine:
         log = self._cap_write_log
         self._cap_write_log = None
         return log if log is not None else set()
-
-    # -- debugging dumps -------------------------------------------------
-
-    def dump_memory(self) -> list[str]:
-        """One line per populated word: addr=<hex> tag=<0|1> bytes=<32 hex>."""
-        lines = []
-        caps = self.caps
-        for addr in sorted(self.words):
-            tag = 1 if addr in caps else 0
-            lines.append(f"addr={addr:#x} tag={tag} bytes={self.words[addr].hex()}")
-        return lines
-
-    def dump_pvt(self) -> list[str]:
-        """Run-length encoded table state: `<lo>-<hi>:<valid|retracted>`."""
-        lines = []
-        run_start = 1
-        run_state = self.pvb_retracted(1) if self._color_count > 1 else False
-        for color in range(2, self._color_count):
-            state = self.pvb_retracted(color)
-            if state != run_state:
-                word = "retracted" if run_state else "valid"
-                lines.append(f"{run_start}-{color - 1}:{word}")
-                run_start, run_state = color, state
-        if self._color_count > 1:
-            word = "retracted" if run_state else "valid"
-            lines.append(f"{run_start}-{self._color_count - 1}:{word}")
-        return lines

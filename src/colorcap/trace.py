@@ -22,6 +22,7 @@ the harness, never fatal.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Final, Iterable, Iterator, Optional
 
@@ -63,22 +64,15 @@ class ParseError(Exception):
 class ReplayableOps:
     """Re-iterable view over generated operations: every iteration replays
     the factory from scratch, so a trace can be run any number of times
-    without materializing it.  A stream of unknown length (None) has no
-    len(), which makes the harness stream it."""
+    without materializing it."""
 
-    __slots__ = ("_factory", "_length")
+    __slots__ = ("_factory",)
 
-    def __init__(self, factory: Callable[[], Iterator[TraceOp]], length: Optional[int]) -> None:
+    def __init__(self, factory: Callable[[], Iterator[TraceOp]]) -> None:
         self._factory = factory
-        self._length = length
 
     def __iter__(self) -> Iterator[TraceOp]:
         return self._factory()
-
-    def __len__(self) -> int:
-        if self._length is None:
-            raise TypeError("operation stream of unknown length")
-        return self._length
 
 
 @dataclass
@@ -89,13 +83,6 @@ class Trace:
     expects: dict[int, Optional[FaultKind]] = field(default_factory=dict)
     slots: int = 0
     name: str = ""
-
-    @property
-    def n_ops(self) -> Optional[int]:
-        try:
-            return len(self.ops)  # type: ignore[arg-type]
-        except TypeError:
-            return None
 
 
 _FAULT_BY_NAME: Final = {kind.value: kind for kind in FaultKind}
@@ -138,76 +125,73 @@ def parse_trace(text: str, name: str = "") -> Trace:
     expects: dict[int, Optional[FaultKind]] = {}
     max_slot = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
-        if not tokens:
+        found = list(re.finditer(r"\S+", raw.split("#", 1)[0]))
+        if not found:
             continue
+        tokens = [m.group() for m in found]
 
-        def col(tok: str) -> int:
-            return raw.find(tok) + 1
+        def col(index: int) -> int:
+            return found[index].start() + 1
 
         head = tokens[0]
         if head.startswith("!"):
             if not ops:
-                raise ParseError(lineno, col(head), "expectation before any op")
+                raise ParseError(lineno, col(0), "expectation before any op")
             if len(tokens) > 1:
-                raise ParseError(lineno, col(tokens[1]), "trailing tokens after expectation")
-            expects[len(ops) - 1] = _parse_expect(head, lineno, col(head))
+                raise ParseError(lineno, col(1), "trailing tokens after expectation")
+            expects[len(ops) - 1] = _parse_expect(head, lineno, col(0))
             continue
 
         expect_token: Optional[str] = None
-        if tokens and tokens[-1].startswith("!"):
-            expect_token = tokens[-1]
-            tokens = tokens[:-1]
-            head = tokens[0]
+        if tokens[-1].startswith("!"):
+            expect_token = tokens.pop()
 
         args = tokens[1:]
 
         def need(n: int) -> None:
             if len(args) != n:
                 raise ParseError(
-                    lineno, col(head), f"{head} takes {n} argument(s), got {len(args)}"
+                    lineno, col(0), f"{head} takes {n} argument(s), got {len(args)}"
                 )
+
+        def reg(i: int) -> int:
+            return _parse_reg(args[i], lineno, col(i + 1))
+
+        def num(i: int, what: str) -> int:
+            return _parse_int(args[i], lineno, col(i + 1), what)
 
         if head == "malloc":
             need(2)
-            reg = _parse_reg(args[0], lineno, col(args[0]))
-            size = _parse_int(args[1], lineno, col(args[1]), "a size")
-            ops.append((OP_MALLOC, reg, size, 0))
+            dst, size = reg(0), num(1, "a size")
+            if size == 0:
+                raise ParseError(lineno, col(2), "a size must be positive")
+            ops.append((OP_MALLOC, dst, size, 0))
         elif head == "free":
             need(1)
-            ops.append((OP_FREE, _parse_reg(args[0], lineno, col(args[0])), 0, 0))
+            ops.append((OP_FREE, reg(0), 0, 0))
         elif head in ("read", "write"):
             need(3)
-            reg = _parse_reg(args[0], lineno, col(args[0]))
-            off = _parse_int(args[1], lineno, col(args[1]), "an offset")
-            width = _parse_int(args[2], lineno, col(args[2]), "a width")
-            ops.append((OP_READ if head == "read" else OP_WRITE, reg, off, width))
+            code = OP_READ if head == "read" else OP_WRITE
+            ops.append((code, reg(0), num(1, "an offset"), num(2, "a width")))
         elif head == "copy":
             need(2)
-            dst = _parse_reg(args[0], lineno, col(args[0]))
-            src = _parse_reg(args[1], lineno, col(args[1]))
-            ops.append((OP_COPY, dst, src, 0))
+            ops.append((OP_COPY, reg(0), reg(1), 0))
         elif head in ("spill", "reload"):
             need(2)
-            reg = _parse_reg(args[0], lineno, col(args[0]))
-            slot = _parse_int(args[1], lineno, col(args[1]), "a slot index")
+            dst, slot = reg(0), num(1, "a slot index")
             max_slot = max(max_slot, slot)
-            ops.append((OP_SPILL if head == "spill" else OP_RELOAD, reg, slot, 0))
+            ops.append((OP_SPILL if head == "spill" else OP_RELOAD, dst, slot, 0))
         elif head == "derive":
             need(3)
-            dst = _parse_reg(args[0], lineno, col(args[0]))
-            src = _parse_reg(args[1], lineno, col(args[1]))
-            off = _parse_int(args[2], lineno, col(args[2]), "an offset")
-            ops.append((OP_DERIVE, dst, src, off))
+            ops.append((OP_DERIVE, reg(0), reg(1), num(2, "an offset")))
         elif head == "scratch":
             need(1)
-            ops.append((OP_SCRATCH, _parse_reg(args[0], lineno, col(args[0])), 0, 0))
+            ops.append((OP_SCRATCH, reg(0), 0, 0))
         else:
-            raise ParseError(lineno, col(head), f"unknown op {head!r}")
+            raise ParseError(lineno, col(0), f"unknown op {head!r}")
 
         if expect_token is not None:
-            expects[len(ops) - 1] = _parse_expect(expect_token, lineno, col(expect_token))
+            expects[len(ops) - 1] = _parse_expect(expect_token, lineno, col(len(tokens)))
 
     return Trace(ops=ops, expects=expects, slots=max_slot + 1, name=name)
 

@@ -18,7 +18,7 @@ structure may differ.
 
 from __future__ import annotations
 
-from typing import Final, Iterable, Iterator, Sequence
+from typing import Final, Iterable, Sequence
 
 BITMAP_CAPACITY: Final = 512
 #: Accounting: every node costs one unit; a bitmap adds its bit payload.
@@ -207,38 +207,6 @@ class UnrState:
         self.node_scan_passes = 0
 
     # -- queries ---------------------------------------------------------
-
-    def is_claimed(self, ident: int) -> bool:
-        if not 1 <= ident <= self.total:
-            raise ValueError(f"id {ident} outside [1, {self.total}]")
-        offset = 0
-        for node in self.nodes:
-            if ident <= offset + node.length:
-                if type(node) is Run:
-                    return node.claimed
-                return (node.bits >> (ident - offset - 1)) & 1 == 1
-            offset += node.length
-        raise AssertionError("node coverage broken")
-
-    def claimed_ids(self) -> Iterator[int]:
-        offset = 0
-        for node in self.nodes:
-            if type(node) is Run:
-                if node.claimed:
-                    yield from range(offset + 1, offset + node.length + 1)
-            else:
-                bits = node.bits
-                while bits:
-                    low = bits & -bits
-                    yield offset + low.bit_length()
-                    bits ^= low
-            offset += node.length
-
-    def claimed_set(self) -> set[int]:
-        return set(self.claimed_ids())
-
-    def node_count(self) -> int:
-        return len(self.nodes)
 
     def node_memory(self) -> int:
         """Bytes consumed by the node representation."""

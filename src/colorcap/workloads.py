@@ -138,16 +138,9 @@ def gen_churn(
                 size = sizes[rng.below(len(sizes))] if many_sizes else sizes[0]
                 yield (OP_MALLOC, reg, size, 0)
 
-    # Exact op counts matter only as a collection hint; injection and
-    # touches make the stream longer, so only the base shape is counted.
-    if spill:
-        base = 2 * live_set + 4 * (n_pairs - live_set)
-    else:
-        base = live_set + 2 * (n_pairs - live_set)
-    extra = inject is not None or touch_rate > 0
     name = f"churn:n={n_pairs},live={live_set},seed={seed}"
     return Trace(
-        ops=ReplayableOps(ops, None if extra else base),
+        ops=ReplayableOps(ops),
         slots=live_set if spill else 0,
         name=name,
     )
@@ -178,10 +171,8 @@ def gen_locality(
         for reg in range(n_allocs):
             yield (OP_FREE, reg, 0, 0)
 
-    per_round = 2 * (size // width) * n_allocs
-    total = 2 * n_allocs + rounds * per_round
     name = f"locality:allocs={n_allocs},rounds={rounds}"
-    return Trace(ops=ReplayableOps(ops, total), slots=0, name=name)
+    return Trace(ops=ReplayableOps(ops), slots=0, name=name)
 
 
 # -- mini-corpus -----------------------------------------------------------

@@ -12,6 +12,7 @@ from colorcap.machine import FaultKind
 from colorcap.trace import OP_COPY, OP_FREE, OP_MALLOC, OP_READ, Trace
 from colorcap.unr import UnrState
 from colorcap.workloads import SplitMix64, gen_churn, gen_corpus, gen_locality
+from helpers import claimed_ids
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -75,7 +76,7 @@ def predicted_revocations(n_pairs, live_target, pool, threshold_fraction):
 def _churn_revocations(n_pairs, live, color_bits, scheme):
     trace = gen_churn(n_pairs, live, (32,), seed=1)
     config = RunConfig(color_bits=color_bits)
-    return run_trace(trace, scheme, config, collect_outcomes=False).metrics
+    return run_trace(trace, scheme, config).metrics
 
 
 def test_criterion_2_revocation_frequency_scaled():
@@ -158,7 +159,7 @@ def test_criterion_3_unr_oracle_equivalence():
                 state.batch_release(picks)
                 assert state.node_scan_passes - before == 1, "batch not single-pass"
                 claimed.difference_update(picks)
-        if state.claimed_set() != claimed:
+        if claimed_ids(state) != claimed:
             mismatches += 1
     # Large-pool batch shape: claim 1e5, release every even id.
     state = UnrState(100_000)
@@ -167,7 +168,7 @@ def test_criterion_3_unr_oracle_equivalence():
     before = state.node_scan_passes
     state.batch_release(range(2, 100_001, 2))
     single_pass = state.node_scan_passes - before == 1
-    big_ok = state.claimed_set() == set(range(1, 100_001, 2))
+    big_ok = claimed_ids(state) == set(range(1, 100_001, 2))
     ok = mismatches == 0 and big_ok and single_pass
     _report(
         3,
@@ -216,9 +217,9 @@ def test_criterion_5_memory_accounting():
     n_pairs, live, color_bits = 80_000, 1000, 16
     trace = gen_churn(n_pairs, live, (32,), seed=21)
     config = RunConfig(color_bits=color_bits)
-    none = run_trace(trace, "none", config, collect_outcomes=False).metrics
-    corn = run_trace(trace, "cornucopia", config, collect_outcomes=False).metrics
-    pic = run_trace(trace, "picasso", config, collect_outcomes=False).metrics
+    none = run_trace(trace, "none", config).metrics
+    corn = run_trace(trace, "cornucopia", config).metrics
+    pic = run_trace(trace, "picasso", config).metrics
     pvt = 1 << color_bits - 3  # one bit per color
     quarantine_excess = corn.peak_resident_bytes - none.peak_resident_bytes
     ok = (
@@ -253,7 +254,7 @@ def test_criterion_6_soundness_and_versioning_gap():
             120, 8, (16, 32), seed=seed, touch_rate=0.5,
             inject="mixed", inject_rate=0.12,
         )
-        metrics = run_trace(trace, "picasso", collect_outcomes=False).metrics
+        metrics = run_trace(trace, "picasso").metrics
         violations += metrics.oracle_violations
         escapes += metrics.uaf_escapes
         false_positives += metrics.false_positives
@@ -289,8 +290,8 @@ def test_criterion_6_soundness_and_versioning_gap():
 def test_criterion_7_revoke_on_free_cost():
     trace = gen_churn(2000, 100, (32,), seed=2)
     config = RunConfig(color_bits=10)
-    pic = run_trace(trace, "picasso", config, collect_outcomes=False).metrics
-    rof = run_trace(trace, "cornucopia-rof", config, collect_outcomes=False).metrics
+    pic = run_trace(trace, "picasso", config).metrics
+    rof = run_trace(trace, "cornucopia-rof", config).metrics
     ratio = rof.swept_tags / max(pic.swept_tags, 1)
     ok = ratio >= 100 and pic.revocations >= 1 and rof.swept_tags > 0
     _report(

@@ -13,14 +13,12 @@ from colorcap.capability import (
     ColorOutOfRange,
     MachineConfig,
     MonotonicityViolation,
-    OtypeKind,
     PermissionDenied,
     PermissionSet,
     SealedOperand,
     UntaggedOperand,
     clear_tag,
     derive,
-    interpret,
     pack,
     set_color,
     unpack,
@@ -74,7 +72,7 @@ class TestSetColor:
         auth = cap(perms=PERMS_ROOT)
         colored = set_color(cap(), auth, 1)
         assert colored.otype == 1
-        assert interpret(colored.otype).kind is OtypeKind.COLORED
+        assert not colored.is_sealed()
 
     def test_requires_sw_vmem(self):
         # Only the trusted allocator may assign provenance identifiers.
@@ -113,34 +111,6 @@ class TestSetColor:
         )
         assert after.perms == before.perms
         assert after.tag == before.tag
-
-
-class TestInterpret:
-    def test_unsealed_sentinel(self):
-        assert interpret(UNSEALED, DEFAULT_OTYPETH).kind is OtypeKind.UNSEALED
-
-    def test_colored(self):
-        out = interpret(5, DEFAULT_OTYPETH)
-        assert out.kind is OtypeKind.COLORED
-        assert out.color == 5
-
-    def test_sealed_at_threshold(self):
-        assert interpret(DEFAULT_OTYPETH, DEFAULT_OTYPETH).kind is OtypeKind.SEALED
-
-    def test_zero_reserved_reads_unsealed(self):
-        assert interpret(0, DEFAULT_OTYPETH).kind is OtypeKind.UNSEALED
-
-    @given(
-        st.one_of(st.none(), st.integers(min_value=0, max_value=1 << 22)),
-        st.integers(min_value=1, max_value=1 << 21),
-    )
-    def test_total_function(self, otype, otypeth):
-        out = interpret(otype, otypeth)
-        assert out.kind in (OtypeKind.UNSEALED, OtypeKind.COLORED, OtypeKind.SEALED)
-        if out.kind is OtypeKind.COLORED:
-            assert 0 < out.color < otypeth
-        else:
-            assert out.color is None
 
 
 class TestClearTag:

@@ -48,17 +48,19 @@ BAD_UAF = Trace(
 class TestRunTrace:
     def test_good_trace_all_schemes_clean(self):
         for scheme in ("picasso", "cornucopia", "cornucopia-rof", "versioning", "none"):
-            metrics = run_trace(GOOD, scheme).metrics
+            result = run_trace(GOOD, scheme)
+            assert result.outcomes is None, scheme  # collected only on request
+            metrics = result.metrics
             assert metrics.faults_total == 0, scheme
             assert metrics.uaf_escapes == 0, scheme
             assert metrics.false_positives == 0, scheme
 
     def test_bad_uaf_detected_vs_escaped(self):
-        result = run_trace(BAD_UAF, "picasso")
+        result = run_trace(BAD_UAF, "picasso", collect_outcomes=True)
         assert result.outcomes[3] is FaultKind.PROVENANCE_RETRACTED
         assert result.metrics.uaf_escapes == 0
         assert result.metrics.expect_mismatches == 0
-        corn = run_trace(BAD_UAF, "cornucopia")
+        corn = run_trace(BAD_UAF, "cornucopia", collect_outcomes=True)
         assert corn.outcomes[3] is None  # quarantined memory still readable
         assert corn.metrics.uaf_escapes == 1
 
@@ -107,7 +109,7 @@ class TestRunTrace:
             ],
             slots=1,
         )
-        result = run_trace(trace, "picasso")
+        result = run_trace(trace, "picasso", collect_outcomes=True)
         # The only stale copy lives in memory, not a register; the check
         # is per-access, so location does not matter.
         assert result.outcomes[4] is FaultKind.PROVENANCE_RETRACTED
@@ -121,7 +123,7 @@ class TestRunTrace:
                 (OP_READ, 0, 0, 8),
             ],
         )
-        result = run_trace(trace, "picasso")
+        result = run_trace(trace, "picasso", collect_outcomes=True)
         assert result.metrics.oracle_violations == 1
         assert result.outcomes[3] is FaultKind.PROVENANCE_RETRACTED
         assert result.metrics.uaf_escapes == 0
@@ -140,7 +142,7 @@ class TestBufferTransparency:
                           inject="mixed", inject_rate=0.1)
         on = run_trace(trace, "picasso", RunConfig(pvt_buffer=True), collect_outcomes=True)
         off = run_trace(trace, "picasso", RunConfig(pvt_buffer=False), collect_outcomes=True)
-        assert on.outcomes is not None
+        assert len(on.outcomes) == on.metrics.ops  # one entry per streamed op
         assert on.outcomes == off.outcomes
         assert on.metrics.data_digest == off.metrics.data_digest
         assert on.metrics.faults_total == off.metrics.faults_total

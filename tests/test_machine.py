@@ -46,8 +46,8 @@ class TestCheckAccess:
 
     def test_uncolored_skips_table(self):
         m = machine()
-        cap = heap_cap(m)
-        assert m.check_access(cap, 0, 8, "read") is None
+        for otype in (UNSEALED, 0):  # otype 0 is reserved and reads as unsealed
+            assert m.check_access(heap_cap(m, otype=otype), 0, 8, "read") is None
         assert m.pvt_lookups == 0
 
     def test_colored_counts_lookup(self):
@@ -56,6 +56,9 @@ class TestCheckAccess:
         m.check_access(cap, 0, 8, "read")
         m.check_access(cap, 0, 8, "write")
         assert m.pvt_lookups == 2
+        top = heap_cap(m, otype=m.config.otypeth - 1)  # the largest color
+        assert m.check_access(top, 0, 8, "read") is None
+        assert m.pvt_lookups == 3
 
     def test_out_of_bounds(self):
         m = machine()
@@ -77,8 +80,12 @@ class TestCheckAccess:
 
     def test_sealed_dereference(self):
         m = machine(otypeth=4)
-        sealed = heap_cap(m, otype=9)
-        assert m.check_access(sealed, 0, 8, "read").kind is FaultKind.SEALED_DEREFERENCE
+        for otype in (4, 9):  # sealed from the threshold up, without a lookup
+            sealed = heap_cap(m, otype=otype)
+            assert m.check_access(sealed, 0, 8, "read").kind is FaultKind.SEALED_DEREFERENCE
+        assert m.pvt_lookups == 0
+        assert m.check_access(heap_cap(m, otype=3), 0, 8, "read") is None
+        assert m.pvt_lookups == 1  # one below the threshold is a color
 
 
 class TestFaultPriority:
@@ -309,17 +316,3 @@ class TestSweep:
         assert first_word not in m.caps
         assert first_word + 16 in m.caps
 
-
-class TestDumps:
-    def test_memory_dump_format(self):
-        m = machine()
-        cap = heap_cap(m)
-        m.store_data(cap, 0, b"\xaa" * 16)
-        (line,) = m.dump_memory()
-        assert line == f"addr={cap.base:#x} tag=0 bytes={'aa' * 16}"
-
-    def test_pvt_dump_run_length(self):
-        m = machine()
-        m.pvt_set(3, retracted=True)
-        m.pvt_set(4, retracted=True)
-        assert m.dump_pvt() == ["1-2:valid", "3-4:retracted", "5-1023:valid"]

@@ -94,6 +94,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_trace("read r0 -4 8")
 
+    def test_zero_size_malloc_rejected(self):
+        with pytest.raises(ParseError) as exc:
+            parse_trace("malloc r0 0")
+        assert (exc.value.line, exc.value.column) == (1, 11)  # the size token
+        assert "positive" in exc.value.reason
+
     def test_hex_literals_accepted(self):
         trace = parse_trace("malloc r0 0x40")
         assert list(trace.ops)[0] == (OP_MALLOC, 0, 0x40, 0)

@@ -11,6 +11,7 @@ from colorcap.unr import (
     UnrState,
 )
 from colorcap.workloads import SplitMix64
+from helpers import claimed_ids
 
 
 def claim(state, n):
@@ -27,7 +28,7 @@ class TestAlloc:
         assert claim(state, 50) == list(range(1, 51))
         assert state.nodes == [Run(True, 50), Run(False, 1950)]
         assert state.population == 50
-        assert state.node_count() == 2
+        assert len(state.nodes) == 2
         assert state.alloc_first_free() == 51
 
     def test_exhausted(self):
@@ -52,7 +53,8 @@ class TestFreeOne:
         claim(state, 8)
         state.free_one(4)
         state.free_one(5)
-        pattern = "".join("1" if state.is_claimed(i) else "0" for i in range(1, 9))
+        claimed = claimed_ids(state)
+        pattern = "".join("1" if i in claimed else "0" for i in range(1, 9))
         assert pattern == "11100111"
         # The fragmented head was compressed into a bitmap node.
         assert isinstance(state.nodes[0], BitmapNode)
@@ -97,7 +99,7 @@ class TestBatchRelease:
         state.batch_release(evens)
         for ident in evens:
             oracle.free_one(ident)
-        assert state.claimed_set() == oracle.claimed_set()
+        assert claimed_ids(state) == claimed_ids(oracle)
         assert state.population == oracle.population == pool // 2
 
     def test_atomic_on_unclaimed_id(self):
@@ -149,7 +151,7 @@ class TestBatchRelease:
         batch.batch_release(ids)
         for ident in ids:
             seq.free_one(ident)
-        assert batch.claimed_set() == seq.claimed_set()
+        assert claimed_ids(batch) == claimed_ids(seq)
         batch.validate()
         seq.validate()
 
@@ -158,7 +160,7 @@ class TestNodeMemory:
     def test_fresh_accounting(self):
         state = UnrState(1000)
         assert state.population == 0
-        assert state.node_count() == 1
+        assert len(state.nodes) == 1
         assert state.node_memory() == NODE_UNIT_BYTES
 
     def test_example_run_accounting(self):
@@ -243,7 +245,7 @@ class TestOracleEquivalence:
         state = UnrState(total)
         claimed = set()
         _random_ops(state, claimed, SplitMix64(seed), 40)
-        assert state.claimed_set() == claimed
+        assert claimed_ids(state) == claimed
         state.validate()
 
     def test_large_pool_interleaving(self):
@@ -252,5 +254,5 @@ class TestOracleEquivalence:
         rng = SplitMix64(12345)
         for _ in range(30):
             _random_ops(state, claimed, rng, 20)
-            assert state.claimed_set() == claimed
+            assert claimed_ids(state) == claimed
         state.validate()

@@ -43,7 +43,7 @@ class TestChurn:
     def test_replayable_ops_iterate_twice(self):
         trace = gen_churn(50, 5, (32,), seed=3)
         assert list(trace.ops) == list(trace.ops)
-        assert len(trace.ops) == 2 * 5 + 4 * 45
+        assert len(list(trace.ops)) == 2 * 5 + 4 * 45
 
     def test_shape_and_live_set(self):
         trace = gen_churn(100, 10, (32,), seed=0)
@@ -79,7 +79,7 @@ class TestLocality:
     def test_shape(self):
         trace = gen_locality(29, 2, 64, 8)
         ops = list(trace.ops)
-        assert len(ops) == len(trace.ops)
+        assert len(ops) == 2 * 29 + 2 * (2 * (64 // 8) * 29)
         assert sum(1 for op in ops if op[0] == OP_MALLOC) == 29
 
     def test_high_hit_rate_under_picasso(self):
@@ -138,6 +138,6 @@ class TestCorpus:
     def test_bad_cases_fault_exactly_as_annotated_under_picasso(self):
         for case in gen_corpus():
             if case.variant == "bad":
-                result = run_trace(case.trace, "picasso")
+                result = run_trace(case.trace, "picasso", collect_outcomes=True)
                 assert result.metrics.expect_mismatches == 0, case.name
                 assert result.outcomes[case.offending_index] is case.expected_fault
