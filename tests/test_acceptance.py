@@ -8,7 +8,6 @@ import os
 import pytest
 
 from colorcap.harness import RunConfig, run_corpus, run_trace
-from colorcap.machine import FaultKind
 from colorcap.trace import OP_COPY, OP_FREE, OP_MALLOC, OP_READ, Trace
 from colorcap.unr import UnrState
 from colorcap.workloads import SplitMix64, gen_churn, gen_corpus, gen_locality

@@ -6,7 +6,6 @@ from colorcap.capability import (
     DEFAULT_OTYPETH,
     PERMS_APP,
     PERMS_DATA,
-    PERMS_NONE,
     PERMS_ROOT,
     UNSEALED,
     Capability,

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import os
 
 import pytest
 

@@ -4,13 +4,11 @@ from colorcap.capability import (
     PERMS_APP,
     PERMS_DATA,
     PERMS_NONE,
-    PERMS_ROOT,
     UNSEALED,
     Capability,
     ColorOutOfRange,
     MachineConfig,
     PermissionSet,
-    clear_tag,
 )
 from colorcap.machine import Fault, FaultKind, TaggedMachine
 

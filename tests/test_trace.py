@@ -2,17 +2,10 @@ import pytest
 
 from colorcap.machine import FaultKind
 from colorcap.trace import (
-    OP_COPY,
-    OP_DERIVE,
     OP_FREE,
     OP_MALLOC,
     OP_READ,
-    OP_RELOAD,
-    OP_SCRATCH,
-    OP_SPILL,
-    OP_WRITE,
     ParseError,
-    Trace,
     format_trace,
     parse_trace,
 )
