@@ -14,7 +14,11 @@ and versioning's fallback share one quarantine component,
 * cornucopia-rof  - same, but every free triggers the sweep immediately.
 * versioning      - 4-bit granule versions carried in the capability otype;
                     frees recolor the granules; version wrap optionally
-                    falls back to quarantine plus sweeping.
+                    falls back to quarantine plus sweeping.  The versions
+                    are a byte table, one byte per heap granule (4 MiB for
+                    a 64 MiB heap), read and written with C-level bytes
+                    operations rather than a Python loop per granule; an
+                    address off the heap reads as version 0.
 * none            - spatial/tag checks only; no temporal protection.
 """
 
@@ -42,6 +46,10 @@ VERSION_MASK = (1 << VERSION_BITS) - 1
 #: least this many bytes are quarantined (one page), so micro working sets
 #: do not sweep on every free.
 MIN_QUARANTINE_BYTES = 4096
+#: `bytes.translate` table that bumps a granule version: v -> (v + 1) & mask.
+_BUMP = bytes((v + 1) & VERSION_MASK for v in range(256))
+#: One granule of each version, repeated to fill a block at malloc.
+_FILL = tuple(bytes((v,)) for v in range(1 << VERSION_BITS))
 
 
 class PicassoScheme(MallocRevocationShim):
@@ -168,6 +176,13 @@ class VersioningScheme(_QuarantineScheme):
     version wraps and stale capabilities may collide with fresh ones; with
     the fallback enabled, wrapping blocks are quarantined and swept the
     Cornucopia way instead of being reused.
+
+    The versions live in `versions`, one byte per heap granule at index
+    `(addr - heap_base) >> 4` (4 MiB for a 64 MiB heap).  Malloc, free and
+    the access check each touch a block's granules with one bytes operation
+    (a slice fill from `_FILL`, a `translate` through `_BUMP`, a `count`),
+    so no Python loop runs per granule.  An address off the heap reads as
+    version 0.
     """
 
     name = "versioning"
@@ -180,17 +195,19 @@ class VersioningScheme(_QuarantineScheme):
     ) -> None:
         super().__init__(machine, quarantine_fraction)
         self.exhaustion_fallback = exhaustion_fallback
-        self.granule_version: dict[int, int] = {}
+        self.heap_base = machine.config.heap_base
+        self.versions = bytearray(machine.config.heap_size >> 4)
         self.wraps = 0
 
     def malloc(self, size: int) -> Capability:
         base, block = self._carve(size)
-        versions = self.granule_version
-        version = versions.get(base, 0)
+        versions = self.versions
+        lo = (base - self.heap_base) >> 4
+        n = block >> 4
+        version = versions[lo]
         # A coalesced block can span granules with divergent histories;
         # the allocation must present one version, so propagate the first.
-        for granule in range(base, base + block, 16):
-            versions[granule] = version
+        versions[lo : lo + n] = _FILL[version] * n
         self.live[base] = (block, version)
         # The version rides in the otype directly; version 0 is legitimate
         # here, so the color-assignment path (which reserves 0) is bypassed.
@@ -202,23 +219,24 @@ class VersioningScheme(_QuarantineScheme):
         if cap.otype is None:
             return FAULT_MALFORMED_FREE  # no version carried
         version = cap.otype & VERSION_MASK
+        versions = self.versions
+        lo = (cap.base - self.heap_base) >> 4
         record = self.live.get(cap.base)
         if record is None:
             # Not an allocation start: a matching granule version means a
             # live block's interior; a mismatch means the block moved on.
-            if self.granule_version.get(cap.base & ~15, 0) == version:
+            # A zero-length capability at the heap top indexes one past
+            # the table and reads as version 0.
+            if (versions[lo] if 0 <= lo < len(versions) else 0) == version:
                 return FAULT_MALFORMED_FREE
             return FAULT_DOUBLE_FREE
         size, current = record
         if current != version:
             return FAULT_DOUBLE_FREE
-        wrapped = False
-        versions = self.granule_version
-        for granule in range(cap.base, cap.base + size, 16):
-            bumped = (versions.get(granule, 0) + 1) & VERSION_MASK
-            versions[granule] = bumped
-            if bumped == 0:
-                wrapped = True
+        hi = lo + (size >> 4)
+        bumped = versions[lo:hi].translate(_BUMP)
+        versions[lo:hi] = bumped
+        wrapped = 0 in bumped
         del self.live[cap.base]
         self.live_bytes -= size
         self.frees += 1
@@ -237,12 +255,14 @@ class VersioningScheme(_QuarantineScheme):
         if cap.otype is None:
             return None
         version = cap.otype & VERSION_MASK
-        versions = self.granule_version
-        start = cap.address + offset
-        end = start + width
-        for granule in range(start & ~15, end, 16):
-            if versions.get(granule, 0) != version:
-                return Fault(FaultKind.PROVENANCE_RETRACTED, version)
+        # A capability with an otype lies inside the block malloc gave out,
+        # so every granule from the one holding `start` up to `end` is on
+        # the heap; a zero-width access at an unaligned address checks one.
+        start = cap.address + offset - self.heap_base
+        lo = start >> 4
+        hi = (start + width + 15) >> 4
+        if self.versions.count(version, lo, hi) != hi - lo:
+            return Fault(FaultKind.PROVENANCE_RETRACTED, version)
         return None
 
     def load(self, cap, offset: int, width: int):

@@ -217,39 +217,6 @@ class UnrState:
                 total += BITMAP_PAYLOAD_BYTES
         return total
 
-    def dump(self) -> str:
-        """Debug form: `R:c:50 R:a:12 B:len=512:<hex>` (bitmap LSB = first ID)."""
-        parts = []
-        for node in self.nodes:
-            if type(node) is Run:
-                parts.append(f"R:{'c' if node.claimed else 'a'}:{node.length}")
-            else:
-                parts.append(f"B:len={node.length}:{node.bits:x}")
-        return " ".join(parts)
-
-    def validate(self) -> None:
-        """Assert structural invariants (test hook)."""
-        covered = 0
-        population = 0
-        prev = None
-        for node in self.nodes:
-            if type(node) is Run:
-                assert node.length >= 1, "empty run"
-                if type(prev) is Run:
-                    assert prev.claimed != node.claimed, "adjacent mergeable runs"
-                if node.claimed:
-                    population += node.length
-            else:
-                assert 1 <= node.length <= BITMAP_CAPACITY, "bitmap length"
-                assert node.bits < (1 << node.length), "bitmap stray bits"
-                full = (1 << node.length) - 1
-                assert node.bits not in (0, full), "uniform bitmap not dissolved"
-                population += node.bits.bit_count()
-            covered += node.length
-            prev = node
-        assert covered == self.total, "coverage != total"
-        assert population == self.population, "population counter drift"
-
     # -- mutations ---------------------------------------------------------
 
     def alloc_first_free(self) -> int:

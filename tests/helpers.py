@@ -1,6 +1,6 @@
 """Decoders of simulator state that tests use as oracles."""
 
-from colorcap.unr import Run
+from colorcap.unr import BITMAP_CAPACITY, Run
 
 
 def claimed_ids(state) -> set[int]:
@@ -15,3 +15,39 @@ def claimed_ids(state) -> set[int]:
             claimed.update(offset + 1 + i for i in range(node.length) if node.bits >> i & 1)
         offset += node.length
     return claimed
+
+
+def dump(state) -> str:
+    """A `UnrState` in debug form: `R:c:50 R:a:12 B:len=512:<hex>` (bitmap
+    LSB = first ID)."""
+    parts = []
+    for node in state.nodes:
+        if type(node) is Run:
+            parts.append(f"R:{'c' if node.claimed else 'a'}:{node.length}")
+        else:
+            parts.append(f"B:len={node.length}:{node.bits:x}")
+    return " ".join(parts)
+
+
+def validate(state) -> None:
+    """Assert the structural invariants of a `UnrState`."""
+    covered = 0
+    population = 0
+    prev = None
+    for node in state.nodes:
+        if type(node) is Run:
+            assert node.length >= 1, "empty run"
+            if type(prev) is Run:
+                assert prev.claimed != node.claimed, "adjacent mergeable runs"
+            if node.claimed:
+                population += node.length
+        else:
+            assert 1 <= node.length <= BITMAP_CAPACITY, "bitmap length"
+            assert node.bits < (1 << node.length), "bitmap stray bits"
+            full = (1 << node.length) - 1
+            assert node.bits not in (0, full), "uniform bitmap not dissolved"
+            population += node.bits.bit_count()
+        covered += node.length
+        prev = node
+    assert covered == state.total, "coverage != total"
+    assert population == state.population, "population counter drift"

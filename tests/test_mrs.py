@@ -13,7 +13,7 @@ from colorcap.machine import FaultKind, TaggedMachine
 from colorcap.mrs import MallocRevocationShim, PoolExhausted
 from colorcap.trace import parse_trace
 from colorcap.workloads import SplitMix64
-from helpers import claimed_ids
+from helpers import claimed_ids, validate
 
 
 def make(color_bits=10, heap_size=0x4000, threshold=0.01, window=None, slots=8):
@@ -315,7 +315,7 @@ class TestConservation:
             assert mrs.unr.population == (
                 len(mrs.live) + len(mrs.retracted_pending) + targets
             )
-        mrs.unr.validate()
+        validate(mrs.unr)
 
     def test_failed_malloc_hands_its_color_back(self):
         _, mrs = make(color_bits=8, heap_size=0x100, window=2)
@@ -328,4 +328,4 @@ class TestConservation:
             len(mrs.live) + len(mrs.retracted_pending) + targets
         )
         assert mrs.unr.population == 6
-        mrs.unr.validate()
+        validate(mrs.unr)

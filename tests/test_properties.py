@@ -44,6 +44,7 @@ from colorcap.trace import (
     format_trace,
     parse_trace,
 )
+from helpers import validate
 
 REGS = 3
 SLOTS = 4
@@ -98,7 +99,7 @@ def validated_sweeps():
 
     def checked(shim):
         reclaimed = finalize(shim)
-        shim.unr.validate()
+        validate(shim.unr)
         return reclaimed
 
     with mock.patch.object(MallocRevocationShim, "revocation_finalize", checked):

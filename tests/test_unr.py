@@ -11,7 +11,7 @@ from colorcap.unr import (
     UnrState,
 )
 from colorcap.workloads import SplitMix64
-from helpers import claimed_ids
+from helpers import claimed_ids, dump, validate
 
 
 def claim(state, n):
@@ -107,11 +107,11 @@ class TestBatchRelease:
         claim(state, 10)
         state.free_one(5)
         before_nodes = list(state.nodes)
-        before_dump = state.dump()
+        before_dump = dump(state)
         with pytest.raises(NotClaimed):
             state.batch_release([2, 5, 9])  # 5 is available
-        assert state.nodes is not before_nodes or state.dump() == before_dump
-        assert state.dump() == before_dump
+        assert state.nodes is not before_nodes or dump(state) == before_dump
+        assert dump(state) == before_dump
         assert state.population == 9
 
     def test_beyond_pool_rejected(self):
@@ -152,8 +152,8 @@ class TestBatchRelease:
         for ident in ids:
             seq.free_one(ident)
         assert claimed_ids(batch) == claimed_ids(seq)
-        batch.validate()
-        seq.validate()
+        validate(batch)
+        validate(seq)
 
 
 class TestNodeMemory:
@@ -178,7 +178,7 @@ class TestNodeMemory:
         run_only_cost = (512 + 1) * NODE_UNIT_BYTES  # alternation + tail
         assert any(isinstance(n, BitmapNode) for n in state.nodes)
         assert state.node_memory() < run_only_cost
-        state.validate()
+        validate(state)
 
     def test_bitmap_unit_cost(self):
         node_units = NODE_UNIT_BYTES + BITMAP_PAYLOAD_BYTES
@@ -194,14 +194,14 @@ class TestDump:
     def test_run_dump(self):
         state = UnrState(62)
         claim(state, 50)
-        assert state.dump() == "R:c:50 R:a:12"
+        assert dump(state) == "R:c:50 R:a:12"
 
     def test_bitmap_dump(self):
         state = UnrState(600)
         claim(state, 8)
         state.free_one(4)
         state.free_one(5)
-        assert state.dump() == "B:len=8:e7 R:a:592"
+        assert dump(state) == "B:len=8:e7 R:a:592"
 
 
 def _oracle_min_free(claimed, total):
@@ -246,7 +246,7 @@ class TestOracleEquivalence:
         claimed = set()
         _random_ops(state, claimed, SplitMix64(seed), 40)
         assert claimed_ids(state) == claimed
-        state.validate()
+        validate(state)
 
     def test_large_pool_interleaving(self):
         state = UnrState(100_000)
@@ -255,4 +255,4 @@ class TestOracleEquivalence:
         for _ in range(30):
             _random_ops(state, claimed, rng, 20)
             assert claimed_ids(state) == claimed
-        state.validate()
+        validate(state)
