@@ -22,7 +22,6 @@ from .capability import (
     clear_tag,
     derive,
     pack,
-    set_color,
     unpack,
 )
 from .harness import (

@@ -144,12 +144,17 @@ def derive(
     new_length: int,
     new_perms: PermissionSet,
     otypeth: int = DEFAULT_OTYPETH,
+    color: Optional[int] = None,
 ) -> Capability:
     """Derive a capability with narrowed bounds and permissions.
 
     The child's address is placed at its new base and the otype is copied
-    from the parent.  Raises UntaggedOperand / SealedOperand for unusable
-    parents and MonotonicityViolation if bounds or permissions would widen.
+    from the parent, or set to `color`: assigning a provenance color needs
+    a parent holding sw_vmem, so only the trusted allocator can stamp one,
+    and an unsealed, uncolored parent.  Raises UntaggedOperand /
+    SealedOperand for unusable parents, MonotonicityViolation if bounds or
+    permissions would widen, and PermissionDenied / ColorOutOfRange for a
+    color the parent may not assign.
     """
     if not parent.tag:
         raise UntaggedOperand("cannot derive from an untagged capability")
@@ -162,37 +167,16 @@ def derive(
         )
     if not new_perms.issubset(parent.perms):
         raise MonotonicityViolation("permissions exceed the parent's")
-    return Capability(
-        address=new_base,
-        base=new_base,
-        length=new_length,
-        perms=new_perms,
-        otype=parent.otype,
-        tag=True,
-    )
-
-
-def set_color(
-    cap: Capability,
-    auth: Capability,
-    color: int,
-    otypeth: int = DEFAULT_OTYPETH,
-) -> Capability:
-    """Assign a provenance color to an unsealed capability.
-
-    Requires an authorizing capability holding sw_vmem, so only the trusted
-    allocator can stamp provenance identifiers.  Everything but the otype is
-    preserved.
-    """
-    if not auth.tag or not cap.tag:
-        raise UntaggedOperand("set_color operands must be tagged")
-    if not auth.perms.sw_vmem:
-        raise PermissionDenied("authorizing capability lacks sw_vmem")
-    if not 0 < color < otypeth:
-        raise ColorOutOfRange(f"color {color} not in (0, {otypeth})")
-    if cap.otype is not None:
-        raise SealedOperand("capability already carries an otype")
-    return Capability(cap.address, cap.base, cap.length, cap.perms, color, cap.tag)
+    otype = parent.otype
+    if color is not None:
+        if not parent.perms.sw_vmem:
+            raise PermissionDenied("authorizing capability lacks sw_vmem")
+        if not 0 < color < otypeth:
+            raise ColorOutOfRange(f"color {color} not in (0, {otypeth})")
+        if otype is not None:
+            raise SealedOperand("capability already carries an otype")
+        otype = color
+    return Capability(new_base, new_base, new_length, new_perms, otype, True)
 
 
 def clear_tag(cap: Capability) -> Capability:

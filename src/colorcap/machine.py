@@ -2,17 +2,18 @@
 provenance-validity table.
 
 Memory is word-granular: each 16-byte word holds raw bytes plus one validity
-tag bit.  A tagged word additionally retains the exact capability stored
-into it, so capability round-trips are lossless; the packed byte image is
-what data reads observe.  Any non-capability write to a word clears its
-tag.
+tag bit.  A tagged word holds only the exact capability stored into it, so
+capability round-trips are lossless; its packed byte image, which data
+reads observe, is made when a read or a tag clear needs it.  Any
+non-capability write to a word clears its tag.
 
 The provenance-validity table (PVT) holds one bit per color; bit = 1 means
 the color has been retracted and every dereference through a capability of
 that color faults.  Dereference checks read the table through a small
-set-associative buffer of 128-bit table words, invalidated whenever a table
-bit actually changes, which keeps the buffer transparent: enabling or
-disabling it can never change fault behavior, only the hit/miss counters.
+set-associative buffer of 128-bit table words, invalidated (one counter
+bump) whenever a table bit actually changes, which keeps the buffer
+transparent: enabling or disabling it can never change fault behavior,
+only the hit/miss counters.
 """
 
 from __future__ import annotations
@@ -79,13 +80,15 @@ class PvtBuffer:
     Lines hold only tags.  Coherence is by whole-buffer invalidation on
     every table write that changes a bit, so a buffered word always equals
     the table: lookups read the bit from the table, and the buffer only
-    decides hit or miss.
+    decides hit or miss.  Invalidation is O(1): it bumps `invalidations`,
+    and a lookup empties its set first when the set's stamp lags behind.
     """
 
-    __slots__ = ("lines", "rr", "hits", "misses", "invalidations")
+    __slots__ = ("lines", "stamps", "rr", "hits", "misses", "invalidations")
 
     def __init__(self) -> None:
         self.lines: list[list[int]] = [[] for _ in range(PVB_SETS)]
+        self.stamps = [0] * PVB_SETS  # `invalidations` when the set was last valid
         self.rr = [0] * PVB_SETS
         self.hits = 0
         self.misses = 0
@@ -95,7 +98,10 @@ class PvtBuffer:
         """Count a hit if the word is buffered, else a miss and a fill."""
         idx = (word_addr >> 4) % PVB_SETS
         ways = self.lines[idx]
-        if word_addr in ways:
+        if self.stamps[idx] != self.invalidations:
+            self.stamps[idx] = self.invalidations
+            ways.clear()
+        elif word_addr in ways:
             self.hits += 1
             return
         self.misses += 1
@@ -108,8 +114,6 @@ class PvtBuffer:
     def invalidate_all(self) -> None:
         # The round-robin pointers persist across flushes; replacement
         # stays deterministic either way.
-        for ways in self.lines:
-            ways.clear()
         self.invalidations += 1
 
 
@@ -134,8 +138,8 @@ class TaggedMachine:
     def __init__(self, config: Optional[MachineConfig] = None) -> None:
         self.config = config or MachineConfig()
         self.words: dict[int, bytes] = {}
-        # Tagged words: exact capability stored out of band next to its
-        # packed image.  tag(addr) == (addr in caps).
+        # Tagged words: the exact capability, in place of a packed image
+        # in `words`.  tag(addr) == (addr in caps).
         self.caps: dict[int, Capability] = {}
         self.regs: list[Optional[Capability]] = [None] * NUM_REGISTERS
         self.pvt = bytearray(self.config.pvt_bytes)
@@ -279,10 +283,11 @@ class TaggedMachine:
     def store_cap(self, auth, offset: int, value: Capability):
         """Store a capability through `auth` at a 16-byte-aligned target.
 
-        The word's tag follows value.tag.  Storing a capability whose color
-        is retracted is permitted: retraction gates dereference, not
-        propagation.  Only the authorizing capability's own validity is
-        checked.
+        The word's tag follows value.tag.  A tagged value is kept only in
+        `caps`; its packed image is made when it is read as data or its
+        tag is cleared.  Storing a capability whose color is retracted is
+        permitted: retraction gates dereference, not propagation.  Only the
+        authorizing capability's own validity is checked.
         """
         target = auth.address + offset if auth is not None else offset
         if target & 15:
@@ -290,12 +295,13 @@ class TaggedMachine:
         fault = self.check_access(auth, offset, CAPABILITY_WIDTH, "write_cap")
         if fault is not None:
             return fault
-        self.words[target] = pack(value)
         if value.tag:
             self.caps[target] = value
+            self.words.pop(target, None)
             if self._cap_write_log is not None:
                 self._cap_write_log.add(target)
         else:
+            self.words[target] = pack(value)
             self.caps.pop(target, None)
         return None
 
@@ -323,13 +329,19 @@ class TaggedMachine:
         if w == (end - 1) & ~15:
             data = words.get(w)
             if data is None:
-                return b"\x00" * width
+                cap = self.caps.get(w)
+                if cap is None:
+                    return b"\x00" * width
+                data = pack(cap)
             lo = addr - w
             return data[lo : lo + width]
         parts = []
         while addr < end:
             w = addr & ~15
-            data = words.get(w, _ZERO_WORD)
+            data = words.get(w)
+            if data is None:
+                cap = self.caps.get(w)
+                data = _ZERO_WORD if cap is None else pack(cap)
             lo = addr - w
             hi = min(end - w, 16)
             parts.append(data[lo:hi])
@@ -345,10 +357,10 @@ class TaggedMachine:
         pos = 0
         w = addr & ~15
         while w < end:
-            caps.pop(w, None)  # any data write clears the word's tag
+            cap = caps.pop(w, None)  # any data write clears the word's tag
             lo = max(addr, w) - w
             hi = min(end, w + 16) - w
-            old = words.get(w, _ZERO_WORD)
+            old = words.get(w, _ZERO_WORD) if cap is None else pack(cap)
             words[w] = old[:lo] + data[pos : pos + hi - lo] + old[hi:]
             pos += hi - lo
             w += 16
@@ -374,7 +386,8 @@ class TaggedMachine:
         for addr in addresses:
             cap = caps.get(addr)
             if cap is not None and doomed(cap):
-                del caps[addr]  # tag cleared; the packed image remains
+                del caps[addr]  # tag cleared; the word keeps its packed image
+                self.words[addr] = pack(cap)
                 cleared += 1
         if include_registers:
             regs = self.regs

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .capability import PERMS_APP, Capability, derive, set_color
+from .capability import PERMS_APP, Capability, derive
 from .heap import HeapScheme, OutOfMemory
 from .machine import (
     FAULT_DOUBLE_FREE,
@@ -91,6 +91,7 @@ class MallocRevocationShim(HeapScheme):
         self.retracted_pending: set[int] = set()
         self.job: Optional[RevocationJob] = None
         self._otypeth = config.otypeth
+        self._pvt_bytes = config.pvt_bytes
         self._sample()
 
     # -- accounting -----------------------------------------------------
@@ -103,7 +104,7 @@ class MallocRevocationShim(HeapScheme):
         """Peak accounting: live heap bytes plus the PVT (doubled while a
         sweep holds its snapshot) plus the ID-allocator node memory."""
         unr_bytes = self.unr.node_memory()
-        pvt = self.machine.config.pvt_bytes
+        pvt = self._pvt_bytes
         if self.job is not None:
             pvt *= 2
         resident = self.live_bytes + pvt + unr_bytes
@@ -134,8 +135,7 @@ class MallocRevocationShim(HeapScheme):
         except OutOfMemory:
             self.unr.free_one(color)
             raise
-        narrowed = derive(self.root, base, block, PERMS_APP, self._otypeth)
-        cap = set_color(narrowed, self.root, color, self._otypeth)
+        cap = derive(self.root, base, block, PERMS_APP, self._otypeth, color)
         self.live[base] = (block, color)
         return cap
 

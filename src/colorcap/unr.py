@@ -194,13 +194,14 @@ class _Builder:
 class UnrState:
     """Claimed/available state of the ID pool 1..total."""
 
-    __slots__ = ("total", "nodes", "population", "node_scan_passes")
+    __slots__ = ("total", "nodes", "bitmaps", "population", "node_scan_passes")
 
     def __init__(self, total: int) -> None:
         if total < 1:
             raise ValueError("pool must hold at least one ID")
         self.total = total
         self.nodes: list = [Run(False, total)]
+        self.bitmaps = 0  # BitmapNodes in `nodes`, recounted wherever one can appear
         self.population = 0
         #: Number of full forward traversals performed by mutating
         #: operations; batch_release contributes exactly one.
@@ -209,13 +210,8 @@ class UnrState:
     # -- queries ---------------------------------------------------------
 
     def node_memory(self) -> int:
-        """Bytes consumed by the node representation."""
-        total = 0
-        for node in self.nodes:
-            total += NODE_UNIT_BYTES
-            if type(node) is BitmapNode:
-                total += BITMAP_PAYLOAD_BYTES
-        return total
+        """Bytes consumed by the node representation, in O(1)."""
+        return NODE_UNIT_BYTES * len(self.nodes) + BITMAP_PAYLOAD_BYTES * self.bitmaps
 
     # -- mutations ---------------------------------------------------------
 
@@ -349,7 +345,7 @@ class UnrState:
             offset = end
         if nxt is not None:
             raise NotClaimed(f"id {nxt} outside the pool")
-        self.nodes = builder.finish()
+        self._adopt(builder)
         self.population -= released
 
     def _rebuild(self) -> None:
@@ -360,4 +356,8 @@ class UnrState:
                 builder.run(node.claimed, node.length)
             else:
                 builder.bitmap(node.bits, node.length)
+        self._adopt(builder)
+
+    def _adopt(self, builder: _Builder) -> None:
         self.nodes = builder.finish()
+        self.bitmaps = sum(type(node) is BitmapNode for node in self.nodes)

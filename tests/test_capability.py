@@ -19,7 +19,6 @@ from colorcap.capability import (
     clear_tag,
     derive,
     pack,
-    set_color,
     unpack,
 )
 
@@ -67,9 +66,12 @@ class TestDerive:
 
 
 class TestSetColor:
+    """Coloring is a derivation: `derive(..., color=...)` from the allocator's
+    sw_vmem authority."""
+
     def test_smallest_valid_color(self):
         auth = cap(perms=PERMS_ROOT)
-        colored = set_color(cap(), auth, 1)
+        colored = derive(auth, 0x1000, 0x100, PERMS_APP, color=1)
         assert colored.otype == 1
         assert not colored.is_sealed()
 
@@ -77,32 +79,32 @@ class TestSetColor:
         # Only the trusted allocator may assign provenance identifiers.
         auth = cap(perms=PERMS_APP)
         with pytest.raises(PermissionDenied):
-            set_color(cap(), auth, 1)
+            derive(auth, 0x1000, 0x100, PERMS_APP, color=1)
 
     def test_color_range_boundaries(self):
         auth = cap(perms=PERMS_ROOT)
         with pytest.raises(ColorOutOfRange):
-            set_color(cap(), auth, 0)
+            derive(auth, 0x1000, 0x100, PERMS_APP, color=0)
         with pytest.raises(ColorOutOfRange):
-            set_color(cap(), auth, DEFAULT_OTYPETH)
+            derive(auth, 0x1000, 0x100, PERMS_APP, color=DEFAULT_OTYPETH)
 
     def test_recolor_rejected(self):
         auth = cap(perms=PERMS_ROOT)
-        once = set_color(cap(), auth, 5)
+        once = derive(auth, 0x1000, 0x100, PERMS_ROOT, color=5)
         with pytest.raises(SealedOperand):
-            set_color(once, auth, 6)
+            derive(once, 0x1000, 0x100, PERMS_APP, color=6)
 
     def test_untagged_operands(self):
         auth = cap(perms=PERMS_ROOT)
         with pytest.raises(UntaggedOperand):
-            set_color(cap(tag=False), auth, 1)
+            derive(cap(perms=PERMS_ROOT, tag=False), 0x1000, 0x100, PERMS_APP, color=1)
         with pytest.raises(UntaggedOperand):
-            set_color(cap(), clear_tag(auth), 1)
+            derive(clear_tag(auth), 0x1000, 0x100, PERMS_APP, color=1)
 
     def test_only_otype_changes(self):
         auth = cap(perms=PERMS_ROOT)
-        before = cap(perms=PERMS_DATA)
-        after = set_color(before, auth, 9)
+        before = derive(auth, 0x1040, 0x20, PERMS_DATA)
+        after = derive(auth, 0x1040, 0x20, PERMS_DATA, color=9)
         assert (after.address, after.base, after.length) == (
             before.address,
             before.base,
@@ -110,6 +112,7 @@ class TestSetColor:
         )
         assert after.perms == before.perms
         assert after.tag == before.tag
+        assert (before.otype, after.otype) == (UNSEALED, 9)
 
 
 class TestClearTag:

@@ -14,6 +14,7 @@ import pytest
 
 from colorcap.harness import RunConfig, run_trace
 from colorcap.schemes import SCHEME_NAMES
+from colorcap.trace import parse_trace
 from colorcap.workloads import gen_churn, gen_corpus
 
 
@@ -24,6 +25,27 @@ def _churn():
                      inject="mixed", inject_rate=0.05)
 
 
+def _spill_sweep():
+    # Tagged capabilities spilled to six scratch slots outlive their blocks;
+    # at 5 color bits picasso sweeps them.  Reading the slots as data
+    # through `scratch` (partial, whole-word and word-spanning reads, after
+    # data writes into slots 4-5 and after sweeps) lets `data_digest` pin
+    # their packed images; reloads of stale slots 1 and 3 follow the tags.
+    lines = ["scratch r9"]
+    for i in range(240):
+        reg = i % 4
+        if i >= 4:
+            lines.append(f"free r{reg}")
+        lines += [f"malloc r{reg} {16 * (1 + i % 5)}", f"spill r{reg} {i % 6}"]
+        if i % 5 == 2:
+            lines.append(f"write r9 {64 + (i * 11) % 26} {1 + i % 6}")
+        offset = (i * 13) % 80
+        lines.append(f"read r9 {offset} {1 + (i * 7) % (96 - offset)}")
+        if i % 6 in (2, 5):
+            lines += [f"reload r5 {3 if i % 6 == 2 else 1}", "read r5 0 8"]
+    return parse_trace("\n".join(lines), name="spill-sweep")
+
+
 CASES = {
     "churn": RunConfig(color_bits=8),
     "churn-window7": RunConfig(color_bits=8, sweep_window=7),
@@ -32,6 +54,7 @@ CASES = {
     # Out of heap with blocks in quarantine: cornucopia and versioning
     # revoke early and retry (43 and 2 revocations against 37 and 1).
     "churn-heap8k": RunConfig(color_bits=8, heap_size=8192),
+    "spill-sweep": RunConfig(color_bits=5),
 }
 
 
@@ -52,7 +75,8 @@ def digests(case: str, scheme: str) -> tuple[str, str]:
             _sha([r.metrics.to_dict() for r in results]),
             _sha([_outcomes(r) for r in results]),
         )
-    result = run_trace(_churn(), scheme, CASES[case], collect_outcomes=True)
+    trace = _spill_sweep() if case == "spill-sweep" else _churn()
+    result = run_trace(trace, scheme, CASES[case], collect_outcomes=True)
     return _sha(result.metrics.to_dict()), _sha(_outcomes(result))
 
 
@@ -82,6 +106,11 @@ GOLDEN = {
     "churn-heap8k/cornucopia-rof": ("7131189e72afa7ef", "6569fc8f57c691a7"),
     "churn-heap8k/versioning": ("b906af5f3cebfdbc", "5b1115ab667eb044"),
     "churn-heap8k/none": ("9f091406a243f055", "6e79ebf36a0ecc15"),
+    "spill-sweep/picasso": ("57a75fbe55aa17cd", "031c6075f3242d39"),
+    "spill-sweep/cornucopia": ("6ad23be36e703ebf", "5c4795092df6b6f1"),
+    "spill-sweep/cornucopia-rof": ("f8d56c819d800e55", "889a0c60cdebf6b2"),
+    "spill-sweep/versioning": ("8b591a15250eb16f", "3b19d7dac2f8ee01"),
+    "spill-sweep/none": ("d998ff6883debe80", "ab1b63de03209929"),
     "corpus/picasso": ("e4b4f882e8f20c8e", "59fc615c2e4e1bf8"),
     "corpus/cornucopia": ("8c042ad965e97f6a", "a4a3eef6ce713a02"),
     "corpus/cornucopia-rof": ("9763684bbf7a6db1", "a9e2b8d3a8f128d8"),

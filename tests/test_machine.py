@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from colorcap.capability import (
     PERMS_APP,
@@ -9,8 +10,10 @@ from colorcap.capability import (
     ColorOutOfRange,
     MachineConfig,
     PermissionSet,
+    pack,
+    unpack,
 )
-from colorcap.machine import Fault, FaultKind, TaggedMachine
+from colorcap.machine import PVB_SETS, PVB_WAYS, Fault, FaultKind, PvtBuffer, TaggedMachine
 
 
 def small_config(**kw):
@@ -314,3 +317,181 @@ class TestSweep:
         assert first_word not in m.caps
         assert first_word + 16 in m.caps
 
+
+class ListClearingPvtBuffer:
+    """Reference PVT buffer whose flush empties every set at once."""
+
+    def __init__(self) -> None:
+        self.lines = [[] for _ in range(PVB_SETS)]
+        self.rr = [0] * PVB_SETS
+        self.hits = self.misses = self.invalidations = 0
+
+    def lookup(self, word_addr: int) -> None:
+        idx = (word_addr >> 4) % PVB_SETS
+        ways = self.lines[idx]
+        if word_addr in ways:
+            self.hits += 1
+            return
+        self.misses += 1
+        if len(ways) < PVB_WAYS:
+            ways.append(word_addr)
+        else:
+            ways[self.rr[idx]] = word_addr
+            self.rr[idx] = (self.rr[idx] + 1) % PVB_WAYS
+
+    def invalidate_all(self) -> None:
+        for ways in self.lines:
+            ways.clear()
+        self.invalidations += 1
+
+
+PVT_WORDS = PVB_SETS * (PVB_WAYS + 1)  # five words per set overflow its ways
+
+
+class TestPvtBufferEpochs:
+    """Epoch invalidation counts exactly what clearing every set did."""
+
+    # Set 0 filled by its four ways, flushed, then looked up again: a miss.
+    @example([0, PVB_SETS, 2 * PVB_SETS, 3 * PVB_SETS, None, 0])
+    @given(st.lists(st.one_of(st.none(), st.integers(0, PVT_WORDS - 1)), max_size=300))
+    def test_counts_match_list_clearing_buffer(self, ops):
+        buf, ref = PvtBuffer(), ListClearingPvtBuffer()
+        for op in ops:
+            if op is None:
+                buf.invalidate_all()
+                ref.invalidate_all()
+            else:
+                buf.lookup(0x4000 + 16 * op)
+                ref.lookup(0x4000 + 16 * op)
+            assert (buf.hits, buf.misses, buf.invalidations) == (
+                ref.hits,
+                ref.misses,
+                ref.invalidations,
+            )
+
+
+class EagerPackMemory:
+    """Reference memory that packs every capability store at once and
+    handles data byte by byte."""
+
+    def __init__(self) -> None:
+        self.words: dict[int, bytes] = {}
+        self.caps: dict[int, Capability] = {}
+
+    def store_cap(self, addr: int, value: Capability) -> None:
+        self.words[addr] = pack(value)
+        if value.tag:
+            self.caps[addr] = value
+        else:
+            self.caps.pop(addr, None)
+
+    def write(self, addr: int, data: bytes) -> None:
+        for i, byte in enumerate(data):
+            w = (addr + i) & ~15
+            self.caps.pop(w, None)
+            image = bytearray(self.words.get(w, bytes(16)))
+            image[(addr + i) & 15] = byte
+            self.words[w] = bytes(image)
+
+    def read(self, addr: int, width: int) -> bytes:
+        return bytes(self.words.get(a & ~15, bytes(16))[a & 15] for a in range(addr, addr + width))
+
+    def sweep(self, doomed, addresses) -> int:
+        cleared = 0
+        for addr in sorted(self.caps) if addresses is None else addresses:
+            cap = self.caps.get(addr)
+            if cap is not None and doomed(cap):
+                del self.caps[addr]
+                cleared += 1
+        return cleared
+
+    def load_cap(self, addr: int) -> Capability:
+        cap = self.caps.get(addr)
+        return cap if cap is not None else unpack(self.words.get(addr, bytes(16)))
+
+
+REGION_WORDS = 6
+REGION = 16 * REGION_WORDS
+
+
+@st.composite
+def stored_caps(draw):
+    base = draw(st.integers(0, 1 << 20)) * 16
+    length = draw(st.integers(0, 1 << 26))
+    return Capability(
+        base + draw(st.integers(0, length)),
+        base,
+        length,
+        PermissionSet.from_bits(draw(st.integers(0, 31))),
+        draw(st.sampled_from((UNSEALED, 1, 2, 300))),
+        draw(st.booleans()),
+    )
+
+
+_offsets = st.integers(0, REGION - 1)
+_payloads = st.binary(min_size=1, max_size=40)
+memory_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("cap"), st.integers(0, REGION_WORDS - 1), stored_caps()),
+        st.tuples(st.just("data"), _offsets, _payloads),  # checked store_data
+        st.tuples(st.just("raw"), _offsets, _payloads),  # write_bytes
+        st.tuples(
+            st.just("sweep"),
+            st.frozensets(st.sampled_from((UNSEALED, 1, 2)), min_size=1),
+            st.one_of(st.none(), st.lists(st.integers(0, REGION_WORDS - 1), unique=True)),
+        ),
+        st.tuples(st.just("read"), _offsets, st.integers(0, REGION)),
+    ),
+    min_size=8,
+    max_size=40,
+)
+
+_TAGGED_3 = Capability(0x2040, 0x2000, 0x80, PERMS_APP, 3, True)
+
+
+class TestLazyPack:
+    """A tagged word keeps only its capability; data reads and loads see the
+    same bytes and capabilities as memory that packs on every store."""
+
+    @staticmethod
+    def _check_all(m, auth, ref):
+        base = auth.base
+        for w in range(REGION_WORDS):
+            addr = base + 16 * w
+            assert m.read_bytes(addr, 16) == ref.read(addr, 16)
+            assert m.read_bytes(addr + 3, 7) == ref.read(addr + 3, 7)
+            assert m.load_cap(auth, 16 * w) == ref.load_cap(addr)
+        for addr, width in ((base, REGION), (base + 9, 14), (base + 17, 40)):
+            assert m.read_bytes(addr, width) == ref.read(addr, width)
+
+    # A tagged word swept, then read as bytes and through load_cap.
+    @example([("cap", 1, _TAGGED_3), ("sweep", frozenset({3}), None), ("read", 16, 16)])
+    @settings(max_examples=150, deadline=None)
+    @given(memory_ops)
+    def test_matches_eager_pack(self, ops):
+        m = machine()
+        auth = heap_cap(m, length=REGION)
+        base = auth.base
+        ref = EagerPackMemory()
+        for op in ops:
+            kind = op[0]
+            if kind == "cap":
+                assert m.store_cap(auth, 16 * op[1], op[2]) is None
+                ref.store_cap(base + 16 * op[1], op[2])
+            elif kind in ("data", "raw"):
+                data = op[2][: REGION - op[1]]
+                if kind == "data":
+                    assert m.store_data(auth, op[1], data) is None
+                else:
+                    m.write_bytes(base + op[1], data)
+                ref.write(base + op[1], data)
+            elif kind == "sweep":
+                doomed = colored(*op[1])
+                addrs = None if op[2] is None else [base + 16 * w for w in op[2]]
+                cleared = m.sweep_scan(doomed, addrs, include_registers=False)
+                assert cleared == ref.sweep(doomed, addrs)
+            else:
+                width = min(op[2], REGION - op[1])
+                assert m.read_bytes(base + op[1], width) == ref.read(base + op[1], width)
+            assert set(m.caps) == set(ref.caps)
+            self._check_all(m, auth, ref)

@@ -211,8 +211,18 @@ def _oracle_min_free(claimed, total):
     return ident if ident <= total else None
 
 
+def _bitmap_nodes(state):
+    return sum(type(node) is BitmapNode for node in state.nodes)
+
+
+def _recounted_memory(state):
+    """`node_memory` recounted over the nodes."""
+    return NODE_UNIT_BYTES * len(state.nodes) + BITMAP_PAYLOAD_BYTES * _bitmap_nodes(state)
+
+
 def _random_ops(state, claimed, rng, ops):
-    """Drive one interleaving against the naive set oracle."""
+    """Drive one interleaving against the naive set oracle, checking the
+    O(1) node memory against a recount after every op."""
     total = state.total
     for _ in range(ops):
         roll = rng.below(10)
@@ -236,6 +246,7 @@ def _random_ops(state, claimed, rng, ops):
                 picks = sorted({ids[rng.below(len(ids))] for _ in range(take)})
                 state.batch_release(picks)
                 claimed.difference_update(picks)
+        assert state.node_memory() == _recounted_memory(state)
 
 
 class TestOracleEquivalence:
@@ -256,3 +267,36 @@ class TestOracleEquivalence:
             _random_ops(state, claimed, rng, 20)
             assert claimed_ids(state) == claimed
         validate(state)
+
+    def test_releases_form_and_dissolve_bitmaps(self, monkeypatch):
+        # The recount in _random_ops must see batch releases that add
+        # bitmaps and ones that dissolve them.
+        seen = set()
+        release = UnrState.batch_release
+
+        def counting_release(state, ids):
+            before = _bitmap_nodes(state)
+            release(state, ids)
+            after = _bitmap_nodes(state)
+            if after != before:
+                seen.add("forms" if after > before else "dissolves")
+
+        monkeypatch.setattr(UnrState, "batch_release", counting_release)
+        state = UnrState(100_000)
+        claimed = set()
+        rng = SplitMix64(12345)
+        for _ in range(30):
+            _random_ops(state, claimed, rng, 20)
+        assert seen == {"forms", "dissolves"}
+
+    def test_claim_after_bitmap_neighbour(self):
+        # _claim_run_head's bitmap-neighbour branch needs a full bitmap in
+        # front of the first available run; the builder dissolves full
+        # bitmaps, so only a hand-built state reaches it.
+        state = UnrState(20)
+        state.nodes = [BitmapNode(0b111, 3), Run(False, 17)]
+        state.bitmaps = 1
+        state.population = 3
+        assert state.alloc_first_free() == 4
+        assert state.nodes == [Run(True, 4), Run(False, 16)]
+        assert state.node_memory() == _recounted_memory(state) == 2 * NODE_UNIT_BYTES
