@@ -129,12 +129,16 @@ METRIC_FIELDS = tuple(f.name for f in fields(Metrics))
 
 _SCRATCH_BINDING = -2
 _FILL_SALT = 0x9E
+_RAMP = bytes(range(256)) * 2  # any 256 consecutive byte values are one slice
 
 
 def _fill_bytes(index: int, width: int) -> bytes:
-    """Deterministic write payload; a pure function of op index and width so
-    every scheme writes identical data."""
-    return bytes((index * _FILL_SALT + 0x35 + j) & 0xFF for j in range(width))
+    """Deterministic write payload counting up mod 256; a pure function of
+    op index and width so every scheme writes identical data."""
+    start = (index * _FILL_SALT + 0x35) & 0xFF
+    if 0 <= width <= 256:
+        return _RAMP[start : start + width]
+    return (_RAMP[start : start + 256] * (width // 256 + 1))[:width]
 
 
 class LifetimeOracle:

@@ -5,7 +5,8 @@ Memory is word-granular: each 16-byte word holds raw bytes plus one validity
 tag bit.  A tagged word holds only the exact capability stored into it, so
 capability round-trips are lossless; its packed byte image, which data
 reads observe, is made when a read or a tag clear needs it.  Any
-non-capability write to a word clears its tag.
+non-capability write to a word clears its tag.  A sweep clears the tags
+that one selector call picks out of the tagged words and registers.
 
 The provenance-validity table (PVT) holds one bit per color; bit = 1 means
 the color has been retracted and every dereference through a capability of
@@ -370,32 +371,27 @@ class TaggedMachine:
 
     def sweep_scan(
         self,
-        doomed: Callable[[Capability], bool],
+        select: Callable[[Iterable[tuple[int, Capability]]], list[int]],
         addresses: Optional[Iterable[int]] = None,
         include_registers: bool = True,
     ) -> int:
-        """Clear the tag of every capability for which `doomed(cap)` holds:
-        picasso dooms a revocation's target colors, quarantine any range
-        touching quarantined memory.  Visits tagged memory words in
-        ascending address order (or only the given addresses), then the
-        register file; returns the number of tags cleared."""
-        cleared = 0
+        """Clear the tag of every capability that `select` dooms.  A selector
+        takes (key, capability) pairs and returns the doomed keys in one
+        call: one over the tagged memory words (or those among `addresses`),
+        then one over the tagged registers.  Returns the number cleared."""
         caps = self.caps
-        if addresses is None:
-            addresses = sorted(caps)
-        for addr in addresses:
-            cap = caps.get(addr)
-            if cap is not None and doomed(cap):
-                del caps[addr]  # tag cleared; the word keeps its packed image
-                self.words[addr] = pack(cap)
-                cleared += 1
+        if addresses is not None:  # a dict drops duplicate addresses
+            caps = {addr: caps[addr] for addr in addresses if addr in caps}
+        doomed = select(caps.items())
+        for addr in doomed:  # tag cleared; the word keeps its packed image
+            self.words[addr] = pack(self.caps.pop(addr))
+        cleared = len(doomed)
         if include_registers:
             regs = self.regs
-            for i in range(NUM_REGISTERS):
-                cap = regs[i]
-                if cap is not None and cap.tag and doomed(cap):
-                    regs[i] = clear_tag(cap)
-                    cleared += 1
+            tagged = [(i, cap) for i, cap in enumerate(regs) if cap is not None and cap.tag]
+            for i in select(tagged):
+                regs[i] = clear_tag(regs[i])
+                cleared += 1
         return cleared
 
     def start_cap_write_log(self) -> None:

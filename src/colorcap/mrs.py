@@ -15,7 +15,7 @@ Colors stay out of rotation until a revocation sweep completes.  When the
 unclaimed population drops below the threshold, the shim freezes the
 retracted set as the sweep's targets, scans memory and registers clearing
 matching tags (`TaggedMachine.sweep_scan` with the job's `doomed`
-predicate), then clears the target bits and batch releases the colors.
+selector), then clears the target bits and batch releases the colors.
 Colors retracted after the targets froze stay retracted and wait for the
 next sweep.  The hardware sweep works from a snapshot of the PVT; the
 simulator keeps no copy and models the snapshot only by counting the PVT
@@ -67,9 +67,10 @@ class RevocationJob:
     def done(self) -> bool:
         return self.cursor >= len(self.addresses)
 
-    def doomed(self, cap: Capability) -> bool:
-        """Sweep predicate; targets are colors 1..pool, so no other otype matches."""
-        return cap.otype in self.targets
+    def doomed(self, pairs) -> list[int]:
+        """Sweep selector: the keys whose capability's color is a target."""
+        targets = self.targets
+        return [key for key, cap in pairs if cap.otype in targets]
 
 
 class MallocRevocationShim(HeapScheme):

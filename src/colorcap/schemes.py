@@ -5,7 +5,7 @@ root capability, the live map and the counters the harness harvests, so
 they differ only in what free does and how a stale capability is caught.
 Picasso is the malloc revocation shim itself; cornucopia (both variants)
 and versioning's fallback share one quarantine component,
-`_QuarantineScheme`, whose sweep is `TaggedMachine.sweep_scan`:
+`_QuarantineScheme`, whose sweep selector is `quarantine_selector`:
 
 * picasso         - colored capabilities, provenance retraction, threshold
                     sweeps, immediate heap reuse.
@@ -52,6 +52,25 @@ _BUMP = bytes((v + 1) & VERSION_MASK for v in range(256))
 _FILL = tuple(bytes((v,)) for v in range(1 << VERSION_BITS))
 
 
+def quarantine_selector(blocks: list[tuple[int, int]]):
+    """The sweep selector that dooms every non-empty capability overlapping
+    one of `blocks`, disjoint (base, top) pairs sorted by base.  Only the
+    last block starting below a capability's top can overlap it; ranges
+    outside [first, last) are dropped before the bisect, so its index is
+    never -1."""
+    bases = [base for base, _ in blocks]
+    tops = [top for _, top in blocks]
+    first, last = bases[0], tops[-1]
+    return lambda pairs: [
+        key
+        for key, cap in pairs
+        if (base := cap.base) < last
+        and (top := base + cap.length) > first
+        and top > base
+        and tops[bisect_left(bases, top) - 1] > base
+    ]
+
+
 class PicassoScheme(MallocRevocationShim):
     """The malloc revocation shim driven as a scheme.  Retraction replaces
     quarantine, so nothing is ever quarantined."""
@@ -69,7 +88,8 @@ class _QuarantineScheme(HeapScheme):
     """Cornucopia-style quarantine (Filardo et al., IEEE S&P 2020): freed
     blocks wait, as (base, top) pairs in one list, until a sweep has
     revoked every capability into them; running out of heap forces that
-    sweep early (see `HeapScheme._carve`)."""
+    sweep early (see `HeapScheme._carve`).  Its selector is built once per
+    sweep by `quarantine_selector`."""
 
     def __init__(self, machine: TaggedMachine, quarantine_fraction: float) -> None:
         super().__init__(machine)
@@ -95,17 +115,7 @@ class _QuarantineScheme(HeapScheme):
         blocks = self.quarantine
         if blocks:
             blocks.sort()
-            bases = [base for base, _ in blocks]
-
-            def doomed(cap: Capability) -> bool:
-                # Blocks are disjoint, so only the last one starting below
-                # the capability's top can overlap it.
-                base = cap.base
-                top = base + cap.length
-                i = bisect_left(bases, top) - 1
-                return top > base and i >= 0 and blocks[i][1] > base
-
-            self.swept_tags += self.machine.sweep_scan(doomed)
+            self.swept_tags += self.machine.sweep_scan(quarantine_selector(blocks))
         for base, top in blocks:  # coalescing makes the order immaterial
             self.heap.free(base, top - base)
         self.quarantine = []

@@ -231,10 +231,8 @@ class UnrState:
                 self._claim_run_head(i)
                 self.population += 1
                 return ident
+            # A bitmap is never full, so the first one has a free bit.
             full = (1 << node.length) - 1
-            if node.bits == full:
-                offset += node.length
-                continue
             inv = ~node.bits & full
             bit = (inv & -inv).bit_length() - 1
             node.bits |= 1 << bit
@@ -245,39 +243,23 @@ class UnrState:
         raise AssertionError("population counter out of sync")
 
     def _claim_run_head(self, i: int) -> None:
-        """Claim the first ID of the available run at index i."""
+        """Claim the first ID of the available run at index i, the first
+        node with a free ID; so nodes[i - 1], if any, is a claimed run."""
         nodes = self.nodes
+        if not i:  # ID 1: the claim grows an empty claimed run in front
+            nodes.insert(0, Run(True, 0))
+            i = 1
+        prev = nodes[i - 1]
         node = nodes[i]
-        prev = nodes[i - 1] if i else None
-        if type(prev) is Run and prev.claimed:
-            prev.length += 1
-            node.length -= 1
-            if node.length == 0:
-                nxt = nodes[i + 1] if i + 1 < len(nodes) else None
-                if type(nxt) is Run and nxt.claimed:
-                    prev.length += nxt.length
-                    del nodes[i : i + 2]
-                else:
-                    del nodes[i]
-        elif prev is None:
-            node.length -= 1
-            if node.length == 0:
-                nxt = nodes[1] if len(nodes) > 1 else None
-                if type(nxt) is Run and nxt.claimed:
-                    nxt.length += 1
-                    del nodes[0]
-                else:
-                    nodes[0] = Run(True, 1)
+        prev.length += 1
+        node.length -= 1
+        if node.length == 0:
+            nxt = nodes[i + 1] if i + 1 < len(nodes) else None
+            if type(nxt) is Run and nxt.claimed:
+                prev.length += nxt.length
+                del nodes[i : i + 2]
             else:
-                nodes.insert(0, Run(True, 1))
-        else:
-            # Preceding node is a bitmap; splice and renormalize.
-            node.length -= 1
-            if node.length == 0:
-                nodes[i : i + 1] = [Run(True, 1)]
-            else:
-                nodes.insert(i, Run(True, 1))
-            self._rebuild()
+                del nodes[i]
 
     def free_one(self, ident: int) -> None:
         """Release one claimed ID."""

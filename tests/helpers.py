@@ -44,8 +44,9 @@ def validate(state) -> None:
         else:
             assert 1 <= node.length <= BITMAP_CAPACITY, "bitmap length"
             assert node.bits < (1 << node.length), "bitmap stray bits"
-            full = (1 << node.length) - 1
-            assert node.bits not in (0, full), "uniform bitmap not dissolved"
+            assert node.bits, "empty bitmap not dissolved"
+            # alloc_first_free relies on this: no bitmap in front of a free run.
+            assert node.bits != (1 << node.length) - 1, "full bitmap not dissolved"
             population += node.bits.bit_count()
         covered += node.length
         prev = node

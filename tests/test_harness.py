@@ -1,9 +1,11 @@
 import pytest
 
 from colorcap.harness import (
+    _FILL_SALT,
     ConfigError,
     METRIC_FIELDS,
     RunConfig,
+    _fill_bytes,
     classify_case,
     corpus_gate,
     run_corpus,
@@ -148,6 +150,16 @@ class TestBufferTransparency:
         assert on.metrics.faults_total == off.metrics.faults_total
         assert on.metrics.pvt_lookups == off.metrics.pvt_lookups
         assert off.metrics.pvt_hits == off.metrics.pvt_misses == 0
+
+
+class TestFillBytes:
+    @pytest.mark.parametrize("index", [0, 1, 5, 255, 69_999])
+    def test_equals_per_byte_generator(self, index):
+        # Widths past 512 wrap the 256-value ramp more than once.
+        for width in range(1501):
+            expected = bytes((index * _FILL_SALT + 0x35 + j) & 0xFF for j in range(width))
+            assert _fill_bytes(index, width) == expected
+        assert _fill_bytes(index, -300) == b""  # as range() of a negative width
 
 
 class TestMetricsSchema:

@@ -10,10 +10,21 @@ from colorcap.capability import (
     ColorOutOfRange,
     MachineConfig,
     PermissionSet,
+    clear_tag,
     pack,
     unpack,
 )
-from colorcap.machine import PVB_SETS, PVB_WAYS, Fault, FaultKind, PvtBuffer, TaggedMachine
+from colorcap.machine import (
+    NUM_REGISTERS,
+    PVB_SETS,
+    PVB_WAYS,
+    Fault,
+    FaultKind,
+    PvtBuffer,
+    TaggedMachine,
+)
+from colorcap.mrs import RevocationJob
+from colorcap.schemes import quarantine_selector
 
 
 def small_config(**kw):
@@ -267,8 +278,8 @@ class TestPvt:
 
 
 def colored(*colors):
-    """The sweep predicate of a revocation that targets `colors`."""
-    return lambda cap: cap.otype in colors
+    """The sweep selector of a revocation that targets `colors`."""
+    return RevocationJob(frozenset(colors), []).doomed
 
 
 class TestSweep:
@@ -316,6 +327,127 @@ class TestSweep:
         assert m.sweep_scan(colored(3), addresses=[first_word], include_registers=False) == 1
         assert first_word not in m.caps
         assert first_word + 16 in m.caps
+
+    def test_quarantine_spares_empty_and_abutting_ranges(self):
+        m = machine()
+        q = m.config.heap_base + 0x100
+        m.caps[0x40] = Capability(q, q, 0, PERMS_APP, UNSEALED, True)  # empty, at a block base
+        m.caps[0x50] = Capability(q - 32, q - 32, 32, PERMS_APP, UNSEALED, True)  # top == base
+        m.caps[0x60] = Capability(q + 40, q + 40, 1, PERMS_APP, UNSEALED, True)  # inside
+        assert m.sweep_scan(quarantine_selector([(q, q + 64)])) == 1
+        assert sorted(m.caps) == [0x40, 0x50]
+
+
+def per_capability_sweep(m, doomed, addresses=None, include_registers=True) -> int:
+    """The sweep before selectors, kept as the reference: one `doomed(cap)`
+    call per tagged word in ascending address order (or per given address),
+    then one per tagged register."""
+    cleared = 0
+    caps = m.caps
+    for addr in sorted(caps) if addresses is None else addresses:
+        cap = caps.get(addr)
+        if cap is not None and doomed(cap):
+            del caps[addr]
+            m.words[addr] = pack(cap)
+            cleared += 1
+    if include_registers:
+        for i, cap in enumerate(m.regs):
+            if cap is not None and cap.tag and doomed(cap):
+                m.regs[i] = clear_tag(cap)
+                cleared += 1
+    return cleared
+
+
+def overlaps_a_block(blocks):
+    """Reference quarantine predicate: a non-empty range that overlaps some
+    block, tested against every block."""
+
+    def doomed(cap):
+        top = cap.base + cap.length
+        return top > cap.base and any(base < top and cap.base < end for base, end in blocks)
+
+    return doomed
+
+
+Q = 0x1000  # where the quarantine of the differential sweep starts
+SWEPT_WORDS = 24
+
+
+@st.composite
+def quarantines(draw):
+    """Disjoint (base, top) blocks sorted by base, some of them adjacent."""
+    blocks = []
+    at = Q + 16 * draw(st.integers(0, 4))
+    for gap, size in draw(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), min_size=1, max_size=5)
+    ):
+        at += 16 * gap
+        blocks.append((at, at + 16 * size))
+        at += 16 * size
+    return blocks
+
+
+def _swept(base, length, otype=UNSEALED, tag=True):
+    return Capability(base, base, length, PERMS_APP, otype, tag)
+
+
+def swept_caps(tags=st.just(True)):
+    """Byte-granular ranges from below the first block to past the last."""
+    return st.builds(
+        _swept,
+        st.integers(Q - 64, Q + 16 * 40),
+        st.one_of(st.just(0), st.integers(0, 320)),
+        st.sampled_from((UNSEALED, 1, 2, 3)),
+        tags,
+    )
+
+
+_NO_EXTRAS = dict(data={}, regs={}, include_registers=True, targets=frozenset({1}))
+
+
+class TestSelectorSweep:
+    """The quarantine and color selectors clear exactly what a per-capability
+    sweep with the matching predicate clears."""
+
+    @example(blocks=[(Q, Q + 32)], mem={0: _swept(Q, 0)}, addresses=None, **_NO_EXTRAS)
+    @example(blocks=[(Q + 64, Q + 96)], mem={0: _swept(Q + 32, 32)}, addresses=None, **_NO_EXTRAS)
+    @example(blocks=[(Q, Q + 32)], mem={0: _swept(Q, 16, 1)}, addresses=[0, 0], **_NO_EXTRAS)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        blocks=quarantines(),
+        mem=st.dictionaries(st.integers(0, SWEPT_WORDS - 1), swept_caps(), max_size=16),
+        data=st.dictionaries(
+            st.integers(0, SWEPT_WORDS - 1), st.binary(min_size=16, max_size=16), max_size=6
+        ),
+        regs=st.dictionaries(
+            st.integers(0, NUM_REGISTERS - 1),
+            st.one_of(st.none(), swept_caps(st.booleans())),
+            max_size=8,
+        ),
+        # Untagged, absent and repeated words all appear in a window.
+        addresses=st.one_of(st.none(), st.lists(st.integers(0, SWEPT_WORDS + 2))),
+        include_registers=st.booleans(),
+        targets=st.frozensets(st.sampled_from((1, 2, 3))),
+    )
+    def test_matches_per_capability_sweep(
+        self, blocks, mem, data, regs, addresses, include_registers, targets
+    ):
+        checks = (
+            (quarantine_selector(blocks), overlaps_a_block(blocks)),
+            (RevocationJob(targets, []).doomed, lambda cap: cap.otype in targets),
+        )
+        for select, doomed in checks:
+            m, ref = machine(), machine()
+            word = m.config.heap_base
+            for t in (m, ref):
+                t.words.update({word + 16 * w: image for w, image in data.items() if w not in mem})
+                t.caps.update({word + 16 * w: cap for w, cap in mem.items()})
+                for i, cap in regs.items():
+                    t.regs[i] = cap
+            addrs = None if addresses is None else [word + 16 * w for w in addresses]
+            cleared = m.sweep_scan(select, addrs, include_registers)
+            assert cleared == per_capability_sweep(ref, doomed, addrs, include_registers)
+            assert (m.caps, m.words, m.regs) == (ref.caps, ref.words, ref.regs)
 
 
 class ListClearingPvtBuffer:
@@ -396,14 +528,12 @@ class EagerPackMemory:
     def read(self, addr: int, width: int) -> bytes:
         return bytes(self.words.get(a & ~15, bytes(16))[a & 15] for a in range(addr, addr + width))
 
-    def sweep(self, doomed, addresses) -> int:
-        cleared = 0
-        for addr in sorted(self.caps) if addresses is None else addresses:
-            cap = self.caps.get(addr)
-            if cap is not None and doomed(cap):
-                del self.caps[addr]
-                cleared += 1
-        return cleared
+    def sweep(self, select, addresses) -> int:
+        visited = sorted(self.caps) if addresses is None else addresses
+        doomed = select([(addr, self.caps[addr]) for addr in visited if addr in self.caps])
+        for addr in doomed:
+            del self.caps[addr]
+        return len(doomed)
 
     def load_cap(self, addr: int) -> Capability:
         cap = self.caps.get(addr)

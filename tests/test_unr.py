@@ -222,7 +222,8 @@ def _recounted_memory(state):
 
 def _random_ops(state, claimed, rng, ops):
     """Drive one interleaving against the naive set oracle, checking the
-    O(1) node memory against a recount after every op."""
+    O(1) node memory against a recount and the node invariants after every
+    op."""
     total = state.total
     for _ in range(ops):
         roll = rng.below(10)
@@ -247,6 +248,7 @@ def _random_ops(state, claimed, rng, ops):
                 state.batch_release(picks)
                 claimed.difference_update(picks)
         assert state.node_memory() == _recounted_memory(state)
+        validate(state)
 
 
 class TestOracleEquivalence:
@@ -288,15 +290,3 @@ class TestOracleEquivalence:
         for _ in range(30):
             _random_ops(state, claimed, rng, 20)
         assert seen == {"forms", "dissolves"}
-
-    def test_claim_after_bitmap_neighbour(self):
-        # _claim_run_head's bitmap-neighbour branch needs a full bitmap in
-        # front of the first available run; the builder dissolves full
-        # bitmaps, so only a hand-built state reaches it.
-        state = UnrState(20)
-        state.nodes = [BitmapNode(0b111, 3), Run(False, 17)]
-        state.bitmaps = 1
-        state.population = 3
-        assert state.alloc_first_free() == 4
-        assert state.nodes == [Run(True, 4), Run(False, 16)]
-        assert state.node_memory() == _recounted_memory(state) == 2 * NODE_UNIT_BYTES
