@@ -192,6 +192,15 @@ class LifetimeOracle:
     def spill(self, reg: int, slot: int) -> None:
         self.slots[slot] = self.regs[reg]
 
+    def overwrite(self, offset: int, width: int) -> None:
+        """A data write of `width` bytes at `offset` from the scratch base
+        clears the tag, and so the binding, of every slot it overlaps; an
+        empty write overlaps none."""
+        if width <= 0:
+            return
+        for slot in range(offset >> 4, (offset + width + 15) >> 4):
+            self.slots.pop(slot, None)
+
     def reload(self, reg: int, slot: int) -> None:
         self.regs[reg] = self.slots.get(slot)
 
@@ -257,42 +266,41 @@ def run_trace(
     digest = 0xCBF29CE484222325  # FNV-1a over read results (good-trace identity)
     index = 0
 
+    load, store, malloc, free = adapter.load, adapter.store, adapter.malloc, adapter.free
+    store_cap, load_cap, oracle_regs = machine.store_cap, machine.load_cap, oracle.regs
+
     for op in trace.ops:
         code = op[0]
         outcome = None
-        verdict = True  # legal per the oracle; only access/free can violate
-        classified = False
-        if code == OP_MALLOC:
-            cap = adapter.malloc(op[2])
-            regs[op[1]] = cap
-            oracle.malloc(op[1])
-        elif code == OP_FREE:
-            outcome = adapter.free(regs[op[1]])
-            verdict = oracle.free(op[1])
-            classified = True
-        elif code == OP_READ:
-            result = adapter.load(regs[op[1]], op[2], op[3])
+        verdict = None  # the oracle's ruling on an access or free: legal or not
+        if code == OP_READ:
+            result = load(regs[op[1]], op[2], op[3])
             if type(result) is Fault:
                 outcome = result
             else:
                 for byte in result:
                     digest = ((digest ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
             verdict = oracle.access(op[1])
-            classified = True
         elif code == OP_WRITE:
-            outcome = adapter.store(regs[op[1]], op[2], _fill_bytes(index, op[3]))
+            cap = regs[op[1]]
+            outcome = store(cap, op[2], _fill_bytes(index, op[3]))
             verdict = oracle.access(op[1])
-            classified = True
+            if oracle_regs[op[1]] == _SCRATCH_BINDING and outcome is None:
+                oracle.overwrite(cap.address + op[2] - machine_config.scratch_base, op[3])
+        elif code == OP_MALLOC:
+            regs[op[1]] = malloc(op[2])
+            oracle.malloc(op[1])
+        elif code == OP_FREE:
+            outcome = free(regs[op[1]])
+            verdict = oracle.free(op[1])
         elif code == OP_COPY:
             regs[op[1]] = regs[op[2]]
             oracle.copy(op[1], op[2])
         elif code == OP_SPILL:
-            outcome = machine.store_cap(
-                scratch_auth, op[2] * 16, regs[op[1]] or NULL_CAP
-            )
+            outcome = store_cap(scratch_auth, op[2] * 16, regs[op[1]] or NULL_CAP)
             oracle.spill(op[1], op[2])
         elif code == OP_RELOAD:
-            result = machine.load_cap(scratch_auth, op[2] * 16)
+            result = load_cap(scratch_auth, op[2] * 16)
             if type(result) is Fault:
                 outcome = result
                 regs[op[1]] = None
@@ -330,7 +338,7 @@ def run_trace(
         is_fault = outcome is not None
         if is_fault:
             fault_hist[outcome.kind] = fault_hist.get(outcome.kind, 0) + 1
-        if classified:
+        if verdict is not None:
             if not verdict and not is_fault:
                 escapes += 1
             elif verdict and is_fault:

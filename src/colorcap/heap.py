@@ -161,8 +161,9 @@ class FreeListHeap:
 class HeapScheme:
     """What `run_trace` drives: a heap, its root capability, the live map,
     the counters harvested into `Metrics`, and the allocator calls.
-    `malloc` hands out plain narrowed capabilities and data access goes
-    through the machine's checks; each scheme supplies its own `free`."""
+    `malloc` hands out plain narrowed capabilities; `load` and `store` call
+    the machine's `check_access`, then copy with `read_bytes`/`write_bytes`
+    directly.  Each scheme supplies its own `free`."""
 
     def __init__(self, machine: TaggedMachine) -> None:
         config = machine.config
@@ -222,10 +223,16 @@ class HeapScheme:
     def free(self, cap: Optional[Capability]) -> Optional[Fault]:
         raise NotImplementedError
 
-    # Data access: spatial/tag/permission checks via the machine, plus the
-    # provenance check for colored capabilities (picasso's only).
+    # The provenance check inside check_access runs only for picasso's colors.
     def load(self, cap, offset: int, width: int):
-        return self.machine.load_data(cap, offset, width)
+        fault = self.machine.check_access(cap, offset, width, "read")
+        if fault is not None:
+            return fault
+        return self.machine.read_bytes(cap.address + offset, width)
 
     def store(self, cap, offset: int, data: bytes):
-        return self.machine.store_data(cap, offset, data)
+        fault = self.machine.check_access(cap, offset, len(data), "write")
+        if fault is not None:
+            return fault
+        self.machine.write_bytes(cap.address + offset, data)
+        return None

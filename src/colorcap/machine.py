@@ -5,16 +5,17 @@ Memory is word-granular: each 16-byte word holds raw bytes plus one validity
 tag bit.  A tagged word holds only the exact capability stored into it, so
 capability round-trips are lossless; its packed byte image, which data
 reads observe, is made when a read or a tag clear needs it.  Any
-non-capability write to a word clears its tag.  A sweep clears the tags
-that one selector call picks out of the tagged words and registers.
+non-capability write to a word clears its tag; a read or write inside one
+word takes one dict probe and one slice or splice.  A sweep clears the
+tags that one selector call picks out of the tagged words and registers.
 
 The provenance-validity table (PVT) holds one bit per color; bit = 1 means
 the color has been retracted and every dereference through a capability of
-that color faults.  Dereference checks read the table through a small
-set-associative buffer of 128-bit table words, invalidated (one counter
-bump) whenever a table bit actually changes, which keeps the buffer
-transparent: enabling or disabling it can never change fault behavior,
-only the hit/miss counters.
+that color faults.  `check_access` does that check inline, reading the
+table through a small set-associative buffer of 128-bit table words,
+invalidated (one counter bump) whenever a table bit actually changes, which
+keeps the buffer transparent: enabling or disabling it can never change
+fault behavior, only the hit/miss counters.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ FAULT_DOUBLE_FREE: Final = Fault(FaultKind.DOUBLE_FREE)
 FAULT_PVT_UNMAPPED: Final = Fault(FaultKind.PVT_UNMAPPED)
 
 _ZERO_WORD: Final = bytes(16)
-_PVB_UNMAPPED: Final = object()
 PVB_SETS: Final = 16
 PVB_WAYS: Final = 4
 
@@ -154,20 +154,6 @@ class TaggedMachine:
 
     # -- provenance-validity table ------------------------------------
 
-    def _pvb_state(self, color: int):
-        """Implicit hardware lookup of one provenance-validity bit.
-
-        Returns True (retracted), False (valid), or the unmapped sentinel.
-        Goes through the buffer when enabled, filling on miss.
-        """
-        self.pvt_lookups += 1
-        byte_off = color >> 3
-        if byte_off >= self._pvt_mapped:
-            return _PVB_UNMAPPED
-        if self.pvt_buffer is not None:
-            self.pvt_buffer.lookup(self._pvt_base + ((color >> 7) << 4))
-        return (self.pvt[byte_off] >> (color & 7)) & 1 == 1
-
     def pvb_retracted(self, color: int) -> bool:
         """Software read of a provenance-validity bit (allocator path).
 
@@ -225,19 +211,18 @@ class TaggedMachine:
         applicable Fault in the order: untagged, sealed dereference,
         permission, spatial bounds, provenance retracted.
 
-        The provenance-validity check runs only for colored capabilities
-        (uncolored accesses perform zero table lookups) and is evaluated
-        before any memory effect, so a retracted store mutates nothing.
+        The inline provenance-validity check runs only for colors, 0 < otype
+        < otypeth: one implicit lookup, an unmapped fault past the mapped
+        table, `PvtBuffer.lookup` for the hit or miss, then the table bit.
+        It precedes any memory effect, so a retracted store mutates nothing.
         """
         if cap is None or not cap.tag:
             return FAULT_UNTAGGED
         otype = cap.otype
-        color = 0
-        if otype is not None:
-            if otype >= self._otypeth:
-                return FAULT_SEALED
-            if otype > 0:
-                color = otype
+        if otype is None:
+            otype = 0
+        elif otype >= self._otypeth:
+            return FAULT_SEALED
         perms = cap.perms
         if kind == "read":
             allowed = perms.load
@@ -252,33 +237,18 @@ class TaggedMachine:
         if not allowed:
             return FAULT_PERMISSION
         start = cap.address + offset
-        if width < 0 or start < cap.base or start + width > cap.base + cap.length:
+        base = cap.base
+        if width < 0 or start < base or start + width > base + cap.length:
             return FAULT_SPATIAL
-        if color and provenance:
-            state = self._pvb_state(color)
-            if state is _PVB_UNMAPPED:
+        if otype > 0 and provenance:
+            self.pvt_lookups += 1
+            byte_off = otype >> 3
+            if byte_off >= self._pvt_mapped:
                 return FAULT_PVT_UNMAPPED
-            if state:
-                return Fault(FaultKind.PROVENANCE_RETRACTED, color)
-        return None
-
-    def load_data(self, cap, offset: int, width: int):
-        """Checked data read; returns bytes or a Fault."""
-        fault = self.check_access(cap, offset, width, "read")
-        if fault is not None:
-            return fault
-        return self.read_bytes(cap.address + offset, width)
-
-    def store_data(self, cap, offset: int, data: bytes):
-        """Checked data write; returns None or a Fault.
-
-        Clears the tag of every word it overlaps.  The check completes
-        before any mutation, so a faulting store leaves memory bit-identical.
-        """
-        fault = self.check_access(cap, offset, len(data), "write")
-        if fault is not None:
-            return fault
-        self.write_bytes(cap.address + offset, data)
+            if self.pvt_buffer is not None:
+                self.pvt_buffer.lookup(self._pvt_base + ((otype >> 7) << 4))
+            if self.pvt[byte_off] >> (otype & 7) & 1:
+                return Fault(FaultKind.PROVENANCE_RETRACTED, otype)
         return None
 
     def store_cap(self, auth, offset: int, value: Capability):
@@ -350,13 +320,25 @@ class TaggedMachine:
         return b"".join(parts)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
-        if not data:
+        """Write `data` at `addr`; each word it overlaps loses its tag and
+        keeps its packed image around the new bytes.  A write inside one
+        word is one dict probe and one splice."""
+        width = len(data)
+        if not width:
             return
         words = self.words
         caps = self.caps
-        end = addr + len(data)
-        pos = 0
+        end = addr + width
         w = addr & ~15
+        if w == (end - 1) & ~15:
+            old = words.get(w)
+            if old is None:  # absent or tagged: a tagged word is only in caps
+                cap = caps.pop(w, None)
+                old = _ZERO_WORD if cap is None else pack(cap)
+            lo = addr - w
+            words[w] = old[:lo] + data + old[lo + width :]
+            return
+        pos = 0
         while w < end:
             cap = caps.pop(w, None)  # any data write clears the word's tag
             lo = max(addr, w) - w
@@ -365,7 +347,6 @@ class TaggedMachine:
             words[w] = old[:lo] + data[pos : pos + hi - lo] + old[hi:]
             pos += hi - lo
             w += 16
-        return None
 
     # -- sweeps ---------------------------------------------------------
 

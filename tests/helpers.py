@@ -1,4 +1,5 @@
-"""Decoders of simulator state that tests use as oracles."""
+"""Decoders of simulator state that tests use as oracles, and checked
+data access straight on a machine."""
 
 from colorcap.unr import BITMAP_CAPACITY, Run
 
@@ -52,3 +53,21 @@ def validate(state) -> None:
         prev = node
     assert covered == state.total, "coverage != total"
     assert population == state.population, "population counter drift"
+
+
+def load_data(machine, cap, offset: int, width: int):
+    """Checked data read on `machine`; returns bytes or a Fault."""
+    fault = machine.check_access(cap, offset, width, "read")
+    if fault is not None:
+        return fault
+    return machine.read_bytes(cap.address + offset, width)
+
+
+def store_data(machine, cap, offset: int, data: bytes):
+    """Checked data write on `machine`; returns None or a Fault.  The check
+    completes before any mutation, so a faulting store changes nothing."""
+    fault = machine.check_access(cap, offset, len(data), "write")
+    if fault is not None:
+        return fault
+    machine.write_bytes(cap.address + offset, data)
+    return None

@@ -15,7 +15,7 @@ import pytest
 from colorcap.harness import RunConfig, run_trace
 from colorcap.schemes import SCHEME_NAMES
 from colorcap.trace import parse_trace
-from colorcap.workloads import gen_churn, gen_corpus
+from colorcap.workloads import gen_churn, gen_corpus, gen_locality
 
 
 def _churn():
@@ -46,6 +46,16 @@ def _spill_sweep():
     return parse_trace("\n".join(lines), name="spill-sweep")
 
 
+def _locality():
+    # The bench's locality shape, shortened.  Its 29 colors share one PVT
+    # word, so the row pins the buffer's counts (picasso: 1,856 lookups,
+    # 1,855 hits, 1 miss) and the digest of the bytes read back.
+    return gen_locality(29, 4, 64, 8)
+
+
+TRACES = {"spill-sweep": _spill_sweep, "locality": _locality}
+
+
 CASES = {
     "churn": RunConfig(color_bits=8),
     "churn-window7": RunConfig(color_bits=8, sweep_window=7),
@@ -55,6 +65,7 @@ CASES = {
     # revoke early and retry (43 and 2 revocations against 37 and 1).
     "churn-heap8k": RunConfig(color_bits=8, heap_size=8192),
     "spill-sweep": RunConfig(color_bits=5),
+    "locality": RunConfig(),
 }
 
 
@@ -75,7 +86,7 @@ def digests(case: str, scheme: str) -> tuple[str, str]:
             _sha([r.metrics.to_dict() for r in results]),
             _sha([_outcomes(r) for r in results]),
         )
-    trace = _spill_sweep() if case == "spill-sweep" else _churn()
+    trace = TRACES.get(case, _churn)()
     result = run_trace(trace, scheme, CASES[case], collect_outcomes=True)
     return _sha(result.metrics.to_dict()), _sha(_outcomes(result))
 
@@ -111,6 +122,11 @@ GOLDEN = {
     "spill-sweep/cornucopia-rof": ("f8d56c819d800e55", "889a0c60cdebf6b2"),
     "spill-sweep/versioning": ("8b591a15250eb16f", "3b19d7dac2f8ee01"),
     "spill-sweep/none": ("d998ff6883debe80", "ab1b63de03209929"),
+    "locality/picasso": ("9145d3069167bfd3", "2fed9c05cf9b47ef"),
+    "locality/cornucopia": ("e51bd85f03cb7ba0", "2fed9c05cf9b47ef"),
+    "locality/cornucopia-rof": ("9f218ed3967d2124", "2fed9c05cf9b47ef"),
+    "locality/versioning": ("b6b0ec4266814553", "2fed9c05cf9b47ef"),
+    "locality/none": ("96037fa23fd5a9c5", "2fed9c05cf9b47ef"),
     "corpus/picasso": ("e4b4f882e8f20c8e", "59fc615c2e4e1bf8"),
     "corpus/cornucopia": ("8c042ad965e97f6a", "a4a3eef6ce713a02"),
     "corpus/cornucopia-rof": ("9763684bbf7a6db1", "a9e2b8d3a8f128d8"),

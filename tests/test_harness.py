@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorcap.harness import (
     _FILL_SALT,
@@ -12,6 +13,7 @@ from colorcap.harness import (
     run_trace,
 )
 from colorcap.machine import FaultKind
+from colorcap.schemes import SCHEME_NAMES
 from colorcap.trace import (
     OP_COPY,
     OP_FREE,
@@ -130,6 +132,39 @@ class TestRunTrace:
         assert result.outcomes[3] is FaultKind.PROVENANCE_RETRACTED
         assert result.metrics.uaf_escapes == 0
 
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    @pytest.mark.parametrize(
+        ("writer", "slot", "cleared"),
+        # A write through scratch itself over slot 0, and one through a
+        # capability derived 16 bytes into scratch, whose offset 0 is slot 1;
+        # an empty write inside slot 1 clears no tag.
+        [("scratch r1 / write r1 0 4", 0, 1),
+         ("scratch r1 / derive r1 r1 16 / write r1 0 4", 1, 1),
+         ("scratch r1 / write r1 20 0", 1, 0)],
+    )
+    def test_overwritten_spill_slot_reloads_no_binding(self, scheme, writer, slot, cleared):
+        text = f"malloc r0 32 / spill r0 {slot} / {writer} / reload r2 {slot} / read r2 0 8"
+        trace = parse_trace(text.replace(" / ", "\n"))
+        metrics = run_trace(trace, scheme).metrics
+        # A write that cleared the slot's tag leaves the reload no
+        # capability: the read faults, and the oracle calls it a violation.
+        assert metrics.fault_UntaggedOperand == cleared
+        assert metrics.faults_total == cleared
+        assert metrics.false_positives == 0
+        assert metrics.uaf_escapes == 0
+        assert metrics.oracle_violations == cleared
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_faulting_scratch_write_keeps_the_slot_binding(self, scheme):
+        # One slot is 16 bytes of scratch: the 20-byte write faults before
+        # it clears any tag, so the reloaded capability is still live.
+        text = "malloc r0 32 / spill r0 0 / scratch r1 / write r1 0 20 / reload r2 0 / read r2 0 8"
+        metrics = run_trace(parse_trace(text.replace(" / ", "\n")), scheme).metrics
+        assert metrics.fault_SpatialOutOfBounds == 1
+        assert metrics.faults_total == 1
+        assert metrics.uaf_escapes == 0
+        assert metrics.oracle_violations == 0
+
     def test_parse_and_run_round_trip(self):
         trace = parse_trace(
             "malloc r0 64\nwrite r0 0 8\nfree r0\nread r0 0 8 !fault=ProvenanceRetracted\n"
@@ -160,6 +195,30 @@ class TestFillBytes:
             expected = bytes((index * _FILL_SALT + 0x35 + j) & 0xFF for j in range(width))
             assert _fill_bytes(index, width) == expected
         assert _fill_bytes(index, -300) == b""  # as range() of a negative width
+
+
+def _fnv_masked(digest: int, data: bytes) -> int:
+    """64-bit FNV-1a of `data`, continued from `digest`."""
+    for byte in data:
+        digest = ((digest ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return digest
+
+
+class TestReadDigest:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 64)), min_size=1, max_size=20))
+    def test_run_digest_is_fnv1a_of_the_bytes_read(self, reads):
+        # Reads of 0-64 bytes, inside and across words, after one write
+        # (op 1) fills the whole block.
+        ops = [(OP_MALLOC, 0, 128, 0), (OP_WRITE, 0, 0, 128)]
+        ops += [(OP_READ, 0, offset, width) for offset, width in reads]
+        block = _fill_bytes(1, 128)
+        expected = 0xCBF29CE484222325
+        for offset, width in reads:
+            expected = _fnv_masked(expected, block[offset : offset + width])
+        for scheme in ("picasso", "none"):
+            metrics = run_trace(Trace(ops=ops, name="reads"), scheme).metrics
+            assert metrics.data_digest == f"{expected:016x}"
 
 
 class TestMetricsSchema:

@@ -25,6 +25,7 @@ from colorcap.machine import (
 )
 from colorcap.mrs import RevocationJob
 from colorcap.schemes import quarantine_selector
+from helpers import load_data, store_data
 
 
 def small_config(**kw):
@@ -131,12 +132,12 @@ class TestDataAccess:
         m = machine()
         cap = heap_cap(m)
         payload = bytes(range(24))
-        assert m.store_data(cap, 4, payload) is None
-        assert m.load_data(cap, 4, 24) == payload
+        assert store_data(m, cap, 4, payload) is None
+        assert load_data(m, cap, 4, 24) == payload
 
     def test_unwritten_memory_reads_zero(self):
         m = machine()
-        assert m.load_data(heap_cap(m), 0, 16) == bytes(16)
+        assert load_data(m, heap_cap(m), 0, 16) == bytes(16)
 
     def test_store_clears_overlapped_tag(self):
         m = machine()
@@ -144,16 +145,16 @@ class TestDataAccess:
         value = heap_cap(m, offset=0x20, length=16)
         assert m.store_cap(auth, 0x10, value) is None
         assert m.load_cap(auth, 0x10).tag
-        assert m.store_data(auth, 0x18, b"xx") is None
+        assert store_data(m, auth, 0x18, b"xx") is None
         assert not m.load_cap(auth, 0x10).tag
 
     def test_retracted_store_mutates_nothing(self):
         m = machine()
         cap = heap_cap(m, otype=5)
-        m.store_data(cap, 0, b"before!!")
+        store_data(m, cap, 0, b"before!!")
         m.pvt_set(5, retracted=True)
         snapshot = dict(m.words)
-        fault = m.store_data(cap, 0, b"after!!!")
+        fault = store_data(m, cap, 0, b"after!!!")
         assert fault.kind is FaultKind.PROVENANCE_RETRACTED
         assert m.words == snapshot
 
@@ -161,8 +162,8 @@ class TestDataAccess:
         m = machine()
         cap = heap_cap(m)
         data = bytes(range(40))
-        m.store_data(cap, 10, data)
-        assert m.load_data(cap, 10, 40) == data
+        store_data(m, cap, 10, data)
+        assert load_data(m, cap, 10, 40) == data
 
 
 class TestCapabilityMemory:
@@ -188,7 +189,7 @@ class TestCapabilityMemory:
         m = machine()
         auth = heap_cap(m)
         m.store_cap(auth, 0, heap_cap(m, offset=0x20))
-        m.store_data(auth, 0, b"\x00")
+        store_data(m, auth, 0, b"\x00")
         loaded = m.load_cap(auth, 0)
         assert not loaded.tag
 
@@ -262,6 +263,13 @@ class TestPvt:
         beyond = heap_cap(m, otype=200)
         assert m.check_access(ok, 0, 8, "read") is None
         assert m.check_access(beyond, 0, 8, "read").kind is FaultKind.PVT_UNMAPPED
+
+    def test_unmapped_color_counts_a_lookup_but_no_buffer_access(self):
+        m = machine(pvt_mapped_bytes=16)
+        fault = m.check_access(heap_cap(m, otype=200), 0, 8, "write")
+        assert fault.kind is FaultKind.PVT_UNMAPPED
+        assert m.pvt_lookups == 1
+        assert (m.pvt_buffer.hits, m.pvt_buffer.misses) == (0, 0)
 
     def test_round_robin_eviction(self):
         m = TaggedMachine(small_config(color_bits=16))
@@ -596,6 +604,12 @@ class TestLazyPack:
 
     # A tagged word swept, then read as bytes and through load_cap.
     @example([("cap", 1, _TAGGED_3), ("sweep", frozenset({3}), None), ("read", 16, 16)])
+    # Writes inside one tagged word, then a read (and `_check_all`'s
+    # load_cap): unaligned ones of 1 and 15 bytes, and an aligned 16-byte one.
+    @example([("cap", 1, _TAGGED_3), ("data", 19, b"\xaa\xbb\xcc\xdd"), ("read", 16, 16)])
+    @example([("cap", 1, _TAGGED_3), ("raw", 17, b"\x5a"), ("read", 16, 16)])
+    @example([("cap", 2, _TAGGED_3), ("raw", 33, bytes(range(1, 16))), ("read", 32, 16)])
+    @example([("cap", 2, _TAGGED_3), ("data", 32, bytes(range(16))), ("read", 30, 20)])
     @settings(max_examples=150, deadline=None)
     @given(memory_ops)
     def test_matches_eager_pack(self, ops):
@@ -611,7 +625,7 @@ class TestLazyPack:
             elif kind in ("data", "raw"):
                 data = op[2][: REGION - op[1]]
                 if kind == "data":
-                    assert m.store_data(auth, op[1], data) is None
+                    assert store_data(m, auth, op[1], data) is None
                 else:
                     m.write_bytes(base + op[1], data)
                 ref.write(base + op[1], data)

@@ -1,8 +1,9 @@
 """Differential property test over random traces.
 
 Hypothesis generates traces whose accesses stay inside each register's
-allocation (the generator tracks every register's size), so the lifetime
-oracle is the only judge of legality.  On each trace, at 7 color bits:
+allocation (the generator tracks every register's size) and whose scratch
+writes overwrite spilled capabilities, so the lifetime oracle is the only
+judge of legality.  On each trace, at 7 color bits:
 
 * picasso lets no violation escape and faults no legal access, with sweeps
   run to completion and with every sweep window from 1 to 8 words;
@@ -38,6 +39,7 @@ from colorcap.trace import (
     OP_MALLOC,
     OP_READ,
     OP_RELOAD,
+    OP_SCRATCH,
     OP_SPILL,
     OP_WRITE,
     Trace,
@@ -48,21 +50,26 @@ from helpers import validate
 
 REGS = 3
 SLOTS = 4
+# Holds the scratch authority: data writes through it clear the tags of the
+# spill slots they overlap.
+SCRATCH_REG = REGS
 
 
 @st.composite
 def traces(draw):
-    """20 to 120 ops over 3 registers and 4 spill slots; reads and writes
-    fall inside the register's current allocation, whether or not it is
-    still live.  At most 120 mallocs never outgrow the 127 colors, so
-    every trace runs to the end."""
+    """20 to 120 ops over 3 registers and 4 spill slots, after binding a
+    fourth register to scratch; reads and writes fall inside the register's
+    current allocation, whether or not it is still live, and scratch writes
+    of 0-64 bytes overwrite spilled slots.  At most 120 mallocs never
+    outgrow the 127 colors, so every trace runs to the end."""
     size = [0] * REGS  # bytes reachable through each register's capability
     slot_size = [0] * SLOTS
-    ops = []
+    ops = [(OP_SCRATCH, SCRATCH_REG, 0, 0)]
     for _ in range(draw(st.integers(20, 120))):
         reg = draw(st.integers(0, REGS - 1))
         kind = draw(st.sampled_from(("malloc", "malloc", "free", "free", "access", "access",
-                                     "copy", "spill", "spill", "reload", "reload", "derive")))
+                                     "copy", "spill", "spill", "reload", "reload", "derive",
+                                     "overwrite")))
         if kind == "malloc":
             size[reg] = draw(st.integers(1, 64))
             ops.append((OP_MALLOC, reg, size[reg], 0))
@@ -89,6 +96,10 @@ def traces(draw):
             offset = draw(st.integers(0, size[src]))
             size[reg] = size[src] - offset
             ops.append((OP_DERIVE, reg, src, offset))
+        elif kind == "overwrite":
+            offset = draw(st.integers(0, 16 * SLOTS - 1))
+            width = draw(st.integers(0, 16 * SLOTS - offset))
+            ops.append((OP_WRITE, SCRATCH_REG, offset, width))
     return Trace(ops=ops, slots=SLOTS, name="property")
 
 
@@ -113,6 +124,20 @@ def outcomes(trace, config):
     return result.outcomes
 
 
+def _overwritten_spill_slot(width):
+    """A scratch write of `width` bytes inside slot 1 after a spill there.
+    A non-empty write clears the spilled capability's tag: the capability
+    reloaded from that slot is no longer bound, so its faulting read is
+    legal for the oracle to flag, not a false positive.  An empty write
+    clears nothing, and the reloaded capability stays bound."""
+    return Trace(
+        ops=[(OP_SCRATCH, SCRATCH_REG, 0, 0), (OP_MALLOC, 0, 32, 0), (OP_SPILL, 0, 1, 0),
+             (OP_WRITE, SCRATCH_REG, 20, width), (OP_RELOAD, 1, 1, 0), (OP_READ, 1, 0, 8)],
+        slots=SLOTS,
+        name="property",
+    )
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     trace=traces(),
@@ -120,6 +145,8 @@ def outcomes(trace, config):
     # once 4 of the 127 colors are claimed.
     threshold=st.sampled_from((0.5, 0.9, 0.97)),
 )
+@example(trace=_overwritten_spill_slot(4), threshold=0.5)
+@example(trace=_overwritten_spill_slot(0), threshold=0.5)
 def test_picasso_matches_the_oracle(trace, threshold):
     config = RunConfig(color_bits=7, threshold_fraction=threshold)
     with validated_sweeps():
