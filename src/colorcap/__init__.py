@@ -5,6 +5,11 @@ from .capability import (
     CAPABILITY_WIDTH,
     COLOR_BITS_DEFAULT,
     DEFAULT_OTYPETH,
+    PERM_LOAD,
+    PERM_LOAD_CAP,
+    PERM_STORE,
+    PERM_STORE_CAP,
+    PERM_SW_VMEM,
     PERMS_APP,
     PERMS_DATA,
     PERMS_NONE,
@@ -16,7 +21,6 @@ from .capability import (
     MachineConfig,
     MonotonicityViolation,
     PermissionDenied,
-    PermissionSet,
     SealedOperand,
     UntaggedOperand,
     clear_tag,
@@ -35,7 +39,7 @@ from .harness import (
     run_trace,
 )
 from .heap import FreeListHeap, HeapScheme, OutOfMemory
-from .machine import Fault, FaultKind, NUM_REGISTERS, PvtBuffer, TaggedMachine
+from .machine import FaultKind, NUM_REGISTERS, PvtBuffer, TaggedMachine
 from .mrs import MallocRevocationShim, PoolExhausted, RevocationJob
 from .schemes import SCHEME_NAMES, make_scheme
 from .trace import ParseError, Trace, parse_trace, format_trace

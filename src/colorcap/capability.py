@@ -2,10 +2,12 @@
 threshold rule.
 
 A capability is the unit of authority in the simulated machine: an address,
-exact (base, length) bounds, a permission set, an object-type field that can
-carry a provenance color, and a validity tag.  Derivation is monotonic - a
-child never exceeds its parent's bounds or permissions - and no operation in
-this module can turn an untagged capability back into a tagged one.
+exact (base, length) bounds, permissions, an object-type field that can
+carry a provenance color, and a validity tag.  The permissions are a mask of
+PERM_* bits, the same byte that the packed record carries, so a subset test
+or a permission check is one `&`.  Derivation is monotonic - a child never
+exceeds its parent's bounds or permissions - and no operation in this module
+can turn an untagged capability back into a tagged one.
 
 The object type partitions into three interpretations against a threshold
 (OTYPETH): the UNSEALED sentinel means an ordinary capability, values
@@ -55,52 +57,20 @@ class ColorOutOfRange(CapabilityError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class PermissionSet:
-    load: bool = False
-    store: bool = False
-    load_cap: bool = False
-    store_cap: bool = False
-    sw_vmem: bool = False
+#: Permission bits, in the packed record's perms byte.
+PERM_LOAD: Final = 1
+PERM_STORE: Final = 2
+PERM_LOAD_CAP: Final = 4
+PERM_STORE_CAP: Final = 8
+PERM_SW_VMEM: Final = 16
 
-    def issubset(self, other: "PermissionSet") -> bool:
-        return (
-            (other.load or not self.load)
-            and (other.store or not self.store)
-            and (other.load_cap or not self.load_cap)
-            and (other.store_cap or not self.store_cap)
-            and (other.sw_vmem or not self.sw_vmem)
-        )
-
-    def to_bits(self) -> int:
-        return (
-            self.load
-            | self.store << 1
-            | self.load_cap << 2
-            | self.store_cap << 3
-            | self.sw_vmem << 4
-        )
-
-    @classmethod
-    def from_bits(cls, bits: int) -> "PermissionSet":
-        return cls(
-            load=bool(bits & 1),
-            store=bool(bits & 2),
-            load_cap=bool(bits & 4),
-            store_cap=bool(bits & 8),
-            sw_vmem=bool(bits & 16),
-        )
-
-
-PERMS_NONE: Final = PermissionSet()
-PERMS_DATA: Final = PermissionSet(load=True, store=True)
+PERMS_NONE: Final = 0
+PERMS_DATA: Final = PERM_LOAD | PERM_STORE
 #: What an application receives from an allocator: full data and capability
 #: access, never sw_vmem.
-PERMS_APP: Final = PermissionSet(load=True, store=True, load_cap=True, store_cap=True)
+PERMS_APP: Final = PERMS_DATA | PERM_LOAD_CAP | PERM_STORE_CAP
 #: Allocator root authority; sw_vmem gates color assignment.
-PERMS_ROOT: Final = PermissionSet(
-    load=True, store=True, load_cap=True, store_cap=True, sw_vmem=True
-)
+PERMS_ROOT: Final = PERMS_APP | PERM_SW_VMEM
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +85,7 @@ class Capability:
     address: int
     base: int
     length: int
-    perms: PermissionSet = PERMS_NONE
+    perms: int = PERMS_NONE  # a mask of PERM_* bits
     otype: Otype = UNSEALED
     tag: bool = False
 
@@ -126,14 +96,6 @@ class Capability:
     def is_sealed(self, otypeth: int = DEFAULT_OTYPETH) -> bool:
         return self.otype is not None and self.otype >= otypeth
 
-    def __str__(self) -> str:
-        ot = "unsealed" if self.otype is None else f"otype={self.otype}"
-        tag = "tagged" if self.tag else "untagged"
-        return (
-            f"cap[{self.base:#x}+{self.length:#x} @{self.address:#x} "
-            f"{ot} {tag}]"
-        )
-
 
 NULL_CAP: Final = Capability(0, 0, 0)
 
@@ -142,7 +104,7 @@ def derive(
     parent: Capability,
     new_base: int,
     new_length: int,
-    new_perms: PermissionSet,
+    new_perms: int,
     otypeth: int = DEFAULT_OTYPETH,
     color: Optional[int] = None,
 ) -> Capability:
@@ -165,11 +127,11 @@ def derive(
             f"bounds [{new_base:#x},{new_base + new_length:#x}) exceed "
             f"[{parent.base:#x},{parent.top:#x})"
         )
-    if not new_perms.issubset(parent.perms):
+    if new_perms & ~parent.perms:
         raise MonotonicityViolation("permissions exceed the parent's")
     otype = parent.otype
     if color is not None:
-        if not parent.perms.sw_vmem:
+        if not parent.perms & PERM_SW_VMEM:
             raise PermissionDenied("authorizing capability lacks sw_vmem")
         if not 0 < color < otypeth:
             raise ColorOutOfRange(f"color {color} not in (0, {otypeth})")
@@ -208,7 +170,7 @@ def pack(cap: Capability) -> bytes:
         (cap.address & 0xFFFF_FFFF_FFFF_FFFF).to_bytes(8, "little")
         + off.to_bytes(3, "little")
         + length.to_bytes(3, "little")
-        + bytes((cap.perms.to_bits(), ot))
+        + bytes((cap.perms, ot))
     )
 
 
@@ -223,13 +185,12 @@ def unpack(data: bytes, tag: bool = False) -> Capability:
     address = int.from_bytes(data[0:8], "little")
     off = int.from_bytes(data[8:11], "little")
     length = int.from_bytes(data[11:14], "little")
-    perms = PermissionSet.from_bits(data[14])
     ot: Otype = UNSEALED if data[15] == 0xFF else data[15]
     return Capability(
         address=address,
         base=address - off,
         length=length,
-        perms=perms,
+        perms=data[14],
         otype=ot,
         tag=tag,
     )

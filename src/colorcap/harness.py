@@ -26,14 +26,7 @@ from .capability import (
     UntaggedOperand,
     derive,
 )
-from .machine import (
-    FAULT_SPATIAL,
-    FAULT_UNTAGGED,
-    Fault,
-    FaultKind,
-    NUM_REGISTERS,
-    TaggedMachine,
-)
+from .machine import NUM_REGISTERS, FaultKind, TaggedMachine
 from .schemes import SCHEME_NAMES, make_scheme
 from .trace import (
     OP_COPY,
@@ -275,7 +268,7 @@ def run_trace(
         verdict = None  # the oracle's ruling on an access or free: legal or not
         if code == OP_READ:
             result = load(regs[op[1]], op[2], op[3])
-            if type(result) is Fault:
+            if type(result) is FaultKind:
                 outcome = result
             else:
                 for byte in result:
@@ -301,7 +294,7 @@ def run_trace(
             oracle.spill(op[1], op[2])
         elif code == OP_RELOAD:
             result = load_cap(scratch_auth, op[2] * 16)
-            if type(result) is Fault:
+            if type(result) is FaultKind:
                 outcome = result
                 regs[op[1]] = None
             else:
@@ -311,7 +304,7 @@ def run_trace(
             parent = regs[op[2]]
             offset = op[3]
             if parent is None:
-                outcome = FAULT_UNTAGGED
+                outcome = FaultKind.UNTAGGED_OPERAND
                 regs[op[1]] = None
             else:
                 try:
@@ -323,10 +316,10 @@ def run_trace(
                         otypeth,
                     )
                 except UntaggedOperand:
-                    outcome = FAULT_UNTAGGED
+                    outcome = FaultKind.UNTAGGED_OPERAND
                     regs[op[1]] = None
                 except CapabilityError:
-                    outcome = FAULT_SPATIAL
+                    outcome = FaultKind.SPATIAL_OUT_OF_BOUNDS
                     regs[op[1]] = None
             oracle.derive(op[1], op[2], offset)
         elif code == OP_SCRATCH:
@@ -335,23 +328,22 @@ def run_trace(
         else:
             raise ConfigError(f"unknown opcode {code}")
 
-        is_fault = outcome is not None
-        if is_fault:
-            fault_hist[outcome.kind] = fault_hist.get(outcome.kind, 0) + 1
+        if outcome is not None:
+            fault_hist[outcome] = fault_hist.get(outcome, 0) + 1
         if verdict is not None:
-            if not verdict and not is_fault:
-                escapes += 1
-            elif verdict and is_fault:
+            if outcome is None:
+                if not verdict:
+                    escapes += 1
+            # The oracle judges lifetimes, not bounds: a spatial fault on a
+            # live allocation is a bug in the trace, not a misfire.
+            elif verdict and outcome is not FaultKind.SPATIAL_OUT_OF_BOUNDS:
                 false_positives += 1
-        if index in expects:
-            expected = expects[index]
-            actual = outcome.kind if is_fault else None
-            if actual != expected:
-                mismatch_count += 1
-                if len(mismatches) < 25:
-                    mismatches.append((index, expected, actual))
+        if index in expects and outcome != expects[index]:
+            mismatch_count += 1
+            if len(mismatches) < 25:
+                mismatches.append((index, expects[index], outcome))
         if outcomes is not None:
-            outcomes.append(outcome.kind if is_fault else None)
+            outcomes.append(outcome)
         index += 1
 
     buffer = machine.pvt_buffer

@@ -18,10 +18,18 @@ from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Final, Optional
 
-from .capability import PERMS_APP, PERMS_ROOT, UNSEALED, Capability, derive
+from .capability import (
+    PERM_LOAD,
+    PERM_STORE,
+    PERMS_APP,
+    PERMS_ROOT,
+    UNSEALED,
+    Capability,
+    derive,
+)
 
 if TYPE_CHECKING:
-    from .machine import Fault, TaggedMachine
+    from .machine import FaultKind, TaggedMachine
 
 GRANULE: Final = 16
 #: A bucket that grows past twice this many free blocks splits in half.
@@ -220,18 +228,18 @@ class HeapScheme:
         self.live[base] = block
         return derive(self.root, base, block, PERMS_APP)
 
-    def free(self, cap: Optional[Capability]) -> Optional[Fault]:
+    def free(self, cap: Optional[Capability]) -> Optional[FaultKind]:
         raise NotImplementedError
 
     # The provenance check inside check_access runs only for picasso's colors.
     def load(self, cap, offset: int, width: int):
-        fault = self.machine.check_access(cap, offset, width, "read")
+        fault = self.machine.check_access(cap, offset, width, PERM_LOAD)
         if fault is not None:
             return fault
         return self.machine.read_bytes(cap.address + offset, width)
 
     def store(self, cap, offset: int, data: bytes):
-        fault = self.machine.check_access(cap, offset, len(data), "write")
+        fault = self.machine.check_access(cap, offset, len(data), PERM_STORE)
         if fault is not None:
             return fault
         self.machine.write_bytes(cap.address + offset, data)

@@ -9,6 +9,10 @@ non-capability write to a word clears its tag; a read or write inside one
 word takes one dict probe and one slice or splice.  A sweep clears the
 tags that one selector call picks out of the tagged words and registers.
 
+Checked accesses return faults rather than raise them: a fault is its
+`FaultKind` member, success is None.  `check_access` takes the PERM_* bit
+that the access needs, so its permission check is one `&`.
+
 The provenance-validity table (PVT) holds one bit per color; bit = 1 means
 the color has been retracted and every dereference through a capability of
 that color faults.  `check_access` does that check inline, reading the
@@ -20,12 +24,13 @@ fault behavior, only the hit/miss counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Final, Iterable, Optional
 
 from .capability import (
     CAPABILITY_WIDTH,
+    PERM_LOAD_CAP,
+    PERM_STORE_CAP,
     Capability,
     ColorOutOfRange,
     MachineConfig,
@@ -38,6 +43,8 @@ NUM_REGISTERS: Final = 32
 
 
 class FaultKind(str, Enum):
+    """An architectural fault, returned (never raised) by checked accesses."""
+
     SPATIAL_OUT_OF_BOUNDS = "SpatialOutOfBounds"
     UNTAGGED_OPERAND = "UntaggedOperand"
     PERMISSION_DENIED = "PermissionDenied"
@@ -47,27 +54,6 @@ class FaultKind(str, Enum):
     DOUBLE_FREE = "DoubleFree"
     PVT_UNMAPPED = "PvtUnmapped"
 
-
-@dataclass(frozen=True, slots=True)
-class Fault:
-    """An architectural fault, returned (never raised) by checked accesses."""
-
-    kind: FaultKind
-    color: Optional[int] = None
-
-    def __str__(self) -> str:
-        if self.color is not None:
-            return f"{self.kind.value}(color={self.color})"
-        return self.kind.value
-
-
-FAULT_SPATIAL: Final = Fault(FaultKind.SPATIAL_OUT_OF_BOUNDS)
-FAULT_UNTAGGED: Final = Fault(FaultKind.UNTAGGED_OPERAND)
-FAULT_PERMISSION: Final = Fault(FaultKind.PERMISSION_DENIED)
-FAULT_SEALED: Final = Fault(FaultKind.SEALED_DEREFERENCE)
-FAULT_MALFORMED_FREE: Final = Fault(FaultKind.MALFORMED_FREE)
-FAULT_DOUBLE_FREE: Final = Fault(FaultKind.DOUBLE_FREE)
-FAULT_PVT_UNMAPPED: Final = Fault(FaultKind.PVT_UNMAPPED)
 
 _ZERO_WORD: Final = bytes(16)
 PVB_SETS: Final = 16
@@ -204,12 +190,13 @@ class TaggedMachine:
         cap: Optional[Capability],
         offset: int,
         width: int,
-        kind: str,
+        need: int,
         provenance: bool = True,
     ):
-        """Validate one access; returns None on success or the first
-        applicable Fault in the order: untagged, sealed dereference,
-        permission, spatial bounds, provenance retracted.
+        """Validate one access that needs the PERM_* bit `need`; returns
+        None on success or the first applicable FaultKind in the order:
+        untagged, sealed dereference, permission, spatial bounds,
+        provenance retracted.
 
         The inline provenance-validity check runs only for colors, 0 < otype
         < otypeth: one implicit lookup, an unmapped fault past the mapped
@@ -217,38 +204,27 @@ class TaggedMachine:
         It precedes any memory effect, so a retracted store mutates nothing.
         """
         if cap is None or not cap.tag:
-            return FAULT_UNTAGGED
+            return FaultKind.UNTAGGED_OPERAND
         otype = cap.otype
         if otype is None:
             otype = 0
         elif otype >= self._otypeth:
-            return FAULT_SEALED
-        perms = cap.perms
-        if kind == "read":
-            allowed = perms.load
-        elif kind == "write":
-            allowed = perms.store
-        elif kind == "read_cap":
-            allowed = perms.load_cap
-        elif kind == "write_cap":
-            allowed = perms.store_cap
-        else:
-            raise ValueError(f"unknown access kind {kind!r}")
-        if not allowed:
-            return FAULT_PERMISSION
+            return FaultKind.SEALED_DEREFERENCE
+        if not cap.perms & need:
+            return FaultKind.PERMISSION_DENIED
         start = cap.address + offset
         base = cap.base
         if width < 0 or start < base or start + width > base + cap.length:
-            return FAULT_SPATIAL
+            return FaultKind.SPATIAL_OUT_OF_BOUNDS
         if otype > 0 and provenance:
             self.pvt_lookups += 1
             byte_off = otype >> 3
             if byte_off >= self._pvt_mapped:
-                return FAULT_PVT_UNMAPPED
+                return FaultKind.PVT_UNMAPPED
             if self.pvt_buffer is not None:
                 self.pvt_buffer.lookup(self._pvt_base + ((otype >> 7) << 4))
             if self.pvt[byte_off] >> (otype & 7) & 1:
-                return Fault(FaultKind.PROVENANCE_RETRACTED, otype)
+                return FaultKind.PROVENANCE_RETRACTED
         return None
 
     def store_cap(self, auth, offset: int, value: Capability):
@@ -261,9 +237,9 @@ class TaggedMachine:
         authorizing capability's own validity is checked.
         """
         target = auth.address + offset if auth is not None else offset
-        if target & 15:
-            return FAULT_SPATIAL  # alignment folded into spatial faults
-        fault = self.check_access(auth, offset, CAPABILITY_WIDTH, "write_cap")
+        if target & 15:  # alignment folded into spatial faults
+            return FaultKind.SPATIAL_OUT_OF_BOUNDS
+        fault = self.check_access(auth, offset, CAPABILITY_WIDTH, PERM_STORE_CAP)
         if fault is not None:
             return fault
         if value.tag:
@@ -280,8 +256,8 @@ class TaggedMachine:
         """Load a capability; its tag comes from the word's tag bit."""
         target = auth.address + offset if auth is not None else offset
         if target & 15:
-            return FAULT_SPATIAL
-        fault = self.check_access(auth, offset, CAPABILITY_WIDTH, "read_cap")
+            return FaultKind.SPATIAL_OUT_OF_BOUNDS
+        fault = self.check_access(auth, offset, CAPABILITY_WIDTH, PERM_LOAD_CAP)
         if fault is not None:
             return fault
         cap = self.caps.get(target)

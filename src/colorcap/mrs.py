@@ -33,11 +33,7 @@ from typing import Optional
 
 from .capability import PERMS_APP, Capability, derive
 from .heap import HeapScheme, OutOfMemory
-from .machine import (
-    FAULT_DOUBLE_FREE,
-    FAULT_MALFORMED_FREE,
-    TaggedMachine,
-)
+from .machine import FaultKind, TaggedMachine
 from .unr import Exhausted, UnrState
 
 __all__ = [
@@ -164,15 +160,15 @@ class MallocRevocationShim(HeapScheme):
         allocation was already freed.
         """
         if cap is None or not cap.tag:
-            return FAULT_MALFORMED_FREE
+            return FaultKind.MALFORMED_FREE
         otype = cap.otype
         if otype is None or not 0 < otype < self._otypeth:
-            return FAULT_MALFORMED_FREE
+            return FaultKind.MALFORMED_FREE
         if self.machine.pvb_retracted(otype):
-            return FAULT_DOUBLE_FREE
+            return FaultKind.DOUBLE_FREE
         record = self.live.get(cap.base)
         if record is None or record[1] != otype:
-            return FAULT_MALFORMED_FREE
+            return FaultKind.MALFORMED_FREE
         size = record[0]
         self.machine.pvt_set(otype, retracted=True)
         self.retracted_pending.add(otype)

@@ -27,15 +27,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Optional
 
-from .capability import PERMS_APP, Capability
+from .capability import PERM_LOAD, PERM_STORE, PERMS_APP, Capability
 from .heap import HeapScheme
-from .machine import (
-    FAULT_DOUBLE_FREE,
-    FAULT_MALFORMED_FREE,
-    Fault,
-    FaultKind,
-    TaggedMachine,
-)
+from .machine import FaultKind, TaggedMachine
 from .mrs import MallocRevocationShim
 
 SCHEME_NAMES = ("picasso", "cornucopia", "cornucopia-rof", "versioning", "none")
@@ -147,11 +141,11 @@ class CornucopiaScheme(_QuarantineScheme):
 
     def free(self, cap):
         if cap is None or not cap.tag:
-            return FAULT_MALFORMED_FREE
+            return FaultKind.MALFORMED_FREE
         base = cap.base
         size = self.live.pop(base, None)
         if size is None:  # a live block's base is never quarantined
-            return FAULT_DOUBLE_FREE if self._held(base) else FAULT_MALFORMED_FREE
+            return FaultKind.DOUBLE_FREE if self._held(base) else FaultKind.MALFORMED_FREE
         self.live_bytes -= size
         self.frees += 1
         self._quarantine(base, size, force=self.revoke_on_free)
@@ -225,9 +219,9 @@ class VersioningScheme(_QuarantineScheme):
 
     def free(self, cap):
         if cap is None or not cap.tag:
-            return FAULT_MALFORMED_FREE
+            return FaultKind.MALFORMED_FREE
         if cap.otype is None:
-            return FAULT_MALFORMED_FREE  # no version carried
+            return FaultKind.MALFORMED_FREE  # no version carried
         version = cap.otype & VERSION_MASK
         versions = self.versions
         lo = (cap.base - self.heap_base) >> 4
@@ -238,11 +232,11 @@ class VersioningScheme(_QuarantineScheme):
             # A zero-length capability at the heap top indexes one past
             # the table and reads as version 0.
             if (versions[lo] if 0 <= lo < len(versions) else 0) == version:
-                return FAULT_MALFORMED_FREE
-            return FAULT_DOUBLE_FREE
+                return FaultKind.MALFORMED_FREE
+            return FaultKind.DOUBLE_FREE
         size, current = record
         if current != version:
-            return FAULT_DOUBLE_FREE
+            return FaultKind.DOUBLE_FREE
         hi = lo + (size >> 4)
         bumped = versions[lo:hi].translate(_BUMP)
         versions[lo:hi] = bumped
@@ -258,8 +252,8 @@ class VersioningScheme(_QuarantineScheme):
             self.heap.free(cap.base, size)
         return None
 
-    def _check(self, cap, offset: int, width: int, kind: str):
-        fault = self.machine.check_access(cap, offset, width, kind, provenance=False)
+    def _check(self, cap, offset: int, width: int, need: int):
+        fault = self.machine.check_access(cap, offset, width, need, provenance=False)
         if fault is not None:
             return fault
         if cap.otype is None:
@@ -272,17 +266,17 @@ class VersioningScheme(_QuarantineScheme):
         lo = start >> 4
         hi = (start + width + 15) >> 4
         if self.versions.count(version, lo, hi) != hi - lo:
-            return Fault(FaultKind.PROVENANCE_RETRACTED, version)
+            return FaultKind.PROVENANCE_RETRACTED
         return None
 
     def load(self, cap, offset: int, width: int):
-        fault = self._check(cap, offset, width, "read")
+        fault = self._check(cap, offset, width, PERM_LOAD)
         if fault is not None:
             return fault
         return self.machine.read_bytes(cap.address + offset, width)
 
     def store(self, cap, offset: int, data: bytes):
-        fault = self._check(cap, offset, len(data), "write")
+        fault = self._check(cap, offset, len(data), PERM_STORE)
         if fault is not None:
             return fault
         self.machine.write_bytes(cap.address + offset, data)

@@ -1,6 +1,7 @@
 """Decoders of simulator state that tests use as oracles, and checked
 data access straight on a machine."""
 
+from colorcap.capability import PERM_LOAD, PERM_STORE
 from colorcap.unr import BITMAP_CAPACITY, Run
 
 
@@ -56,17 +57,18 @@ def validate(state) -> None:
 
 
 def load_data(machine, cap, offset: int, width: int):
-    """Checked data read on `machine`; returns bytes or a Fault."""
-    fault = machine.check_access(cap, offset, width, "read")
+    """Checked data read on `machine`; returns bytes or a FaultKind."""
+    fault = machine.check_access(cap, offset, width, PERM_LOAD)
     if fault is not None:
         return fault
     return machine.read_bytes(cap.address + offset, width)
 
 
 def store_data(machine, cap, offset: int, data: bytes):
-    """Checked data write on `machine`; returns None or a Fault.  The check
-    completes before any mutation, so a faulting store changes nothing."""
-    fault = machine.check_access(cap, offset, len(data), "write")
+    """Checked data write on `machine`; returns None or a FaultKind.  The
+    check completes before any mutation, so a faulting store changes
+    nothing."""
+    fault = machine.check_access(cap, offset, len(data), PERM_STORE)
     if fault is not None:
         return fault
     machine.write_bytes(cap.address + offset, data)

@@ -2,6 +2,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from colorcap.capability import (
+    PERM_LOAD,
+    PERM_LOAD_CAP,
+    PERM_STORE,
+    PERM_STORE_CAP,
     PERMS_APP,
     PERMS_DATA,
     PERMS_NONE,
@@ -9,7 +13,6 @@ from colorcap.capability import (
     Capability,
     ColorOutOfRange,
     MachineConfig,
-    PermissionSet,
     clear_tag,
     pack,
     unpack,
@@ -18,7 +21,6 @@ from colorcap.machine import (
     NUM_REGISTERS,
     PVB_SETS,
     PVB_WAYS,
-    Fault,
     FaultKind,
     PvtBuffer,
     TaggedMachine,
@@ -48,56 +50,61 @@ class TestCheckAccess:
     def test_colored_valid_ok(self):
         m = machine()
         cap = heap_cap(m, otype=5)
-        assert m.check_access(cap, 0, 8, "read") is None
+        assert m.check_access(cap, 0, 8, PERM_LOAD) is None
 
     def test_retracted_faults(self):
         m = machine()
         cap = heap_cap(m, otype=5)
         m.pvt_set(5, retracted=True)
-        fault = m.check_access(cap, 0, 8, "read")
-        assert fault == Fault(FaultKind.PROVENANCE_RETRACTED, 5)
+        assert m.check_access(cap, 0, 8, PERM_LOAD) is FaultKind.PROVENANCE_RETRACTED
 
     def test_uncolored_skips_table(self):
         m = machine()
         for otype in (UNSEALED, 0):  # otype 0 is reserved and reads as unsealed
-            assert m.check_access(heap_cap(m, otype=otype), 0, 8, "read") is None
+            assert m.check_access(heap_cap(m, otype=otype), 0, 8, PERM_LOAD) is None
         assert m.pvt_lookups == 0
 
     def test_colored_counts_lookup(self):
         m = machine()
         cap = heap_cap(m, otype=5)
-        m.check_access(cap, 0, 8, "read")
-        m.check_access(cap, 0, 8, "write")
+        m.check_access(cap, 0, 8, PERM_LOAD)
+        m.check_access(cap, 0, 8, PERM_STORE)
         assert m.pvt_lookups == 2
         top = heap_cap(m, otype=m.config.otypeth - 1)  # the largest color
-        assert m.check_access(top, 0, 8, "read") is None
+        assert m.check_access(top, 0, 8, PERM_LOAD) is None
         assert m.pvt_lookups == 3
 
     def test_out_of_bounds(self):
         m = machine()
         cap = heap_cap(m, length=16)
-        assert m.check_access(cap, 8, 16, "read").kind is FaultKind.SPATIAL_OUT_OF_BOUNDS
-        assert m.check_access(cap, 0, 16, "read") is None
+        assert m.check_access(cap, 8, 16, PERM_LOAD) is FaultKind.SPATIAL_OUT_OF_BOUNDS
+        assert m.check_access(cap, 0, 16, PERM_LOAD) is None
 
     def test_negative_offset_out_of_bounds(self):
         m = machine()
         cap = heap_cap(m, length=16)
-        assert m.check_access(cap, -8, 8, "read").kind is FaultKind.SPATIAL_OUT_OF_BOUNDS
+        assert m.check_access(cap, -8, 8, PERM_LOAD) is FaultKind.SPATIAL_OUT_OF_BOUNDS
 
-    def test_permission_by_kind(self):
+    def test_permission_bit_exhaustive(self):
+        # Every mask against every access bit: denied exactly when the
+        # needed bit is clear, whatever the other bits say.
         m = machine()
-        read_only = heap_cap(m, perms=PermissionSet(load=True))
-        assert m.check_access(read_only, 0, 8, "read") is None
-        assert m.check_access(read_only, 0, 8, "write").kind is FaultKind.PERMISSION_DENIED
-        assert m.check_access(read_only, 0, 16, "read_cap").kind is FaultKind.PERMISSION_DENIED
+        for mask in range(32):
+            cap = heap_cap(m, perms=mask)
+            for need in (PERM_LOAD, PERM_STORE, PERM_LOAD_CAP, PERM_STORE_CAP):
+                fault = m.check_access(cap, 0, 16, need)
+                if mask & need:
+                    assert fault is None, (mask, need)
+                else:
+                    assert fault is FaultKind.PERMISSION_DENIED, (mask, need)
 
     def test_sealed_dereference(self):
         m = machine(otypeth=4)
         for otype in (4, 9):  # sealed from the threshold up, without a lookup
             sealed = heap_cap(m, otype=otype)
-            assert m.check_access(sealed, 0, 8, "read").kind is FaultKind.SEALED_DEREFERENCE
+            assert m.check_access(sealed, 0, 8, PERM_LOAD) is FaultKind.SEALED_DEREFERENCE
         assert m.pvt_lookups == 0
-        assert m.check_access(heap_cap(m, otype=3), 0, 8, "read") is None
+        assert m.check_access(heap_cap(m, otype=3), 0, 8, PERM_LOAD) is None
         assert m.pvt_lookups == 1  # one below the threshold is a color
 
 
@@ -108,23 +115,23 @@ class TestFaultPriority:
     def test_untagged_beats_everything(self):
         m = machine(otypeth=4)
         cap = heap_cap(m, length=8, perms=PERMS_NONE, otype=9, tag=False)
-        assert m.check_access(cap, 100, 8, "read").kind is FaultKind.UNTAGGED_OPERAND
+        assert m.check_access(cap, 100, 8, PERM_LOAD) is FaultKind.UNTAGGED_OPERAND
 
     def test_sealed_beats_permission(self):
         m = machine(otypeth=4)
         cap = heap_cap(m, perms=PERMS_NONE, otype=9)
-        assert m.check_access(cap, 0, 8, "read").kind is FaultKind.SEALED_DEREFERENCE
+        assert m.check_access(cap, 0, 8, PERM_LOAD) is FaultKind.SEALED_DEREFERENCE
 
     def test_permission_beats_spatial(self):
         m = machine()
         cap = heap_cap(m, length=8, perms=PERMS_NONE)
-        assert m.check_access(cap, 100, 8, "read").kind is FaultKind.PERMISSION_DENIED
+        assert m.check_access(cap, 100, 8, PERM_LOAD) is FaultKind.PERMISSION_DENIED
 
     def test_spatial_beats_provenance(self):
         m = machine()
         cap = heap_cap(m, length=8, otype=5)
         m.pvt_set(5, retracted=True)
-        assert m.check_access(cap, 100, 8, "read").kind is FaultKind.SPATIAL_OUT_OF_BOUNDS
+        assert m.check_access(cap, 100, 8, PERM_LOAD) is FaultKind.SPATIAL_OUT_OF_BOUNDS
 
 
 class TestDataAccess:
@@ -155,7 +162,7 @@ class TestDataAccess:
         m.pvt_set(5, retracted=True)
         snapshot = dict(m.words)
         fault = store_data(m, cap, 0, b"after!!!")
-        assert fault.kind is FaultKind.PROVENANCE_RETRACTED
+        assert fault is FaultKind.PROVENANCE_RETRACTED
         assert m.words == snapshot
 
     def test_write_spanning_words(self):
@@ -197,7 +204,7 @@ class TestCapabilityMemory:
         m = machine()
         auth = heap_cap(m)
         fault = m.store_cap(auth, 8, heap_cap(m))
-        assert fault.kind is FaultKind.SPATIAL_OUT_OF_BOUNDS
+        assert fault is FaultKind.SPATIAL_OUT_OF_BOUNDS
 
     def test_untagged_value_clears_tag(self):
         m = machine()
@@ -212,9 +219,9 @@ class TestPvt:
         m = machine()
         cap = heap_cap(m, otype=9)
         m.pvt_set(9, retracted=True)
-        assert m.check_access(cap, 0, 8, "read").kind is FaultKind.PROVENANCE_RETRACTED
+        assert m.check_access(cap, 0, 8, PERM_LOAD) is FaultKind.PROVENANCE_RETRACTED
         m.pvt_set(9, retracted=False)
-        assert m.check_access(cap, 0, 8, "read") is None
+        assert m.check_access(cap, 0, 8, PERM_LOAD) is None
 
     def test_color_out_of_range(self):
         m = machine()
@@ -229,31 +236,31 @@ class TestPvt:
         # Oracle: colors 3 and 90 share PVT word 0 (color >> 7), so the
         # second lookup must hit the line filled by the first.
         assert (3 >> 7) == (90 >> 7)
-        m.check_access(heap_cap(m, otype=3), 0, 8, "read")
-        m.check_access(heap_cap(m, otype=90), 0, 8, "read")
+        m.check_access(heap_cap(m, otype=3), 0, 8, PERM_LOAD)
+        m.check_access(heap_cap(m, otype=90), 0, 8, PERM_LOAD)
         assert (buf.misses, buf.hits) == (1, 1)
 
     def test_distinct_words_both_miss(self):
         m = machine()
-        m.check_access(heap_cap(m, otype=3), 0, 8, "read")
-        m.check_access(heap_cap(m, otype=300), 0, 8, "read")
+        m.check_access(heap_cap(m, otype=3), 0, 8, PERM_LOAD)
+        m.check_access(heap_cap(m, otype=300), 0, 8, PERM_LOAD)
         assert (m.pvt_buffer.misses, m.pvt_buffer.hits) == (2, 0)
 
     def test_write_invalidates_buffer(self):
         m = machine()
         cap = heap_cap(m, otype=3)
-        m.check_access(cap, 0, 8, "read")
+        m.check_access(cap, 0, 8, PERM_LOAD)
         m.pvt_set(500, retracted=True)  # any actual change flushes all lines
-        m.check_access(cap, 0, 8, "read")
+        m.check_access(cap, 0, 8, PERM_LOAD)
         assert m.pvt_buffer.misses == 2
         assert m.pvt_buffer.invalidations == 1
 
     def test_redundant_write_keeps_buffer(self):
         m = machine()
         cap = heap_cap(m, otype=3)
-        m.check_access(cap, 0, 8, "read")
+        m.check_access(cap, 0, 8, PERM_LOAD)
         m.pvt_set(500, retracted=False)  # already valid: no change, no flush
-        m.check_access(cap, 0, 8, "read")
+        m.check_access(cap, 0, 8, PERM_LOAD)
         assert m.pvt_buffer.hits == 1
         assert m.pvt_buffer.invalidations == 0
 
@@ -261,13 +268,13 @@ class TestPvt:
         m = machine(pvt_mapped_bytes=16)  # only colors < 128 mapped
         ok = heap_cap(m, otype=100)
         beyond = heap_cap(m, otype=200)
-        assert m.check_access(ok, 0, 8, "read") is None
-        assert m.check_access(beyond, 0, 8, "read").kind is FaultKind.PVT_UNMAPPED
+        assert m.check_access(ok, 0, 8, PERM_LOAD) is None
+        assert m.check_access(beyond, 0, 8, PERM_LOAD) is FaultKind.PVT_UNMAPPED
 
     def test_unmapped_color_counts_a_lookup_but_no_buffer_access(self):
         m = machine(pvt_mapped_bytes=16)
-        fault = m.check_access(heap_cap(m, otype=200), 0, 8, "write")
-        assert fault.kind is FaultKind.PVT_UNMAPPED
+        fault = m.check_access(heap_cap(m, otype=200), 0, 8, PERM_STORE)
+        assert fault is FaultKind.PVT_UNMAPPED
         assert m.pvt_lookups == 1
         assert (m.pvt_buffer.hits, m.pvt_buffer.misses) == (0, 0)
 
@@ -279,9 +286,9 @@ class TestPvt:
         stride = 16 * 128
         colors = [1 + i * stride for i in range(5)]
         for c in colors:
-            m.check_access(heap_cap(m, otype=c), 0, 8, "read")
+            m.check_access(heap_cap(m, otype=c), 0, 8, PERM_LOAD)
         assert buf.misses == 5
-        m.check_access(heap_cap(m, otype=colors[0]), 0, 8, "read")
+        m.check_access(heap_cap(m, otype=colors[0]), 0, 8, PERM_LOAD)
         assert buf.misses == 6  # way 0 was evicted round-robin
 
 
@@ -560,7 +567,7 @@ def stored_caps(draw):
         base + draw(st.integers(0, length)),
         base,
         length,
-        PermissionSet.from_bits(draw(st.integers(0, 31))),
+        draw(st.integers(0, 31)),
         draw(st.sampled_from((UNSEALED, 1, 2, 300))),
         draw(st.booleans()),
     )

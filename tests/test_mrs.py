@@ -1,6 +1,7 @@
 import pytest
 
 from colorcap.capability import (
+    PERM_SW_VMEM,
     PERMS_APP,
     UNSEALED,
     Capability,
@@ -73,7 +74,7 @@ class TestMalloc:
         assert cap.length == 32
         assert cap.base == mrs.machine.config.heap_base
         assert cap.tag
-        assert not cap.perms.sw_vmem
+        assert not cap.perms & PERM_SW_VMEM
 
     def test_size_rounds_to_granule(self):
         _, mrs = make()
@@ -107,16 +108,16 @@ class TestFree:
             cap.address, cap.base, cap.length, cap.perms, cap.otype, cap.tag
         )
         assert mrs.m_free(cap) is None
-        assert mrs.m_free(copy).kind is FaultKind.DOUBLE_FREE
+        assert mrs.m_free(copy) is FaultKind.DOUBLE_FREE
 
     def test_free_uncolored_is_malformed(self):
         machine, mrs = make()
-        assert mrs.m_free(scratch_cap(machine)).kind is FaultKind.MALFORMED_FREE
+        assert mrs.m_free(scratch_cap(machine)) is FaultKind.MALFORMED_FREE
 
     def test_free_untagged_is_malformed(self):
         _, mrs = make()
         cap = mrs.m_malloc(32)
-        assert mrs.m_free(clear_tag(cap)).kind is FaultKind.MALFORMED_FREE
+        assert mrs.m_free(clear_tag(cap)) is FaultKind.MALFORMED_FREE
 
     def test_free_interior_is_malformed(self):
         _, mrs = make()
@@ -124,7 +125,7 @@ class TestFree:
         interior = Capability(
             cap.base + 16, cap.base + 16, 16, cap.perms, cap.otype, True
         )
-        assert mrs.m_free(interior).kind is FaultKind.MALFORMED_FREE
+        assert mrs.m_free(interior) is FaultKind.MALFORMED_FREE
 
     def test_stale_free_after_reuse_is_double_free(self):
         _, mrs = make()
@@ -132,7 +133,7 @@ class TestFree:
         mrs.m_free(cap)
         fresh = mrs.m_malloc(32)
         assert fresh.base == cap.base
-        assert mrs.m_free(cap).kind is FaultKind.DOUBLE_FREE
+        assert mrs.m_free(cap) is FaultKind.DOUBLE_FREE
         assert mrs.m_free(fresh) is None  # the new owner is unharmed
 
     def test_failed_free_changes_nothing(self):

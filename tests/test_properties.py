@@ -1,12 +1,16 @@
 """Differential property test over random traces.
 
-Hypothesis generates traces whose accesses stay inside each register's
-allocation (the generator tracks every register's size) and whose scratch
-writes overwrite spilled capabilities, so the lifetime oracle is the only
-judge of legality.  On each trace, at 7 color bits:
+Hypothesis generates traces whose accesses start inside each register's
+allocation (the generator tracks every register's size) and end up to 16
+bytes past it, and whose scratch writes overwrite spilled capabilities and
+end up to 16 bytes past the scratch region.  The lifetime oracle judges
+lifetimes, not bounds, so a spatial fault is never a false positive, and
+the oracle is the only judge of temporal legality.  On each trace, at 7
+color bits:
 
-* picasso lets no violation escape and faults no legal access, with sweeps
-  run to completion and with every sweep window from 1 to 8 words;
+* picasso lets no violation escape and faults no temporally legal access,
+  with sweeps run to completion and with every sweep window from 1 to 8
+  words;
 * the PVT buffer on and off give identical outcome lists;
 * the color allocator's invariants hold after every sweep;
 * the text format round-trips the trace.
@@ -58,9 +62,10 @@ SCRATCH_REG = REGS
 @st.composite
 def traces(draw):
     """20 to 120 ops over 3 registers and 4 spill slots, after binding a
-    fourth register to scratch; reads and writes fall inside the register's
-    current allocation, whether or not it is still live, and scratch writes
-    of 0-64 bytes overwrite spilled slots.  At most 120 mallocs never
+    fourth register to scratch; reads and writes start inside the
+    register's current allocation, whether or not it is still live, and end
+    up to 16 bytes past it, and scratch writes overwrite spilled slots and
+    end up to 16 bytes past the scratch region.  At most 120 mallocs never
     outgrow the 127 colors, so every trace runs to the end."""
     size = [0] * REGS  # bytes reachable through each register's capability
     slot_size = [0] * SLOTS
@@ -77,7 +82,7 @@ def traces(draw):
             ops.append((OP_FREE, reg, 0, 0))
         elif kind == "access" and size[reg]:
             offset = draw(st.integers(0, size[reg] - 1))
-            width = draw(st.integers(1, size[reg] - offset))
+            width = draw(st.integers(1, size[reg] - offset + 16))
             ops.append((draw(st.sampled_from((OP_READ, OP_WRITE))), reg, offset, width))
         elif kind == "copy":
             src = draw(st.integers(0, REGS - 1))
@@ -98,7 +103,7 @@ def traces(draw):
             ops.append((OP_DERIVE, reg, src, offset))
         elif kind == "overwrite":
             offset = draw(st.integers(0, 16 * SLOTS - 1))
-            width = draw(st.integers(0, 16 * SLOTS - offset))
+            width = draw(st.integers(0, 16 * SLOTS - offset + 16))
             ops.append((OP_WRITE, SCRATCH_REG, offset, width))
     return Trace(ops=ops, slots=SLOTS, name="property")
 
@@ -138,6 +143,15 @@ def _overwritten_spill_slot(width):
     )
 
 
+# A read that ends 8 bytes past a live block: a spatial fault, and legal
+# for the lifetime oracle.
+_READ_PAST_A_LIVE_BLOCK = Trace(
+    ops=[(OP_SCRATCH, SCRATCH_REG, 0, 0), (OP_MALLOC, 0, 32, 0), (OP_READ, 0, 24, 16)],
+    slots=SLOTS,
+    name="property",
+)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     trace=traces(),
@@ -147,6 +161,7 @@ def _overwritten_spill_slot(width):
 )
 @example(trace=_overwritten_spill_slot(4), threshold=0.5)
 @example(trace=_overwritten_spill_slot(0), threshold=0.5)
+@example(trace=_READ_PAST_A_LIVE_BLOCK, threshold=0.5)
 def test_picasso_matches_the_oracle(trace, threshold):
     config = RunConfig(color_bits=7, threshold_fraction=threshold)
     with validated_sweeps():

@@ -68,7 +68,7 @@ class TestCornucopia:
         corn.revoke()
         assert m.regs[3].tag is False
         fault = corn.load(m.regs[3], 0, 8)
-        assert fault.kind is FaultKind.UNTAGGED_OPERAND
+        assert fault is FaultKind.UNTAGGED_OPERAND
 
     def test_revoke_spares_zero_length_cap_at_quarantined_base(self):
         # A capability is revoked when its range touches quarantined memory;
@@ -99,7 +99,7 @@ class TestCornucopia:
         corn = CornucopiaScheme(machine())
         cap = corn.malloc(64)
         corn.free(cap)
-        assert corn.free(cap).kind is FaultKind.DOUBLE_FREE
+        assert corn.free(cap) is FaultKind.DOUBLE_FREE
 
     def test_malformed_frees(self):
         m = machine()
@@ -108,17 +108,17 @@ class TestCornucopia:
         from colorcap.capability import Capability
 
         interior = Capability(cap.base + 16, cap.base + 16, 16, cap.perms, None, True)
-        assert corn.free(interior).kind is FaultKind.MALFORMED_FREE
+        assert corn.free(interior) is FaultKind.MALFORMED_FREE
         untagged = Capability(cap.base, cap.base, 64, cap.perms, None, False)
-        assert corn.free(untagged).kind is FaultKind.MALFORMED_FREE
+        assert corn.free(untagged) is FaultKind.MALFORMED_FREE
 
     def test_interior_free_of_quarantined_block_is_double_free(self):
         corn = CornucopiaScheme(machine())
         cap = corn.malloc(64)
         interior = derive(cap, cap.base + 16, 48, cap.perms)
-        assert corn.free(interior).kind is FaultKind.MALFORMED_FREE  # block live
+        assert corn.free(interior) is FaultKind.MALFORMED_FREE  # block live
         assert corn.free(cap) is None
-        assert corn.free(interior).kind is FaultKind.DOUBLE_FREE
+        assert corn.free(interior) is FaultKind.DOUBLE_FREE
 
     def test_empty_cap_at_top_of_live_block_into_quarantine_is_double_free(self):
         corn = CornucopiaScheme(machine())
@@ -127,7 +127,7 @@ class TestCornucopia:
         assert b.base == a.base + 64
         assert corn.free(b) is None
         empty = derive(a, a.base + 64, 0, a.perms)
-        assert corn.free(empty).kind is FaultKind.DOUBLE_FREE
+        assert corn.free(empty) is FaultKind.DOUBLE_FREE
         assert corn.live == {a.base: 64}
 
     def test_quarantine_exits_fifo(self):
@@ -198,14 +198,14 @@ class TestVersioning:
         assert fresh.base == cap.base
         assert fresh.otype == 1  # region recolored
         fault = ver.load(cap, 0, 8)
-        assert fault.kind is FaultKind.PROVENANCE_RETRACTED
+        assert fault is FaultKind.PROVENANCE_RETRACTED
         assert ver.load(fresh, 0, 8) == bytes(8)
 
     def test_double_free_detected_by_version(self):
         ver = VersioningScheme(machine())
         cap = ver.malloc(32)
         ver.free(cap)
-        assert ver.free(cap).kind is FaultKind.DOUBLE_FREE
+        assert ver.free(cap) is FaultKind.DOUBLE_FREE
 
     def test_free_uncolored_or_interior(self):
         from colorcap.capability import Capability, PERMS_APP, UNSEALED
@@ -214,9 +214,9 @@ class TestVersioning:
         ver = VersioningScheme(m)
         cap = ver.malloc(64)
         uncolored = Capability(cap.base, cap.base, 64, PERMS_APP, UNSEALED, True)
-        assert ver.free(uncolored).kind is FaultKind.MALFORMED_FREE
+        assert ver.free(uncolored) is FaultKind.MALFORMED_FREE
         interior = Capability(cap.base + 16, cap.base + 16, 16, PERMS_APP, 0, True)
-        assert ver.free(interior).kind is FaultKind.MALFORMED_FREE
+        assert ver.free(interior) is FaultKind.MALFORMED_FREE
 
     def test_wrap_collision_goes_undetected(self):
         # 16 free/realloc cycles wrap the granule back to the stale value.
@@ -242,7 +242,7 @@ class TestVersioning:
             cap = ver.malloc(32)
             ver.free(cap)
             fault = ver.load(base_cap, 0, 8)
-            assert fault.kind is FaultKind.PROVENANCE_RETRACTED
+            assert fault is FaultKind.PROVENANCE_RETRACTED
 
     def test_exhaustion_fallback_quarantines_on_wrap(self):
         ver = VersioningScheme(machine(), exhaustion_fallback=True)

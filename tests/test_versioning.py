@@ -20,13 +20,7 @@ from hypothesis import strategies as st
 from colorcap.capability import PERMS_APP, Capability, MachineConfig, derive
 from colorcap.harness import RunConfig, run_trace
 from colorcap.heap import OutOfMemory
-from colorcap.machine import (
-    FAULT_DOUBLE_FREE,
-    FAULT_MALFORMED_FREE,
-    Fault,
-    FaultKind,
-    TaggedMachine,
-)
+from colorcap.machine import FaultKind, TaggedMachine
 from colorcap.schemes import VERSION_MASK, VersioningScheme
 from colorcap.trace import parse_trace
 
@@ -52,18 +46,18 @@ class DictVersioning(VersioningScheme):
 
     def free(self, cap):
         if cap is None or not cap.tag:
-            return FAULT_MALFORMED_FREE
+            return FaultKind.MALFORMED_FREE
         if cap.otype is None:
-            return FAULT_MALFORMED_FREE
+            return FaultKind.MALFORMED_FREE
         version = cap.otype & VERSION_MASK
         record = self.live.get(cap.base)
         if record is None:
             if self.granule_version.get(cap.base & ~15, 0) == version:
-                return FAULT_MALFORMED_FREE
-            return FAULT_DOUBLE_FREE
+                return FaultKind.MALFORMED_FREE
+            return FaultKind.DOUBLE_FREE
         size, current = record
         if current != version:
-            return FAULT_DOUBLE_FREE
+            return FaultKind.DOUBLE_FREE
         wrapped = False
         versions = self.granule_version
         for granule in range(cap.base, cap.base + size, 16):
@@ -82,8 +76,8 @@ class DictVersioning(VersioningScheme):
             self.heap.free(cap.base, size)
         return None
 
-    def _check(self, cap, offset: int, width: int, kind: str):
-        fault = self.machine.check_access(cap, offset, width, kind, provenance=False)
+    def _check(self, cap, offset: int, width: int, need: int):
+        fault = self.machine.check_access(cap, offset, width, need, provenance=False)
         if fault is not None:
             return fault
         if cap.otype is None:
@@ -92,7 +86,7 @@ class DictVersioning(VersioningScheme):
         start = cap.address + offset
         for granule in range(start & ~15, start + width, 16):
             if self.granule_version.get(granule, 0) != version:
-                return Fault(FaultKind.PROVENANCE_RETRACTED, version)
+                return FaultKind.PROVENANCE_RETRACTED
         return None
 
 
@@ -263,7 +257,7 @@ def test_matches_dict_table(heap_granules, fallback, ops):
 def test_examples_cover_their_case():
     wrapped = replay(2, False, _WRAP[:32])
     assert wrapped.wraps == 1 and list(wrapped.versions) == [0, 1]
-    assert wrapped.load(wrapped.machine.regs[0], 0, 32).kind is FaultKind.PROVENANCE_RETRACTED
+    assert wrapped.load(wrapped.machine.regs[0], 0, 32) is FaultKind.PROVENANCE_RETRACTED
     assert isinstance(wrapped.load(wrapped.machine.regs[0], 0, 16), bytes)
     swept = replay(512, True, _SWEEP[:32])
     assert swept.revocations == 1 and not swept.machine.regs[0].tag
@@ -272,7 +266,7 @@ def test_examples_cover_their_case():
     assert coalesced.malloc(48).otype == 3
     top = replay(2, True, _HEAP_TOP[:4])
     assert top.machine.regs[2].base == BASE + 32 and list(top.versions) == [1, 0]
-    assert top.free(top.machine.regs[2]) == FAULT_MALFORMED_FREE
+    assert top.free(top.machine.regs[2]) is FaultKind.MALFORMED_FREE
 
 
 _ITEM_3A_TRACE = """
