@@ -73,7 +73,7 @@ PERMS_APP: Final = PERMS_DATA | PERM_LOAD_CAP | PERM_STORE_CAP
 PERMS_ROOT: Final = PERMS_APP | PERM_SW_VMEM
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Capability:
     """An unforgeable fat pointer.
 
@@ -89,13 +89,32 @@ class Capability:
     otype: Otype = UNSEALED
     tag: bool = False
 
+    def __init__(
+        self,
+        address: int,
+        base: int,
+        length: int,
+        perms: int = PERMS_NONE,
+        otype: Otype = UNSEALED,
+        tag: bool = False,
+    ) -> None:
+        # The generated __init__ of a frozen class stores each field with
+        # object.__setattr__; the slots' own setters take half the time.
+        _set_address(self, address)
+        _set_base(self, base)
+        _set_length(self, length)
+        _set_perms(self, perms)
+        _set_otype(self, otype)
+        _set_tag(self, tag)
+
     @property
     def top(self) -> int:
         return self.base + self.length
 
-    def is_sealed(self, otypeth: int = DEFAULT_OTYPETH) -> bool:
-        return self.otype is not None and self.otype >= otypeth
 
+_set_address, _set_base, _set_length, _set_perms, _set_otype, _set_tag = (
+    Capability.__dict__[name].__set__ for name in Capability.__slots__
+)
 
 NULL_CAP: Final = Capability(0, 0, 0)
 
@@ -120,16 +139,18 @@ def derive(
     """
     if not parent.tag:
         raise UntaggedOperand("cannot derive from an untagged capability")
-    if parent.is_sealed(otypeth):
+    otype = parent.otype
+    if otype is not None and otype >= otypeth:
         raise SealedOperand("cannot derive from a sealed capability")
-    if new_length < 0 or new_base < parent.base or new_base + new_length > parent.top:
+    base = parent.base
+    top = base + parent.length
+    if new_length < 0 or new_base < base or new_base + new_length > top:
         raise MonotonicityViolation(
             f"bounds [{new_base:#x},{new_base + new_length:#x}) exceed "
-            f"[{parent.base:#x},{parent.top:#x})"
+            f"[{base:#x},{top:#x})"
         )
     if new_perms & ~parent.perms:
         raise MonotonicityViolation("permissions exceed the parent's")
-    otype = parent.otype
     if color is not None:
         if not parent.perms & PERM_SW_VMEM:
             raise PermissionDenied("authorizing capability lacks sw_vmem")

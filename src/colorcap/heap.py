@@ -42,10 +42,6 @@ class OutOfMemory(Exception):
     pass
 
 
-def round_up(size: int) -> int:
-    return (size + GRANULE - 1) & ~(GRANULE - 1)
-
-
 class FreeListHeap:
     """First-fit over [base, size] free blocks, disjoint, non-adjacent and
     sorted by base, held in `buckets` of at most 2 * BUCKET_SPLIT blocks.
@@ -210,7 +206,7 @@ class HeapScheme:
         """Carve a block for `size` bytes from the heap and count it live.
         Out of memory with blocks in quarantine, revoke them and retry once,
         as Cornucopia does, before giving up."""
-        block = round_up(size)
+        block = (size + GRANULE - 1) & -GRANULE  # rounded up to granules
         try:
             base = self.heap.alloc(block)  # quarantined blocks are off the list
         except OutOfMemory:

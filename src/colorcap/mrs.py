@@ -117,38 +117,42 @@ class MallocRevocationShim(HeapScheme):
     def m_malloc(self, size: int) -> Capability:
         """Allocate >= size bytes and return a freshly colored capability.
 
-        Polls any in-flight sweep, runs the threshold check, then claims a
-        color before `_carve` takes the block and the one peak sample.
-        Raises PoolExhausted (every color live) or OutOfMemory (heap).
+        Polls the sweep in flight, if any; below the threshold, starts one.
+        Claims the lowest free color, sweeping for one if none is free,
+        before `_carve` takes the block and the one peak sample.  Raises
+        PoolExhausted (every color live) or OutOfMemory (heap).
         """
         if size <= 0:
             raise ValueError("allocation size must be positive")
-        self._poll_job()
-        if self.maybe_revoke() and self.sweep_window is None:
-            self._finish_job()
-        color = self._claim_color()
+        if self.job is not None:
+            self._poll_job()
+        unr = self.unr
+        if self.pool - unr.population < self.threshold_count and self.maybe_revoke():
+            if self.sweep_window is None:
+                self._finish_job()
+        try:
+            color = unr.alloc_first_free()
+        except Exhausted:
+            color = self._claim_color()
         try:
             base, block = self._carve(size)
         except OutOfMemory:
-            self.unr.free_one(color)
+            unr.free_one(color)
             raise
         cap = derive(self.root, base, block, PERMS_APP, self._otypeth, color)
         self.live[base] = (block, color)
         return cap
 
     def _claim_color(self) -> int:
-        """Claim the lowest free color, finishing the sweep in flight or
-        starting one over the retracted colors until one comes back."""
-        while True:
-            try:
-                return self.unr.alloc_first_free()
-            except Exhausted:
-                pass
-            if self.job is None:
-                if not self.retracted_pending:
-                    raise PoolExhausted("provenance identifiers exhausted")
-                self._start_job()
-            self._finish_job()
+        """With no color free, finish the sweep in flight or start one over
+        the retracted colors, then claim the lowest color it released (a
+        sweep's targets are never empty)."""
+        if self.job is None:
+            if not self.retracted_pending:
+                raise PoolExhausted("provenance identifiers exhausted")
+            self._start_job()
+        self._finish_job()
+        return self.unr.alloc_first_free()
 
     # -- free --------------------------------------------------------------
 
@@ -205,8 +209,6 @@ class MallocRevocationShim(HeapScheme):
 
     def _poll_job(self) -> None:
         job = self.job
-        if job is None:
-            return
         if self.sweep_window is not None and not job.done:
             self.revocation_step(self.sweep_window)
         if job.done:

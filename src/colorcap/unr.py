@@ -194,7 +194,7 @@ class _Builder:
 class UnrState:
     """Claimed/available state of the ID pool 1..total."""
 
-    __slots__ = ("total", "nodes", "bitmaps", "population", "node_scan_passes")
+    __slots__ = ("total", "nodes", "bitmaps", "population")
 
     def __init__(self, total: int) -> None:
         if total < 1:
@@ -203,9 +203,6 @@ class UnrState:
         self.nodes: list = [Run(False, total)]
         self.bitmaps = 0  # BitmapNodes in `nodes`, recounted wherever one can appear
         self.population = 0
-        #: Number of full forward traversals performed by mutating
-        #: operations; batch_release contributes exactly one.
-        self.node_scan_passes = 0
 
     # -- queries ---------------------------------------------------------
 
@@ -220,17 +217,29 @@ class UnrState:
         if self.population >= self.total:
             raise Exhausted(f"all {self.total} IDs claimed")
         nodes = self.nodes
-        self.node_scan_passes += 1
         offset = 0
         for i, node in enumerate(nodes):
             if type(node) is Run:
                 if node.claimed:
                     offset += node.length
                     continue
-                ident = offset + 1
-                self._claim_run_head(i)
+                # The first node with a free ID, so nodes[i - 1], if any, is
+                # a claimed run: the head moves into it (ID 1 opens one).
+                if not i:
+                    nodes.insert(0, Run(True, 0))
+                    i = 1
+                prev = nodes[i - 1]
+                prev.length += 1
+                node.length -= 1
+                if not node.length:
+                    nxt = nodes[i + 1] if i + 1 < len(nodes) else None
+                    if type(nxt) is Run and nxt.claimed:
+                        prev.length += nxt.length
+                        del nodes[i : i + 2]
+                    else:
+                        del nodes[i]
                 self.population += 1
-                return ident
+                return offset + 1
             # A bitmap is never full, so the first one has a free bit.
             full = (1 << node.length) - 1
             inv = ~node.bits & full
@@ -241,25 +250,6 @@ class UnrState:
                 self._rebuild()
             return offset + bit + 1
         raise AssertionError("population counter out of sync")
-
-    def _claim_run_head(self, i: int) -> None:
-        """Claim the first ID of the available run at index i, the first
-        node with a free ID; so nodes[i - 1], if any, is a claimed run."""
-        nodes = self.nodes
-        if not i:  # ID 1: the claim grows an empty claimed run in front
-            nodes.insert(0, Run(True, 0))
-            i = 1
-        prev = nodes[i - 1]
-        node = nodes[i]
-        prev.length += 1
-        node.length -= 1
-        if node.length == 0:
-            nxt = nodes[i + 1] if i + 1 < len(nodes) else None
-            if type(nxt) is Run and nxt.claimed:
-                prev.length += nxt.length
-                del nodes[i : i + 2]
-            else:
-                del nodes[i]
 
     def free_one(self, ident: int) -> None:
         """Release one claimed ID."""
@@ -284,7 +274,6 @@ class UnrState:
         released = 0
         offset = 0
         last = 0
-        self.node_scan_passes += 1
         for node in self.nodes:
             length = node.length
             end = offset + length
@@ -332,7 +321,6 @@ class UnrState:
 
     def _rebuild(self) -> None:
         builder = _Builder()
-        self.node_scan_passes += 1
         for node in self.nodes:
             if type(node) is Run:
                 builder.run(node.claimed, node.length)

@@ -1,5 +1,5 @@
-"""Decoders of simulator state that tests use as oracles, and checked
-data access straight on a machine."""
+"""Decoders of simulator state that tests use as oracles, a node list that
+counts the passes over it, and checked data access straight on a machine."""
 
 from colorcap.capability import PERM_LOAD, PERM_STORE
 from colorcap.unr import BITMAP_CAPACITY, Run
@@ -17,6 +17,27 @@ def claimed_ids(state) -> set[int]:
             claimed.update(offset + 1 + i for i in range(node.length) if node.bits >> i & 1)
         offset += node.length
     return claimed
+
+
+class CountingNodes(list):
+    """A `UnrState.nodes` list that counts the passes made over it: every
+    `for` loop over it calls `__iter__` once."""
+
+    def __init__(self, nodes) -> None:
+        super().__init__(nodes)
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def release_passes(state, ids) -> int:
+    """Batch release `ids` from a `UnrState`; returns the number of passes
+    it made over the node list."""
+    nodes = state.nodes = CountingNodes(state.nodes)
+    state.batch_release(ids)
+    return nodes.passes
 
 
 def dump(state) -> str:

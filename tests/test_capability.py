@@ -1,11 +1,15 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from colorcap.capability import (
     CAPABILITY_WIDTH,
     DEFAULT_OTYPETH,
+    NULL_CAP,
     PERMS_APP,
     PERMS_DATA,
+    PERMS_NONE,
     PERMS_ROOT,
     UNSEALED,
     Capability,
@@ -24,6 +28,44 @@ from colorcap.capability import (
 
 def cap(base=0x1000, length=0x100, perms=PERMS_APP, otype=UNSEALED, tag=True):
     return Capability(base, base, length, perms, otype, tag)
+
+
+#: A distinct value for every field, in declaration order.
+FIELDS = dict(address=0x1010, base=0x1000, length=0x40, perms=PERMS_DATA, otype=7, tag=True)
+
+
+class TestConstruction:
+    """`Capability.__init__` is written by hand: every field must land in
+    its own slot, with the dataclass's frozen, slotted value semantics."""
+
+    def test_positional_and_keyword(self):
+        for built in (Capability(*FIELDS.values()), Capability(**FIELDS)):
+            for name, value in FIELDS.items():
+                assert getattr(built, name) == value, name
+
+    def test_defaults(self):
+        built = Capability(0x1010, 0x1000, 0x40)
+        assert (built.perms, built.otype, built.tag) == (PERMS_NONE, UNSEALED, False)
+        assert dataclasses.astuple(NULL_CAP) == (0, 0, 0, PERMS_NONE, UNSEALED, False)
+
+    def test_equality_hash_and_repr_go_by_field(self):
+        built = Capability(**FIELDS)
+        assert built == Capability(**FIELDS)
+        assert hash(built) == hash(Capability(**FIELDS))
+        for name in FIELDS:
+            other = dataclasses.replace(built, **{name: 0x2000})
+            assert other != built, name
+        assert repr(built) == (
+            "Capability(address=4112, base=4096, length=64, perms=3, otype=7, tag=True)"
+        )
+
+    def test_frozen_and_slotted(self):
+        built = Capability(**FIELDS)
+        for name in FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(built, name, 0)
+        assert not hasattr(built, "__dict__")
+        assert Capability.__slots__ == tuple(FIELDS)
 
 
 class TestDerive:
@@ -72,7 +114,7 @@ class TestSetColor:
         auth = cap(perms=PERMS_ROOT)
         colored = derive(auth, 0x1000, 0x100, PERMS_APP, color=1)
         assert colored.otype == 1
-        assert not colored.is_sealed()
+        assert colored.otype < DEFAULT_OTYPETH
 
     def test_requires_sw_vmem(self):
         # Only the trusted allocator may assign provenance identifiers.

@@ -189,6 +189,24 @@ class TestThreshold:
         assert metrics.uaf_escapes == 0
         assert metrics.false_positives == 0
 
+    @pytest.mark.parametrize("window", [None, 1])
+    def test_m_malloc_sweeps_one_claim_past_the_boundary(self, window):
+        machine, mrs = make(color_bits=6, threshold=0.1, window=window)
+        assert mrs.threshold_count == 7
+        caps = [mrs.m_malloc(16) for _ in range(mrs.pool - mrs.threshold_count)]
+        machine.store_cap(scratch_cap(machine), 0, caps[0])  # one stale copy
+        mrs.m_free(caps[0])
+        assert mrs.retracted_pending and mrs.unclaimed == mrs.threshold_count
+        mrs.m_malloc(16)  # not below the threshold: no sweep
+        assert mrs.revocations == 0 and mrs.job is None
+        cap = mrs.m_malloc(16)
+        assert mrs.revocations == 1
+        if window is None:  # the sweep finished inside the malloc
+            assert mrs.job is None and mrs.swept_tags == 1
+            assert cap.otype == caps[0].otype
+        else:  # one word to sweep, and the next malloc polls it
+            assert mrs.job is not None and not mrs.job.done
+
     def test_single_outstanding_job(self):
         _, mrs = make(window=1)
         while mrs.unclaimed >= mrs.threshold_count:
@@ -273,8 +291,10 @@ class TestExhaustion:
         caps = [mrs.m_malloc(16) for _ in range(15)]
         for cap in caps[:10]:
             mrs.m_free(cap)
-        # Pool fully claimed (threshold never fired at 1%), but the forced
-        # sweep reclaims the 10 retracted colors.
+        # The pool is fully claimed.  At 1% of 15 the threshold rounds up
+        # to 1 color, so this malloc's threshold check (0 unclaimed < 1)
+        # starts the sweep that reclaims the 10 retracted colors; the
+        # exhausted-pool path never runs.
         cap = mrs.m_malloc(16)
         assert cap.otype in range(1, 16)
         assert mrs.revocations == 1
