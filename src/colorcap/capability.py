@@ -107,10 +107,6 @@ class Capability:
         _set_otype(self, otype)
         _set_tag(self, tag)
 
-    @property
-    def top(self) -> int:
-        return self.base + self.length
-
 
 _set_address, _set_base, _set_length, _set_perms, _set_otype, _set_tag = (
     Capability.__dict__[name].__set__ for name in Capability.__slots__

@@ -119,7 +119,7 @@ class TaggedMachine:
         "_pvt_base",
         "_pvt_mapped",
         "_color_count",
-        "_cap_write_log",
+        "cap_writes",
     )
 
     def __init__(self, config: Optional[MachineConfig] = None) -> None:
@@ -136,7 +136,9 @@ class TaggedMachine:
         self._pvt_base = self.config.pvt_base
         self._pvt_mapped = self.config.pvt_mapped_bytes
         self._color_count = self.config.color_count
-        self._cap_write_log: Optional[set[int]] = None
+        # The running revocation job's `rewrites` (None with no job): a
+        # tagged store adds its address, so the job re-visits it.
+        self.cap_writes: Optional[set[int]] = None
 
     # -- provenance-validity table ------------------------------------
 
@@ -232,9 +234,10 @@ class TaggedMachine:
 
         The word's tag follows value.tag.  A tagged value is kept only in
         `caps`; its packed image is made when it is read as data or its
-        tag is cleared.  Storing a capability whose color is retracted is
-        permitted: retraction gates dereference, not propagation.  Only the
-        authorizing capability's own validity is checked.
+        tag is cleared, and its address is added to `cap_writes` while a
+        revocation job runs.  Storing a capability whose color is retracted
+        is permitted: retraction gates dereference, not propagation.  Only
+        the authorizing capability's own validity is checked.
         """
         target = auth.address + offset if auth is not None else offset
         if target & 15:  # alignment folded into spatial faults
@@ -245,8 +248,8 @@ class TaggedMachine:
         if value.tag:
             self.caps[target] = value
             self.words.pop(target, None)
-            if self._cap_write_log is not None:
-                self._cap_write_log.add(target)
+            if self.cap_writes is not None:
+                self.cap_writes.add(target)
         else:
             self.words[target] = pack(value)
             self.caps.pop(target, None)
@@ -350,13 +353,3 @@ class TaggedMachine:
                 regs[i] = clear_tag(regs[i])
                 cleared += 1
         return cleared
-
-    def start_cap_write_log(self) -> None:
-        """Begin recording addresses that receive tagged capability stores
-        (consumed by revocation jobs to re-visit words written mid-sweep)."""
-        self._cap_write_log = set()
-
-    def take_cap_write_log(self) -> set[int]:
-        log = self._cap_write_log
-        self._cap_write_log = None
-        return log if log is not None else set()

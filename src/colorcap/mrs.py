@@ -11,24 +11,24 @@ every stale capability fault.
 The shim is a `heap.HeapScheme`: heap, root capability, live map, counters
 and block carving come from the base; only the color lifecycle lives here.
 
-Colors stay out of rotation until a revocation sweep completes.  When the
-unclaimed population drops below the threshold, the shim freezes the
-retracted set as the sweep's targets, scans memory and registers clearing
+Colors stay out of rotation until a revocation sweep completes.  A sweep
+starts when the unclaimed population drops below the threshold or no color
+is free.  It freezes the retracted set as its targets and logs the tagged
+capability stores made while it runs; `_advance` scans memory clearing
 matching tags (`TaggedMachine.sweep_scan` with the job's `doomed`
-selector), then clears the target bits and batch releases the colors.
-Colors retracted after the targets froze stay retracted and wait for the
-next sweep.  The hardware sweep works from a snapshot of the PVT; the
-simulator keeps no copy and models the snapshot only by counting the PVT
-twice in the resident bytes while a sweep is in flight.  The sweep runs to
-completion at trigger time by default; a window size makes it advance
-incrementally across subsequent allocation calls instead.  With no color
-free, allocation sweeps until a retracted one comes back.
+selector), then re-visits the logged words and the registers, clears the
+target bits and batch releases the colors.  Colors retracted after the
+targets froze wait for the next sweep.  The hardware sweep works from a
+snapshot of the PVT; the simulator keeps no copy and models it only by
+counting the PVT twice in the resident bytes while a sweep is in flight.
+A sweep window bounds the words scanned per allocation call; without one,
+a sweep runs to completion in the call that advances it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .capability import PERMS_APP, Capability, derive
@@ -50,14 +50,16 @@ class PoolExhausted(Exception):
 
 @dataclass
 class RevocationJob:
-    """One in-flight sweep: the frozen target colors and a cursor over the
-    tagged addresses captured when it started.  The PVT snapshot it stands
-    for is modelled only by the doubled-PVT accounting in `_sample`."""
+    """One in-flight sweep: the frozen target colors, a cursor over the
+    tagged addresses captured when it started, and the words given a tagged
+    capability since (`rewrites`, which the machine fills as `cap_writes`).
+    Its PVT snapshot is modelled only by the doubled PVT in `_sample`."""
 
     targets: frozenset[int]
     addresses: list[int]
     cursor: int = 0
     swept: int = 0
+    rewrites: set[int] = field(default_factory=set)
 
     @property
     def done(self) -> bool:
@@ -117,23 +119,28 @@ class MallocRevocationShim(HeapScheme):
     def m_malloc(self, size: int) -> Capability:
         """Allocate >= size bytes and return a freshly colored capability.
 
-        Polls the sweep in flight, if any; below the threshold, starts one.
-        Claims the lowest free color, sweeping for one if none is free,
-        before `_carve` takes the block and the one peak sample.  Raises
-        PoolExhausted (every color live) or OutOfMemory (heap).
+        Advances the sweep in flight, if any; below the threshold, starts
+        one.  Claims the lowest free color; with none free, runs a sweep to
+        completion first.  `_carve` then takes the block and the one peak
+        sample.  Raises PoolExhausted (every color live) or OutOfMemory.
         """
         if size <= 0:
             raise ValueError("allocation size must be positive")
         if self.job is not None:
-            self._poll_job()
+            self._advance(self.sweep_window)
         unr = self.unr
         if self.pool - unr.population < self.threshold_count and self.maybe_revoke():
             if self.sweep_window is None:
-                self._finish_job()
+                self._advance(None)
         try:
             color = unr.alloc_first_free()
         except Exhausted:
-            color = self._claim_color()
+            if self.job is None:
+                if not self.retracted_pending:
+                    raise PoolExhausted("provenance identifiers exhausted")
+                self._start_job()
+            self._advance(None)  # a sweep's targets are never empty
+            color = unr.alloc_first_free()
         try:
             base, block = self._carve(size)
         except OutOfMemory:
@@ -142,17 +149,6 @@ class MallocRevocationShim(HeapScheme):
         cap = derive(self.root, base, block, PERMS_APP, self._otypeth, color)
         self.live[base] = (block, color)
         return cap
-
-    def _claim_color(self) -> int:
-        """With no color free, finish the sweep in flight or start one over
-        the retracted colors, then claim the lowest color it released (a
-        sweep's targets are never empty)."""
-        if self.job is None:
-            if not self.retracted_pending:
-                raise PoolExhausted("provenance identifiers exhausted")
-            self._start_job()
-        self._finish_job()
-        return self.unr.alloc_first_free()
 
     # -- free --------------------------------------------------------------
 
@@ -199,25 +195,21 @@ class MallocRevocationShim(HeapScheme):
         # next sweep and stay retracted when this one completes.
         targets = frozenset(self.retracted_pending)
         self.retracted_pending.clear()
-        self.job = RevocationJob(
+        self.job = job = RevocationJob(
             targets=targets,
             addresses=sorted(self.machine.caps),
         )
-        self.machine.start_cap_write_log()
+        self.machine.cap_writes = job.rewrites
         self.revocations += 1
         self._sample()
 
-    def _poll_job(self) -> None:
+    def _advance(self, window: Optional[int]) -> None:
+        """Scan up to `window` more words (None: all), then finalize once done."""
         job = self.job
-        if self.sweep_window is not None and not job.done:
-            self.revocation_step(self.sweep_window)
+        if not job.done:
+            self.revocation_step(window)
         if job.done:
             self.revocation_finalize()
-
-    def _finish_job(self) -> None:
-        """Run the job in flight to completion right now."""
-        self.revocation_step()
-        self.revocation_finalize()
 
     def revocation_step(self, window: Optional[int] = None) -> int:
         """Advance the sweep over up to `window` tagged words (all of them
@@ -237,8 +229,8 @@ class MallocRevocationShim(HeapScheme):
         return scanned
 
     def revocation_finalize(self) -> int:
-        """Complete a fully scanned job: re-visit words that received
-        capability stores during the sweep, scan the registers, clear the
+        """Complete a fully scanned job: stop logging capability stores,
+        re-visit the words the job logged, scan the registers, clear the
         target bits, and batch release the colors.  Returns the number of
         colors reclaimed."""
         job = self.job
@@ -246,13 +238,12 @@ class MallocRevocationShim(HeapScheme):
             raise RuntimeError("no revocation in progress")
         if not job.done:
             raise RuntimeError("revocation scan has not completed")
-        rewrites = self.machine.take_cap_write_log()
+        self.machine.cap_writes = None
         job.swept += self.machine.sweep_scan(
-            job.doomed, addresses=sorted(rewrites), include_registers=True
+            job.doomed, addresses=sorted(job.rewrites), include_registers=True
         )
         self.machine.pvt_set_many(job.targets, retracted=False)
-        if job.targets:
-            self.unr.batch_release(sorted(job.targets))
+        self.unr.batch_release(sorted(job.targets))
         self.swept_tags += job.swept
         self.job = None
         self._sample()

@@ -43,16 +43,6 @@ class Run:
         self.claimed = claimed
         self.length = length
 
-    def __repr__(self) -> str:
-        return f"Run({'c' if self.claimed else 'a'}:{self.length})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Run)
-            and other.claimed == self.claimed
-            and other.length == self.length
-        )
-
 
 class BitmapNode:
     """Up to 512 IDs with mixed states; bit i (LSB first) covers the i-th ID."""
@@ -62,16 +52,6 @@ class BitmapNode:
     def __init__(self, bits: int, length: int) -> None:
         self.bits = bits
         self.length = length
-
-    def __repr__(self) -> str:
-        return f"BitmapNode(len={self.length}, bits={self.bits:#x})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitmapNode)
-            and other.bits == self.bits
-            and other.length == self.length
-        )
 
 
 class _Builder:

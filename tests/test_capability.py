@@ -197,7 +197,7 @@ class TestMonotonicityChains:
                 assert widens(perms, parent.perms)
                 break
             assert parent.base <= current.base
-            assert current.top <= parent.top
+            assert current.base + current.length <= parent.base + parent.length
             assert not widens(current.perms, parent.perms)
             assert current.tag
 

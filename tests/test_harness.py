@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +28,7 @@ from colorcap.trace import (
     parse_trace,
 )
 from colorcap.workloads import gen_churn, gen_corpus
+from test_golden import CASES, _churn
 
 GOOD = Trace(
     ops=[
@@ -174,6 +177,22 @@ class TestRunTrace:
         )
         result = run_trace(trace, "picasso")
         assert result.metrics.expect_mismatches == 0
+
+
+class TestNoReferenceCycles:
+    # A cycle keeps a replay's machine alive until the collector next runs,
+    # so back-to-back replays would hold several and peak RSS would creep.
+    @pytest.mark.parametrize("case", ["churn", "churn-window7", "churn-heap8k"])
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_run_trace_frees_everything_it_builds(self, scheme, case):
+        trace = _churn()
+        gc.collect()
+        gc.disable()
+        try:
+            run_trace(trace, scheme, CASES[case])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBufferTransparency:

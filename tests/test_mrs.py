@@ -270,6 +270,36 @@ class TestRevocation:
         mrs.revocation_finalize()
         assert machine.load_cap(scratch, 0).tag is False
 
+    def test_synchronous_malloc_finishes_a_job_in_flight(self):
+        # With no window, a job started outside m_malloc runs to completion
+        # in the next malloc instead of waiting for the pool to run out.
+        machine, mrs = make()
+        cap = mrs.m_malloc(32)
+        machine.store_cap(scratch_cap(machine), 0, cap)  # one stale copy
+        mrs.m_free(cap)
+        mrs._start_job()
+        mrs.m_malloc(16)
+        assert mrs.job is None
+        assert mrs.swept_tags == 1
+        assert machine.cap_writes is None
+
+    def test_cap_writes_logs_tagged_stores_while_a_job_runs(self):
+        machine, mrs = make(window=1)
+        scratch = scratch_cap(machine)
+        stale, keep = mrs.m_malloc(16), mrs.m_malloc(16)
+        machine.store_cap(scratch, 0, stale)
+        assert machine.cap_writes is None
+        mrs.m_free(stale)
+        mrs._start_job()
+        job = mrs.job
+        machine.store_cap(scratch, 16, keep)
+        machine.store_cap(scratch, 32, clear_tag(keep))
+        assert job.rewrites == {scratch.address + 16}
+        while not job.done:
+            mrs.revocation_step(1)
+        mrs.revocation_finalize()
+        assert machine.cap_writes is None
+
     def test_step_without_job_raises(self):
         _, mrs = make()
         with pytest.raises(RuntimeError):

@@ -224,9 +224,9 @@ def test_quarantine_sweep_clears_exactly_the_caps_touching_quarantined_words(dat
     for cap in caps:
         if data.draw(st.booleans()):
             assert corn.free(cap) is None
-            words.update(range(cap.base, cap.top, 16))
+            words.update(range(cap.base, cap.base + cap.length, 16))
     assert corn.revocations == 0
-    extent = max(cap.top for cap in caps) + 64
+    extent = max(cap.base + cap.length for cap in caps) + 64
 
     def planted():
         base = data.draw(st.integers(heap_base, min(extent, heap_top)))
@@ -237,7 +237,7 @@ def test_quarantine_sweep_clears_exactly_the_caps_touching_quarantined_words(dat
         # Some 16-byte word of [base, top) is quarantined; an empty range
         # touches nothing.
         return cap.length > 0 and any(
-            word in words for word in range(cap.base & ~15, cap.top, 16))
+            word in words for word in range(cap.base & ~15, cap.base + cap.length, 16))
 
     slots = data.draw(st.lists(st.integers(0, 63), unique=True, max_size=12))
     for slot in slots:

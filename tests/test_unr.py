@@ -7,7 +7,6 @@ from colorcap.unr import (
     BitmapNode,
     Exhausted,
     NotClaimed,
-    Run,
     UnrState,
 )
 from colorcap.workloads import SplitMix64
@@ -26,7 +25,7 @@ class TestAlloc:
     def test_sequential_claims_form_one_run(self):
         state = UnrState(2000)
         assert claim(state, 50) == list(range(1, 51))
-        assert state.nodes == [Run(True, 50), Run(False, 1950)]
+        assert dump(state) == "R:c:50 R:a:1950"
         assert state.population == 50
         assert len(state.nodes) == 2
         assert state.alloc_first_free() == 51
@@ -77,7 +76,7 @@ class TestFreeOne:
         state.alloc_first_free()
         state.free_one(1)
         fresh = UnrState(77)
-        assert state.nodes == fresh.nodes
+        assert dump(state) == dump(fresh)
         assert state.population == 0
 
 
@@ -86,7 +85,7 @@ class TestBatchRelease:
         state = UnrState(500)
         claim(state, 500)
         state.batch_release(range(1, 501))
-        assert state.nodes == [Run(False, 500)]
+        assert dump(state) == "R:a:500"
         assert state.population == 0
 
     def test_membership_matches_sequential_oracle(self):

@@ -112,7 +112,7 @@ def apply(scheme: VersioningScheme, op: tuple):
         regs[reg] = derive(src, src.base + offset, op[4] % (src.length - offset + 1), src.perms)
         return regs[reg]
     if kind == "top":  # empty, at the source's top: the heap top for the last block
-        regs[reg] = derive(src, src.top, 0, src.perms)
+        regs[reg] = derive(src, src.base + src.length, 0, src.perms)
         return regs[reg]
     if kind == "uncolor":
         regs[reg] = Capability(src.address, src.base, src.length, src.perms, None, True)
