@@ -20,7 +20,7 @@ pool is 1 .. 2**color_bits - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Final, Optional
+from typing import ClassVar, Final, Optional
 
 COLOR_BITS_DEFAULT: Final = 21
 DEFAULT_OTYPETH: Final = 1 << COLOR_BITS_DEFAULT
@@ -166,7 +166,6 @@ def clear_tag(cap: Capability) -> Capability:
 
 
 _OFF_MAX: Final = 0xFF_FFFF
-_ZERO16: Final = bytes(16)
 
 
 def pack(cap: Capability) -> bytes:
@@ -217,46 +216,33 @@ def unpack(data: bytes, tag: bool = False) -> Capability:
 class MachineConfig:
     """Geometry and tunables of one simulated machine.
 
-    Defaults give a 21-bit color space (2 MiB of colors => a 256 KiB
-    provenance-validity table), a sealed threshold equal to the top of the
-    color space (sealing disabled unless lowered), and a 64-word 4-way
+    The heap starts at `heap_base`, the capability scratch region follows
+    it and the provenance-validity table follows that, so the three never
+    overlap.  Defaults give a 21-bit color space (2 MiB of colors => a
+    256 KiB provenance-validity table), an otype threshold of color_count
+    (every otype from 2**color_bits up is sealed), and a 64-word 4-way
     set-associative PVT buffer.
     """
 
+    heap_base: ClassVar[int] = 0x0001_0000
+
     color_bits: int = COLOR_BITS_DEFAULT
-    otypeth: Optional[int] = None  # defaults to 2**color_bits
-    heap_base: int = 0x0001_0000
     heap_size: int = 1 << 20
     scratch_slots: int = 64  # capability spill slots, 16 bytes each
-    pvt_base: Optional[int] = None  # defaults to just past the scratch region
     pvt_buffer_enabled: bool = True
-    pvt_mapped_bytes: Optional[int] = None  # < pvt_bytes models an unmapped tail
 
     def __post_init__(self) -> None:
         if not 4 <= self.color_bits <= 24:
             raise ValueError("color_bits must be in [4, 24]")
-        if self.otypeth is None:
-            object.__setattr__(self, "otypeth", 1 << self.color_bits)
-        if not 1 <= self.otypeth <= (1 << self.color_bits):
-            raise ValueError("otypeth must be in [1, 2**color_bits]")
-        if self.heap_base % 16 or self.heap_size % 16 or self.heap_size <= 0:
+        if self.heap_size % 16 or self.heap_size <= 0:
             raise ValueError("heap must be 16-byte aligned and non-empty")
         if self.scratch_slots < 0:
             raise ValueError("scratch_slots must be >= 0")
-        if self.pvt_base is None:
-            object.__setattr__(self, "pvt_base", self.scratch_base + self.scratch_size)
-        if self.pvt_base % 16:
-            raise ValueError("pvt_base must be 16-byte aligned")
-        if self.pvt_mapped_bytes is None:
-            object.__setattr__(self, "pvt_mapped_bytes", self.pvt_bytes)
-        # The table must not overlap the heap or the scratch region.
-        lo, hi = self.pvt_base, self.pvt_base + self.pvt_bytes
-        if lo < self.scratch_base + self.scratch_size and hi > self.heap_base:
-            raise ValueError("PVT region overlaps the heap or scratch region")
 
     @property
     def color_count(self) -> int:
-        """Number of otype encodings; usable colors are 1 .. color_count-1."""
+        """Number of otype encodings; usable colors are 1 .. color_count-1,
+        and color_count is the otype threshold."""
         return 1 << self.color_bits
 
     @property
@@ -270,3 +256,8 @@ class MachineConfig:
     @property
     def scratch_size(self) -> int:
         return self.scratch_slots * CAPABILITY_WIDTH
+
+    @property
+    def pvt_base(self) -> int:
+        """The table's address: just past the scratch region."""
+        return self.scratch_base + self.scratch_size

@@ -65,8 +65,8 @@ class RunConfig:
             raise ConfigError("threshold_fraction must be in (0, 1)")
         if not 0 < self.quarantine_fraction < 1:
             raise ConfigError("quarantine_fraction must be in (0, 1)")
-        if self.heap_size <= 0 or self.heap_size % 16:
-            raise ConfigError("heap_size must be a positive multiple of 16")
+        if not 0 < self.heap_size <= 1 << 32 or self.heap_size % 16:
+            raise ConfigError("heap_size must be a positive multiple of 16, at most 2**32")
         if self.sweep_window is not None and self.sweep_window < 1:
             raise ConfigError("sweep window must be >= 1")
 
@@ -102,7 +102,7 @@ class Metrics:
     fault_SealedDereference: int = 0
     fault_MalformedFree: int = 0
     fault_DoubleFree: int = 0
-    fault_PvtUnmapped: int = 0
+    fault_PvtUnmapped: int = 0  # no fault has this kind; kept for the schema
     peak_resident_bytes: int = 0
     peak_live_bytes: int = 0
     peak_quarantine_bytes: int = 0
@@ -246,7 +246,7 @@ def run_trace(
         tag=True,
     )
     oracle = LifetimeOracle()
-    otypeth = machine_config.otypeth
+    otypeth = machine_config.color_count
     outcomes: Optional[list] = [] if collect_outcomes else None
 
     expects = trace.expects

@@ -52,7 +52,6 @@ class FaultKind(str, Enum):
     SEALED_DEREFERENCE = "SealedDereference"
     MALFORMED_FREE = "MalformedFree"
     DOUBLE_FREE = "DoubleFree"
-    PVT_UNMAPPED = "PvtUnmapped"
 
 
 _ZERO_WORD: Final = bytes(16)
@@ -115,9 +114,7 @@ class TaggedMachine:
         "pvt",
         "pvt_buffer",
         "pvt_lookups",
-        "_otypeth",
         "_pvt_base",
-        "_pvt_mapped",
         "_color_count",
         "cap_writes",
     )
@@ -132,9 +129,7 @@ class TaggedMachine:
         self.pvt = bytearray(self.config.pvt_bytes)
         self.pvt_buffer = PvtBuffer() if self.config.pvt_buffer_enabled else None
         self.pvt_lookups = 0
-        self._otypeth = self.config.otypeth
         self._pvt_base = self.config.pvt_base
-        self._pvt_mapped = self.config.pvt_mapped_bytes
         self._color_count = self.config.color_count
         # The running revocation job's `rewrites` (None with no job): a
         # tagged store adds its address, so the job re-visits it.
@@ -201,8 +196,8 @@ class TaggedMachine:
         provenance retracted.
 
         The inline provenance-validity check runs only for colors, 0 < otype
-        < otypeth: one implicit lookup, an unmapped fault past the mapped
-        table, `PvtBuffer.lookup` for the hit or miss, then the table bit.
+        < color_count: one implicit lookup, `PvtBuffer.lookup` for the hit
+        or miss, then the table bit.
         It precedes any memory effect, so a retracted store mutates nothing.
         """
         if cap is None or not cap.tag:
@@ -210,7 +205,7 @@ class TaggedMachine:
         otype = cap.otype
         if otype is None:
             otype = 0
-        elif otype >= self._otypeth:
+        elif otype >= self._color_count:
             return FaultKind.SEALED_DEREFERENCE
         if not cap.perms & need:
             return FaultKind.PERMISSION_DENIED
@@ -220,12 +215,9 @@ class TaggedMachine:
             return FaultKind.SPATIAL_OUT_OF_BOUNDS
         if otype > 0 and provenance:
             self.pvt_lookups += 1
-            byte_off = otype >> 3
-            if byte_off >= self._pvt_mapped:
-                return FaultKind.PVT_UNMAPPED
             if self.pvt_buffer is not None:
                 self.pvt_buffer.lookup(self._pvt_base + ((otype >> 7) << 4))
-            if self.pvt[byte_off] >> (otype & 7) & 1:
+            if self.pvt[otype >> 3] >> (otype & 7) & 1:
                 return FaultKind.PROVENANCE_RETRACTED
         return None
 

@@ -3,10 +3,10 @@ revocation sweeps over the tagged machine.
 
 Allocation claims the lowest free color before it carves the block, stamps
 the color onto the capability with the shim's sw_vmem authority, and strips
-that authority from what the application receives.  Free retracts the color's provenance-validity bit -
-detecting double frees as a side effect - and returns the block to the free
-list immediately; no quarantine is needed because retraction already makes
-every stale capability fault.
+that authority from what the application receives.  Free retracts the
+color's provenance-validity bit - detecting double frees as a side effect -
+and returns the block to the free list immediately; no quarantine is needed
+because retraction already makes every stale capability fault.
 
 The shim is a `heap.HeapScheme`: heap, root capability, live map, counters
 and block carving come from the base; only the color lifecycle lives here.
@@ -89,7 +89,7 @@ class MallocRevocationShim(HeapScheme):
         self.sweep_window = sweep_window
         self.retracted_pending: set[int] = set()
         self.job: Optional[RevocationJob] = None
-        self._otypeth = config.otypeth
+        self._color_count = config.color_count
         self._pvt_bytes = config.pvt_bytes
         self._sample()
 
@@ -146,7 +146,7 @@ class MallocRevocationShim(HeapScheme):
         except OutOfMemory:
             unr.free_one(color)
             raise
-        cap = derive(self.root, base, block, PERMS_APP, self._otypeth, color)
+        cap = derive(self.root, base, block, PERMS_APP, self._color_count, color)
         self.live[base] = (block, color)
         return cap
 
@@ -162,12 +162,15 @@ class MallocRevocationShim(HeapScheme):
         if cap is None or not cap.tag:
             return FaultKind.MALFORMED_FREE
         otype = cap.otype
-        if otype is None or not 0 < otype < self._otypeth:
+        if otype is None or not 0 < otype < self._color_count:
             return FaultKind.MALFORMED_FREE
-        if self.machine.pvb_retracted(otype):
-            return FaultKind.DOUBLE_FREE
         record = self.live.get(cap.base)
         if record is None or record[1] != otype:
+            # A live block's color is never retracted (a color is claimed
+            # again only after a sweep clears its bit), so the table is
+            # read only here, to tell a double free from a malformed one.
+            if self.machine.pvb_retracted(otype):
+                return FaultKind.DOUBLE_FREE
             return FaultKind.MALFORMED_FREE
         size = record[0]
         self.machine.pvt_set(otype, retracted=True)

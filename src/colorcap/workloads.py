@@ -158,6 +158,8 @@ def gen_locality(
     first should hit the buffer."""
     if not 1 <= n_allocs <= 30:
         raise ValueError("n_allocs must be in [1, 30]")
+    if width < 1:
+        raise ValueError("width must be >= 1")
 
     def ops() -> Iterator[TraceOp]:
         for reg in range(n_allocs):

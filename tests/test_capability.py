@@ -248,24 +248,16 @@ class TestMachineConfig:
         # 2**21 colors at one bit each is a 256 KiB table.
         assert MachineConfig().pvt_bytes == 256 * 1024
 
-    def test_default_otypeth_disables_sealing(self):
-        config = MachineConfig()
-        assert config.otypeth == 1 << 21
-
     def test_pool_excludes_reserved_zero(self):
         config = MachineConfig(color_bits=10)
         assert config.color_count - 1 == 1023
-
-    def test_pvt_heap_disjoint_enforced(self):
-        with pytest.raises(ValueError):
-            MachineConfig(color_bits=10, pvt_base=0x0001_0000)
 
     def test_bad_color_bits(self):
         with pytest.raises(ValueError):
             MachineConfig(color_bits=2)
 
     def test_scratch_follows_heap(self):
-        config = MachineConfig(heap_base=0x10000, heap_size=0x1000, scratch_slots=4)
+        config = MachineConfig(heap_size=0x1000, scratch_slots=4)
         assert config.scratch_base == 0x11000
         assert config.scratch_size == 64
-        assert config.pvt_base >= config.scratch_base + config.scratch_size
+        assert config.pvt_base == config.scratch_base + config.scratch_size

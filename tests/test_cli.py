@@ -61,6 +61,20 @@ class TestRun:
         assert code == 2
         assert "error" in err
 
+    def test_locality_zero_width_exits_two_by_name(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--gen", "locality:width=0", "--scheme", "none")
+        assert code == 2
+        assert "width" in err
+        assert "range()" not in err
+
+    def test_oversized_heap_exits_two_by_name(self, capsys):
+        code, _, err = run_cli(
+            capsys, "run", "--gen", "churn:n=10,live=2", "--scheme", "picasso",
+            "--heap-size", "1099511627776",
+        )
+        assert code == 2
+        assert "heap_size" in err
+
     def test_unreadable_trace_exits_two(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "run", "--trace", str(tmp_path / "missing.trace")

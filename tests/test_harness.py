@@ -259,6 +259,15 @@ class TestMetricsSchema:
         metrics = run_trace(GOOD, "picasso").metrics
         assert tuple(metrics.to_dict()) == METRIC_FIELDS
 
+    def test_every_fault_kind_has_a_field(self):
+        # run_trace stores each count with setattr on a plain dataclass, so
+        # a kind without a field would be counted and then dropped by
+        # to_dict().  fault_PvtUnmapped outlived its kind for the schema.
+        kinds = {f"fault_{kind.value}" for kind in FaultKind}
+        fault_fields = {name for name in METRIC_FIELDS if name.startswith("fault_")}
+        assert kinds <= fault_fields
+        assert fault_fields - kinds == {"fault_PvtUnmapped"}
+
 
 class TestCorpusMachinery:
     def test_classify(self):

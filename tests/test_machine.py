@@ -70,7 +70,7 @@ class TestCheckAccess:
         m.check_access(cap, 0, 8, PERM_LOAD)
         m.check_access(cap, 0, 8, PERM_STORE)
         assert m.pvt_lookups == 2
-        top = heap_cap(m, otype=m.config.otypeth - 1)  # the largest color
+        top = heap_cap(m, otype=m.config.color_count - 1)  # the largest color
         assert m.check_access(top, 0, 8, PERM_LOAD) is None
         assert m.pvt_lookups == 3
 
@@ -99,12 +99,13 @@ class TestCheckAccess:
                     assert fault is FaultKind.PERMISSION_DENIED, (mask, need)
 
     def test_sealed_dereference(self):
-        m = machine(otypeth=4)
-        for otype in (4, 9):  # sealed from the threshold up, without a lookup
+        m = machine()
+        otypeth = m.config.color_count
+        for otype in (otypeth, otypeth + 5):  # sealed from the threshold up, without a lookup
             sealed = heap_cap(m, otype=otype)
             assert m.check_access(sealed, 0, 8, PERM_LOAD) is FaultKind.SEALED_DEREFERENCE
         assert m.pvt_lookups == 0
-        assert m.check_access(heap_cap(m, otype=3), 0, 8, PERM_LOAD) is None
+        assert m.check_access(heap_cap(m, otype=otypeth - 1), 0, 8, PERM_LOAD) is None
         assert m.pvt_lookups == 1  # one below the threshold is a color
 
 
@@ -113,13 +114,14 @@ class TestFaultPriority:
     provenance."""
 
     def test_untagged_beats_everything(self):
-        m = machine(otypeth=4)
-        cap = heap_cap(m, length=8, perms=PERMS_NONE, otype=9, tag=False)
+        m = machine()
+        sealed = m.config.color_count + 5
+        cap = heap_cap(m, length=8, perms=PERMS_NONE, otype=sealed, tag=False)
         assert m.check_access(cap, 100, 8, PERM_LOAD) is FaultKind.UNTAGGED_OPERAND
 
     def test_sealed_beats_permission(self):
-        m = machine(otypeth=4)
-        cap = heap_cap(m, perms=PERMS_NONE, otype=9)
+        m = machine()
+        cap = heap_cap(m, perms=PERMS_NONE, otype=m.config.color_count + 5)
         assert m.check_access(cap, 0, 8, PERM_LOAD) is FaultKind.SEALED_DEREFERENCE
 
     def test_permission_beats_spatial(self):
@@ -263,20 +265,6 @@ class TestPvt:
         m.check_access(cap, 0, 8, PERM_LOAD)
         assert m.pvt_buffer.hits == 1
         assert m.pvt_buffer.invalidations == 0
-
-    def test_unmapped_table_tail(self):
-        m = machine(pvt_mapped_bytes=16)  # only colors < 128 mapped
-        ok = heap_cap(m, otype=100)
-        beyond = heap_cap(m, otype=200)
-        assert m.check_access(ok, 0, 8, PERM_LOAD) is None
-        assert m.check_access(beyond, 0, 8, PERM_LOAD) is FaultKind.PVT_UNMAPPED
-
-    def test_unmapped_color_counts_a_lookup_but_no_buffer_access(self):
-        m = machine(pvt_mapped_bytes=16)
-        fault = m.check_access(heap_cap(m, otype=200), 0, 8, PERM_STORE)
-        assert fault is FaultKind.PVT_UNMAPPED
-        assert m.pvt_lookups == 1
-        assert (m.pvt_buffer.hits, m.pvt_buffer.misses) == (0, 0)
 
     def test_round_robin_eviction(self):
         m = TaggedMachine(small_config(color_bits=16))

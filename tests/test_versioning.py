@@ -135,7 +135,7 @@ def replay(heap_granules: int, fallback: bool, ops: list[tuple]) -> VersioningSc
     each one."""
 
     def scheme(cls):
-        config = MachineConfig(heap_base=BASE, heap_size=heap_granules * 16, scratch_slots=1)
+        config = MachineConfig(heap_size=heap_granules * 16, scratch_slots=1)
         return cls(TaggedMachine(config), exhaustion_fallback=fallback)
 
     table, reference = scheme(VersioningScheme), scheme(DictVersioning)
