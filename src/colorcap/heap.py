@@ -2,20 +2,18 @@
 every scheme builds on.
 
 Deterministic by construction: blocks are carved from the lowest-addressed
-free block that fits, frees coalesce with both neighbors, and allocation is
-at 16-byte granularity.  The free blocks are kept address-sorted in buckets
-with each bucket's first base and largest size alongside, so first-fit skips
-whole buckets: an alloc or free costs O(buckets + bucket size) rather than
-O(free blocks).  `HeapScheme` owns one heap, its root capability, the live
-map and the counters the harness harvests; schemes layer their own
-bookkeeping (colors, quarantine, versions) on top.
+free block that fits, frees coalesce with both neighbors, and allocation is at
+16-byte granularity.  The free blocks are kept address-sorted in buckets, each
+two parallel int lists of bases and sizes with the bucket's first base and
+largest size alongside, so first-fit skips whole buckets: an alloc or free
+costs O(buckets + bucket size), not O(free blocks).  `HeapScheme` owns one
+heap, its root capability, the live map and the counters the harness harvests;
+schemes layer their own bookkeeping (colors, quarantine, versions) on top.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
-from operator import itemgetter
 from typing import TYPE_CHECKING, Final, Optional
 
 from .capability import (
@@ -33,9 +31,7 @@ if TYPE_CHECKING:
 
 GRANULE: Final = 16
 #: A bucket that grows past twice this many free blocks splits in half.
-BUCKET_SPLIT: Final = 64
-
-_size_of = itemgetter(1)
+BUCKET_SPLIT: Final = 32
 
 
 class OutOfMemory(Exception):
@@ -43,21 +39,27 @@ class OutOfMemory(Exception):
 
 
 class FreeListHeap:
-    """First-fit over [base, size] free blocks, disjoint, non-adjacent and
-    sorted by base, held in `buckets` of at most 2 * BUCKET_SPLIT blocks.
+    """First-fit over free blocks, disjoint, non-adjacent and sorted by
+    base, held in buckets of at most 2 * BUCKET_SPLIT blocks.  Bucket j is
+    two parallel int lists, the bases `bases[j]` and the sizes `sizes[j]`,
+    so the size scans and the max rescans (`max(sizes[j])`) run over plain
+    ints.  An op costs about buckets plus bucket size, least when a bucket
+    holds near the square root of the free blocks: BUCKET_SPLIT is 32 for
+    the 3,600 or so free blocks that random-victim churn leaves.
 
     Index invariant: the buckets concatenated are the address-sorted free
     list, no bucket is empty, and for each bucket j `firsts[j]` is its first
     base and `maxes[j]` its largest size.  `alloc` skips every bucket whose
     max is below the request and scans only the one it lands in; `free`
-    bisects `firsts` and then that bucket.  Either costs O(buckets + bucket
-    size) instead of O(free blocks), with the same placement as one flat
-    address-sorted list scanned from the front."""
+    bisects `firsts` and then that bucket's bases.  Either costs O(buckets +
+    bucket size) instead of O(free blocks), with the same placement as one
+    flat address-sorted list scanned from the front."""
 
-    __slots__ = ("buckets", "firsts", "maxes")
+    __slots__ = ("bases", "sizes", "firsts", "maxes")
 
     def __init__(self, base: int, size: int) -> None:
-        self.buckets: list[list[list[int]]] = [[[base, size]]]
+        self.bases: list[list[int]] = [[base]]
+        self.sizes: list[list[int]] = [[size]]
         self.firsts: list[int] = [base]
         self.maxes: list[int] = [size]
 
@@ -65,7 +67,7 @@ class FreeListHeap:
     def free_blocks(self) -> list[list[int]]:
         """The free list flattened, as [base, size] pairs sorted by base;
         O(free blocks), so no hot path reads it."""
-        return list(chain.from_iterable(self.buckets))
+        return [list(block) for bucket in zip(self.bases, self.sizes) for block in zip(*bucket)]
 
     def alloc(self, size: int) -> int:
         """Return the base of a block of exactly `size` bytes (caller rounds)."""
@@ -79,87 +81,91 @@ class FreeListHeap:
             j += 1
         else:
             raise OutOfMemory(f"no free block of {size} bytes")
-        bucket = self.buckets[j]
-        for block in bucket:
-            if block[1] >= size:
+        sizes = self.sizes[j]
+        for i, have in enumerate(sizes):
+            if have >= size:
                 break
-        base, have = block
+        bases = self.bases[j]
+        base = bases[i]
         if have == size:
-            if len(bucket) == 1:
-                del self.buckets[j], self.firsts[j], maxes[j]
+            if len(sizes) == 1:
+                del self.bases[j], self.sizes[j], self.firsts[j], maxes[j]
                 return base
-            del bucket[bisect_left(bucket, block)]  # bases are distinct
+            del bases[i], sizes[i]
             # Same-size holes are common: another one keeps the max.
-            if have == largest and have not in map(_size_of, bucket):
-                maxes[j] = max(map(_size_of, bucket))
+            if have == largest and have not in sizes:
+                maxes[j] = max(sizes)
         else:
-            block[0] = base + size
-            block[1] = have - size
+            bases[i] = base + size
+            sizes[i] = have - size
             if have == largest:
-                maxes[j] = max(map(_size_of, bucket)) if len(bucket) > 1 else have - size
-        if base == self.firsts[j]:
-            self.firsts[j] = bucket[0][0]
+                maxes[j] = max(sizes) if len(sizes) > 1 else have - size
+        if i == 0:
+            self.firsts[j] = bases[0]
         return base
 
     def free(self, base: int, size: int) -> None:
-        buckets, firsts, maxes = self.buckets, self.firsts, self.maxes
-        if not buckets:
-            buckets.append([[base, size]])
+        all_bases, all_sizes, firsts, maxes = self.bases, self.sizes, self.firsts, self.maxes
+        if not firsts:
+            all_bases.append([base])
+            all_sizes.append([size])
             firsts.append(base)
             maxes.append(size)
             return
         # The last bucket starting below `base`; bisecting from 1 gives the
         # first bucket when `base` precedes every free block.  Either way the
-        # predecessor, if any, is in this bucket; the successor may open the
-        # next one.
+        # predecessor, if any, is in this bucket; the successor, block n of
+        # bucket k, may open the next one.
         j = bisect_right(firsts, base, 1) - 1
-        bucket = buckets[j]
-        i = bisect_left(bucket, [base, 0])
+        bases, sizes = all_bases[j], all_sizes[j]
+        i = bisect_left(bases, base)
         top = base + size
-        if i < len(bucket):
-            succ, k = bucket[i], j
-        elif j + 1 < len(buckets):
-            succ, k = buckets[j + 1][0], j + 1
+        if i < len(bases):
+            k, n, succ = j, i, bases[i]
+        elif j + 1 < len(firsts):
+            k, n, succ = j + 1, 0, firsts[j + 1]
         else:
             succ = None
-        if i and (pred := bucket[i - 1])[0] + pred[1] == base:
-            if succ is not None and succ[0] == top:
-                size += succ[1]
+        if i and bases[i - 1] + sizes[i - 1] == base:
+            if succ == top:
+                following = all_sizes[k]
+                size += (succ_size := following[n])
                 if k == j:
-                    del bucket[i]
-                else:  # the successor opens the next bucket
-                    following = buckets[k]
-                    if len(following) == 1:
-                        del buckets[k], firsts[k], maxes[k]
-                    else:
-                        del following[0]
-                        firsts[k] = following[0][0]
-                        if succ[1] == maxes[k]:
-                            maxes[k] = max(map(_size_of, following))
-            pred[1] += size
-            if pred[1] > maxes[j]:
-                maxes[j] = pred[1]
-        elif succ is not None and succ[0] == top:
+                    del bases[i], sizes[i]
+                elif len(following) == 1:  # the successor was the next bucket
+                    del all_bases[k], all_sizes[k], firsts[k], maxes[k]
+                else:
+                    del all_bases[k][0], following[0]
+                    firsts[k] = all_bases[k][0]
+                    if succ_size == maxes[k]:
+                        maxes[k] = max(following)
+            sizes[i - 1] += size
+            if sizes[i - 1] > maxes[j]:
+                maxes[j] = sizes[i - 1]
+        elif succ == top:
             # Grow the successor downward; it stays where it is.
-            succ[0] = base
-            succ[1] += size
-            if k != j or i == 0:
+            following = all_sizes[k]
+            all_bases[k][n] = base
+            following[n] += size
+            if n == 0:
                 firsts[k] = base
-            if succ[1] > maxes[k]:
-                maxes[k] = succ[1]
+            if following[n] > maxes[k]:
+                maxes[k] = following[n]
         else:
-            bucket.insert(i, [base, size])
+            bases.insert(i, base)
+            sizes.insert(i, size)
             if i == 0:
                 firsts[j] = base
             if size > maxes[j]:
                 maxes[j] = size
-            if len(bucket) > 2 * BUCKET_SPLIT:
-                tail = bucket[BUCKET_SPLIT:]
-                del bucket[BUCKET_SPLIT:]
-                buckets.insert(j + 1, tail)
-                firsts.insert(j + 1, tail[0][0])
-                maxes.insert(j + 1, max(map(_size_of, tail)))
-                maxes[j] = max(map(_size_of, bucket))
+            if len(bases) > 2 * BUCKET_SPLIT:
+                tail = sizes[BUCKET_SPLIT:]
+                all_bases.insert(j + 1, bases[BUCKET_SPLIT:])
+                all_sizes.insert(j + 1, tail)
+                firsts.insert(j + 1, bases[BUCKET_SPLIT])
+                maxes.insert(j + 1, max(tail))
+                del bases[BUCKET_SPLIT:], sizes[BUCKET_SPLIT:]
+                maxes[j] = max(sizes)
 
 
 class HeapScheme:

@@ -160,6 +160,10 @@ def gen_locality(
         raise ValueError("n_allocs must be in [1, 30]")
     if width < 1:
         raise ValueError("width must be >= 1")
+    if size < width:
+        raise ValueError("size must be >= width")
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
 
     def ops() -> Iterator[TraceOp]:
         for reg in range(n_allocs):

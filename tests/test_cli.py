@@ -67,6 +67,20 @@ class TestRun:
         assert "width" in err
         assert "range()" not in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("size=0", "size must be >= width"),
+            ("size=4", "size must be >= width"),
+            ("rounds=0", "rounds must be >= 1"),
+            ("rounds=-1", "rounds must be >= 1"),
+        ],
+    )
+    def test_locality_bad_field_exits_two_by_name(self, capsys, spec, message):
+        code, _, err = run_cli(capsys, "run", "--gen", f"locality:{spec}", "--scheme", "picasso")
+        assert code == 2
+        assert message in err
+
     def test_oversized_heap_exits_two_by_name(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--gen", "churn:n=10,live=2", "--scheme", "picasso",

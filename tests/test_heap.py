@@ -53,10 +53,11 @@ class FlatHeap:
 
 
 def check_index(heap: FreeListHeap, split: int) -> None:
-    assert all(heap.buckets), "no bucket is empty"
-    assert all(len(bucket) <= 2 * split for bucket in heap.buckets)
-    assert heap.firsts == [bucket[0][0] for bucket in heap.buckets]
-    assert heap.maxes == [max(size for _, size in bucket) for bucket in heap.buckets]
+    assert all(heap.bases), "no bucket is empty"
+    assert [len(bases) for bases in heap.bases] == [len(sizes) for sizes in heap.sizes]
+    assert all(len(bases) <= 2 * split for bases in heap.bases)
+    assert heap.firsts == [bases[0] for bases in heap.bases]
+    assert heap.maxes == [max(sizes) for sizes in heap.sizes]
 
 
 def replay(heap_granules: int, ops: list[tuple[bool, int]]):
@@ -101,9 +102,11 @@ def random_ops(seed: int, n: int) -> list[tuple[bool, int]]:
     ]
 
 
-# 300 one-granule blocks fill the heap; freeing live index 0, 1, 2, ...
-# releases every other block, 150 free blocks in all.
-_CHECKERBOARD = [(True, 1)] * 300 + [(False, n) for n in range(150)]
+# 2 * _FREED one-granule blocks fill the heap; freeing live index 0, 1, 2,
+# ... releases every other block, _FREED free blocks in all: more than
+# 2 * BUCKET_SPLIT, so one bucket splits.
+_FREED = 2 * BUCKET_SPLIT + 22
+_CHECKERBOARD = [(True, 1)] * (2 * _FREED) + [(False, n) for n in range(_FREED)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,10 +116,14 @@ _CHECKERBOARD = [(True, 1)] * 300 + [(False, n) for n in range(150)]
     ops=st.builds(random_ops, st.integers(0, 2**32 - 1), st.integers(0, 2000)),
 )
 # More than 2 * BUCKET_SPLIT free blocks: a bucket splits.
-@example(split=BUCKET_SPLIT, heap_granules=300, ops=_CHECKERBOARD)
-# Then live block 63 sits between the last free block of the first bucket
-# and the first of the second: its free bridges the two buckets.
-@example(split=BUCKET_SPLIT, heap_granules=300, ops=_CHECKERBOARD + [(False, 63)])
+@example(split=BUCKET_SPLIT, heap_granules=2 * _FREED, ops=_CHECKERBOARD)
+# Then live block BUCKET_SPLIT - 1 sits between the last free block of the
+# first bucket and the first of the second: its free bridges the two buckets.
+@example(
+    split=BUCKET_SPLIT,
+    heap_granules=2 * _FREED,
+    ops=_CHECKERBOARD + [(False, BUCKET_SPLIT - 1)],
+)
 # A bucket holding one block loses it to an exact fit, leaving no bucket,
 # and the next free starts one again.
 @example(
@@ -130,9 +137,45 @@ def test_matches_flat_free_list(split, heap_granules, ops):
 
 
 def test_split_and_bridge_examples_cover_their_case():
-    heap = replay(300, _CHECKERBOARD)
-    assert [len(bucket) for bucket in heap.buckets] == [BUCKET_SPLIT, 150 - BUCKET_SPLIT]
-    heap = replay(300, _CHECKERBOARD + [(False, 63)])
-    assert heap.buckets[0][-1] == [BASE + 126 * GRANULE, 3 * GRANULE]
-    assert len(heap.buckets[0]) == BUCKET_SPLIT
-    assert len(heap.buckets[1]) == 150 - BUCKET_SPLIT - 1
+    heap = replay(2 * _FREED, _CHECKERBOARD)
+    assert [len(bases) for bases in heap.bases] == [BUCKET_SPLIT, _FREED - BUCKET_SPLIT]
+    heap = replay(2 * _FREED, _CHECKERBOARD + [(False, BUCKET_SPLIT - 1)])
+    last = BUCKET_SPLIT - 1  # the first bucket's last free block grew to 3 granules
+    assert heap.bases[0][last] == BASE + 2 * last * GRANULE
+    assert heap.sizes[0][last] == 3 * GRANULE
+    assert len(heap.bases[0]) == BUCKET_SPLIT
+    assert len(heap.bases[1]) == _FREED - BUCKET_SPLIT - 1
+
+
+def test_matches_flat_free_list_at_bench_scale():
+    """Random-victim churn at the bench's fragmentation: 8,000 live blocks
+    of 1-256 granules, then 16,000 free/alloc pairs, leave a few thousand
+    free blocks in dozens of buckets, which the drawn examples above never
+    reach.  Every base must match; the free list and the index are checked
+    every 1,000 pairs and at the end."""
+    rng = random.Random(1)
+    flat = FlatHeap(BASE, 64 << 20)
+    heap = FreeListHeap(BASE, 64 << 20)
+    live: list[tuple[int, int]] = []
+    peak_buckets = 0
+
+    def alloc() -> None:
+        size = rng.randint(1, 256) * GRANULE
+        base = heap.alloc(size)
+        assert base == flat.alloc(size)
+        live.append((base, size))
+
+    for _ in range(8000):
+        alloc()
+    for pair in range(16000):
+        victim = rng.randrange(len(live))
+        live[victim], live[-1] = live[-1], live[victim]
+        base, size = live.pop()
+        flat.free(base, size)
+        heap.free(base, size)
+        alloc()
+        peak_buckets = max(peak_buckets, len(heap.firsts))
+        if pair % 1000 == 999:
+            assert heap.free_blocks == flat.free_blocks
+            check_index(heap, BUCKET_SPLIT)
+    assert peak_buckets >= 80
