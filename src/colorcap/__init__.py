@@ -30,7 +30,6 @@ from .capability import (
 )
 from .harness import (
     ConfigError,
-    LifetimeOracle,
     Metrics,
     RunConfig,
     RunResult,

@@ -1,11 +1,16 @@
-"""Trace interpreter: binds a trace to a scheme on a fresh machine, runs a
-scheme-independent lifetime oracle alongside, and collects metrics.
+"""Trace interpreter: binds a trace to a scheme on a fresh machine, rules
+on every op with a scheme-independent lifetime oracle, and collects
+metrics.
 
-The oracle is a pure map from registers/slots to allocation identities plus
-a live set.  It classifies every access and free as temporally legal or
-violating without consulting the scheme, which makes escape and
-false-positive counts meaningful: an escape is a violating operation the
-scheme let through, a false positive is a legal operation it faulted.
+The oracle is state in the replay loop: a binding per register and per
+spill slot (allocation id * 2, bit 0 set for an interior capability, or
+the scratch binding) plus the set of live ids.  It rules every access and
+free temporally legal or violating without consulting the scheme, which
+makes escape and false-positive counts meaningful: an escape is a
+violating operation the scheme let through, a false positive is a legal
+operation it faulted.  A fault is recorded once, by op index; the fault
+histogram, the expectation mismatches and the per-op outcomes are built
+from that record after the loop.
 
 run_trace is a pure function of (trace, scheme, config): identical inputs
 produce identical metrics and outcome sequences.
@@ -13,6 +18,7 @@ produce identical metrics and outcome sequences.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -125,86 +131,22 @@ _FILL_SALT = 0x9E
 _RAMP = bytes(range(256)) * 2  # any 256 consecutive byte values are one slice
 
 
-def _fill_bytes(index: int, width: int) -> bytes:
+def _fill_bytes(index: int, width: int, cap: Optional[Capability]) -> bytes:
     """Deterministic write payload counting up mod 256; a pure function of
-    op index and width so every scheme writes identical data."""
+    op index and width so every scheme writes identical data.
+
+    A write wider than its capability's length fails the bounds check at
+    any width, and every check before that one ignores the width.  So past
+    256 bytes at most `cap.length + 1` bytes are built, and none without a
+    capability: the write faults exactly as it would with the full payload.
+    """
     start = (index * _FILL_SALT + 0x35) & 0xFF
     if 0 <= width <= 256:
         return _RAMP[start : start + width]
+    if cap is None:
+        return b""
+    width = min(width, cap.length + 1)
     return (_RAMP[start : start + 256] * (width // 256 + 1))[:width]
-
-
-class LifetimeOracle:
-    """Pure allocation-lifetime tracker, independent of any scheme.
-
-    Bindings encode (allocation id * 2) with bit 0 marking interior-derived
-    capabilities; -2 marks the scratch authority; None marks an unbound
-    register or slot.
-    """
-
-    __slots__ = ("next_id", "live", "regs", "slots", "violations")
-
-    def __init__(self) -> None:
-        self.next_id = 0
-        self.live: set[int] = set()
-        self.regs: list[Optional[int]] = [None] * NUM_REGISTERS
-        self.slots: dict[int, Optional[int]] = {}
-        self.violations = 0
-
-    def malloc(self, reg: int) -> None:
-        ident = self.next_id
-        self.next_id = ident + 1
-        self.live.add(ident)
-        self.regs[reg] = ident * 2
-
-    def free(self, reg: int) -> bool:
-        """True iff the free is legal; legal frees update the live set."""
-        binding = self.regs[reg]
-        if binding is None or binding == _SCRATCH_BINDING or binding & 1:
-            self.violations += 1
-            return False
-        ident = binding >> 1
-        if ident not in self.live:
-            self.violations += 1
-            return False
-        self.live.discard(ident)
-        return True
-
-    def access(self, reg: int) -> bool:
-        binding = self.regs[reg]
-        if binding == _SCRATCH_BINDING:
-            return True
-        if binding is None or (binding >> 1) not in self.live:
-            self.violations += 1
-            return False
-        return True
-
-    def copy(self, dst: int, src: int) -> None:
-        self.regs[dst] = self.regs[src]
-
-    def spill(self, reg: int, slot: int) -> None:
-        self.slots[slot] = self.regs[reg]
-
-    def overwrite(self, offset: int, width: int) -> None:
-        """A data write of `width` bytes at `offset` from the scratch base
-        clears the tag, and so the binding, of every slot it overlaps; an
-        empty write overlaps none."""
-        if width <= 0:
-            return
-        for slot in range(offset >> 4, (offset + width + 15) >> 4):
-            self.slots.pop(slot, None)
-
-    def reload(self, reg: int, slot: int) -> None:
-        self.regs[reg] = self.slots.get(slot)
-
-    def derive(self, dst: int, src: int, offset: int) -> None:
-        binding = self.regs[src]
-        if binding is not None and binding != _SCRATCH_BINDING and offset > 0:
-            binding |= 1  # interior: freeing it is malformed
-        self.regs[dst] = binding
-
-    def scratch(self, reg: int) -> None:
-        self.regs[reg] = _SCRATCH_BINDING
 
 
 @dataclass
@@ -245,121 +187,140 @@ def run_trace(
         otype=UNSEALED,
         tag=True,
     )
-    oracle = LifetimeOracle()
     otypeth = machine_config.color_count
-    outcomes: Optional[list] = [] if collect_outcomes else None
-
-    expects = trace.expects
+    scratch_base = machine_config.scratch_base
     regs = machine.regs
-    fault_hist: dict[FaultKind, int] = {}
-    escapes = 0
-    false_positives = 0
-    mismatches: list = []
-    mismatch_count = 0
-    digest = 0xCBF29CE484222325  # FNV-1a over read results (good-trace identity)
-    index = 0
-
     load, store, malloc, free = adapter.load, adapter.store, adapter.malloc, adapter.free
-    store_cap, load_cap, oracle_regs = machine.store_cap, machine.load_cap, oracle.regs
+    store_cap, load_cap = machine.store_cap, machine.load_cap
 
-    for op in trace.ops:
-        code = op[0]
-        outcome = None
-        verdict = None  # the oracle's ruling on an access or free: legal or not
+    # The lifetime oracle: a binding per register and per spill slot (None
+    # when unbound), and the set of live allocation ids.
+    next_id = 0
+    live: set[int] = set()
+    bound: list[Optional[int]] = [None] * NUM_REGISTERS
+    slots: dict[int, Optional[int]] = {}
+    violations = escapes = false_positives = 0
+    faults: dict[int, FaultKind] = {}  # op index -> fault, for faulting ops only
+    digest = 0xCBF29CE484222325  # FNV-1a over read results (good-trace identity)
+    index = -1
+
+    for index, (code, a, b, c) in enumerate(trace.ops):
+        # READ, WRITE and FREE end in the verdict tail below, with `legal`
+        # the oracle's ruling and `outcome` the scheme's; every other op
+        # records its own fault and continues.
         if code == OP_READ:
-            result = load(regs[op[1]], op[2], op[3])
-            if type(result) is FaultKind:
-                outcome = result
-            else:
-                for byte in result:
+            outcome = load(regs[a], b, c)
+            if type(outcome) is not FaultKind:
+                for byte in outcome:
                     digest = ((digest ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-            verdict = oracle.access(op[1])
+                outcome = None
+            binding = bound[a]
+            legal = binding is not None and (binding >> 1 in live or binding == _SCRATCH_BINDING)
         elif code == OP_WRITE:
-            cap = regs[op[1]]
-            outcome = store(cap, op[2], _fill_bytes(index, op[3]))
-            verdict = oracle.access(op[1])
-            if oracle_regs[op[1]] == _SCRATCH_BINDING and outcome is None:
-                oracle.overwrite(cap.address + op[2] - machine_config.scratch_base, op[3])
+            cap = regs[a]
+            outcome = store(cap, b, _fill_bytes(index, c, cap))
+            binding = bound[a]
+            if binding == _SCRATCH_BINDING:
+                legal = True
+                if outcome is None and c > 0:
+                    # The write clears the tag, and so the binding, of
+                    # every spill slot it overlaps.
+                    offset = cap.address + b - scratch_base
+                    for slot in range(offset >> 4, (offset + c + 15) >> 4):
+                        slots.pop(slot, None)
+            else:
+                legal = binding is not None and binding >> 1 in live
         elif code == OP_MALLOC:
-            regs[op[1]] = malloc(op[2])
-            oracle.malloc(op[1])
+            regs[a] = malloc(b)
+            live.add(next_id)
+            bound[a] = next_id * 2
+            next_id += 1
+            continue
         elif code == OP_FREE:
-            outcome = free(regs[op[1]])
-            verdict = oracle.free(op[1])
-        elif code == OP_COPY:
-            regs[op[1]] = regs[op[2]]
-            oracle.copy(op[1], op[2])
+            outcome = free(regs[a])
+            binding = bound[a]
+            # Only a live allocation's own capability, not an interior
+            # one (bit 0) nor scratch, frees it.
+            legal = (
+                binding not in (None, _SCRATCH_BINDING)
+                and not binding & 1
+                and binding >> 1 in live
+            )
+            if legal:
+                live.discard(binding >> 1)
         elif code == OP_SPILL:
-            outcome = store_cap(scratch_auth, op[2] * 16, regs[op[1]] or NULL_CAP)
-            oracle.spill(op[1], op[2])
+            outcome = store_cap(scratch_auth, b * 16, regs[a] or NULL_CAP)
+            if outcome is not None:
+                faults[index] = outcome
+            slots[b] = bound[a]
+            continue
         elif code == OP_RELOAD:
-            result = load_cap(scratch_auth, op[2] * 16)
+            result = load_cap(scratch_auth, b * 16)
             if type(result) is FaultKind:
-                outcome = result
-                regs[op[1]] = None
-            else:
-                regs[op[1]] = result
-            oracle.reload(op[1], op[2])
+                faults[index] = result
+                result = None
+            regs[a] = result
+            bound[a] = slots.get(b)
+            continue
+        elif code == OP_COPY:
+            regs[a] = regs[b]
+            bound[a] = bound[b]
+            continue
         elif code == OP_DERIVE:
-            parent = regs[op[2]]
-            offset = op[3]
-            if parent is None:
-                outcome = FaultKind.UNTAGGED_OPERAND
-                regs[op[1]] = None
-            else:
-                try:
-                    regs[op[1]] = derive(
-                        parent,
-                        parent.base + offset,
-                        parent.length - offset,
-                        parent.perms,
-                        otypeth,
-                    )
-                except UntaggedOperand:
-                    outcome = FaultKind.UNTAGGED_OPERAND
-                    regs[op[1]] = None
-                except CapabilityError:
-                    outcome = FaultKind.SPATIAL_OUT_OF_BOUNDS
-                    regs[op[1]] = None
-            oracle.derive(op[1], op[2], offset)
+            parent = regs[b]
+            try:
+                if parent is None:
+                    raise UntaggedOperand
+                regs[a] = derive(parent, parent.base + c, parent.length - c, parent.perms, otypeth)
+            except UntaggedOperand:
+                faults[index] = FaultKind.UNTAGGED_OPERAND
+                regs[a] = None
+            except CapabilityError:
+                faults[index] = FaultKind.SPATIAL_OUT_OF_BOUNDS
+                regs[a] = None
+            binding = bound[b]
+            if binding is not None and binding != _SCRATCH_BINDING and c > 0:
+                binding |= 1  # interior: freeing it is malformed
+            bound[a] = binding
+            continue
         elif code == OP_SCRATCH:
-            regs[op[1]] = scratch_auth
-            oracle.scratch(op[1])
+            regs[a] = scratch_auth
+            bound[a] = _SCRATCH_BINDING
+            continue
         else:
             raise ConfigError(f"unknown opcode {code}")
 
-        if outcome is not None:
-            fault_hist[outcome] = fault_hist.get(outcome, 0) + 1
-        if verdict is not None:
+        if not legal:
+            violations += 1
             if outcome is None:
-                if not verdict:
-                    escapes += 1
+                escapes += 1
+        if outcome is not None:
+            faults[index] = outcome
             # The oracle judges lifetimes, not bounds: a spatial fault on a
             # live allocation is a bug in the trace, not a misfire.
-            elif verdict and outcome is not FaultKind.SPATIAL_OUT_OF_BOUNDS:
+            if legal and outcome is not FaultKind.SPATIAL_OUT_OF_BOUNDS:
                 false_positives += 1
-        if index in expects and outcome != expects[index]:
-            mismatch_count += 1
-            if len(mismatches) < 25:
-                mismatches.append((index, expects[index], outcome))
-        if outcomes is not None:
-            outcomes.append(outcome)
-        index += 1
 
+    ops = index + 1
+    mismatches = [
+        (i, expected, faults.get(i))
+        for i, expected in sorted(trace.expects.items())
+        if 0 <= i < ops and faults.get(i) != expected
+    ]
     buffer = machine.pvt_buffer
     metrics = Metrics(
         scheme=scheme,
         trace=trace.name,
-        ops=index,
+        ops=ops,
         allocations=adapter.allocations,
         frees=adapter.frees,
         revocations=adapter.revocations,
         swept_tags=adapter.swept_tags,
-        oracle_violations=oracle.violations,
+        oracle_violations=violations,
         uaf_escapes=escapes,
         false_positives=false_positives,
-        expect_mismatches=mismatch_count,
-        faults_total=sum(fault_hist.values()),
+        expect_mismatches=len(mismatches),
+        faults_total=len(faults),
         peak_resident_bytes=adapter.peak_resident_bytes,
         peak_live_bytes=adapter.peak_live_bytes,
         peak_quarantine_bytes=adapter.peak_quarantine_bytes,
@@ -371,9 +332,10 @@ def run_trace(
         pvt_invalidations=buffer.invalidations if buffer else 0,
         data_digest=f"{digest:016x}",
     )
-    for kind, count in fault_hist.items():
+    for kind, count in Counter(faults.values()).items():
         setattr(metrics, f"fault_{kind.value}", count)
-    return RunResult(metrics=metrics, outcomes=outcomes, mismatches=mismatches)
+    outcomes = list(map(faults.get, range(ops))) if collect_outcomes else None
+    return RunResult(metrics=metrics, outcomes=outcomes, mismatches=mismatches[:25])
 
 
 # -- corpus evaluation --------------------------------------------------

@@ -196,40 +196,43 @@ class UnrState:
         """Claim and return the smallest available ID."""
         if self.population >= self.total:
             raise Exhausted(f"all {self.total} IDs claimed")
+        # Adjacent runs of one state merge and a full bitmap dissolves into a
+        # claimed run, so a claimed run is never followed by another one nor
+        # by a full bitmap: the first free ID is in nodes[0] or, after a
+        # leading claimed run, in nodes[1].
         nodes = self.nodes
-        offset = 0
-        for i, node in enumerate(nodes):
-            if type(node) is Run:
-                if node.claimed:
-                    offset += node.length
-                    continue
-                # The first node with a free ID, so nodes[i - 1], if any, is
-                # a claimed run: the head moves into it (ID 1 opens one).
-                if not i:
-                    nodes.insert(0, Run(True, 0))
-                    i = 1
-                prev = nodes[i - 1]
-                prev.length += 1
-                node.length -= 1
-                if not node.length:
-                    nxt = nodes[i + 1] if i + 1 < len(nodes) else None
-                    if type(nxt) is Run and nxt.claimed:
-                        prev.length += nxt.length
-                        del nodes[i : i + 2]
-                    else:
-                        del nodes[i]
-                self.population += 1
-                return offset + 1
-            # A bitmap is never full, so the first one has a free bit.
-            full = (1 << node.length) - 1
-            inv = ~node.bits & full
-            bit = (inv & -inv).bit_length() - 1
-            node.bits |= 1 << bit
+        node = nodes[0]
+        if type(node) is Run and node.claimed:
+            prev = node
+            offset = node.length
+            node = nodes[1]
+        else:
+            prev = None
+            offset = 0
+        if type(node) is Run:
+            # A free run: its head moves into the claimed run before it
+            # (ID 1 opens one).
+            if prev is None:
+                prev = Run(True, 0)
+                nodes.insert(0, prev)
+            prev.length += 1
+            node.length -= 1
+            if not node.length:
+                if len(nodes) > 2 and type(nodes[2]) is Run:  # claimed: merge it
+                    prev.length += nodes[2].length
+                    del nodes[1:3]
+                else:
+                    del nodes[1]
             self.population += 1
-            if node.bits == full:
-                self._rebuild()
-            return offset + bit + 1
-        raise AssertionError("population counter out of sync")
+            return offset + 1
+        full = (1 << node.length) - 1
+        inv = ~node.bits & full
+        bit = (inv & -inv).bit_length() - 1
+        node.bits |= 1 << bit
+        self.population += 1
+        if node.bits == full:
+            self._rebuild()
+        return offset + bit + 1
 
     def free_one(self, ident: int) -> None:
         """Release one claimed ID."""

@@ -68,7 +68,8 @@ def validate(state) -> None:
             assert 1 <= node.length <= BITMAP_CAPACITY, "bitmap length"
             assert node.bits < (1 << node.length), "bitmap stray bits"
             assert node.bits, "empty bitmap not dissolved"
-            # alloc_first_free relies on this: no bitmap in front of a free run.
+            # alloc_first_free relies on this and on merged runs: the first
+            # free ID is in the first node or in the one after a claimed run.
             assert node.bits != (1 << node.length) - 1, "full bitmap not dissolved"
             population += node.bits.bit_count()
         covered += node.length

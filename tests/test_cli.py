@@ -39,6 +39,13 @@ class TestRun:
         payload = json.loads(out)
         assert payload["fault_ProvenanceRetracted"] == 1
 
+    def test_write_wider_than_memory_faults(self, capsys, tmp_path):
+        trace = tmp_path / "wide.trace"
+        trace.write_text(f"malloc r0 64\nwrite r0 0 {2**50} !fault=SpatialOutOfBounds\n")
+        code, out, _ = run_cli(capsys, "run", "--scheme", "picasso", "--trace", str(trace))
+        assert code == 0
+        assert json.loads(out)["fault_SpatialOutOfBounds"] == 1
+
     def test_expectation_mismatch_exits_one(self, capsys, tmp_path):
         trace = tmp_path / "wrong.trace"
         trace.write_text("malloc r0 64\nfree r0 !fault=DoubleFree\n")

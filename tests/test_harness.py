@@ -3,6 +3,7 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colorcap.capability import Capability
 from colorcap.harness import (
     _FILL_SALT,
     ConfigError,
@@ -82,6 +83,18 @@ class TestRunTrace:
         assert result.metrics.expect_mismatches == 1
         assert result.mismatches == [(2, FaultKind.DOUBLE_FREE, None)]
         assert result.metrics.ops == 4  # ran to completion
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_mismatches_keep_the_first_25_in_op_order(self, scheme):
+        # 30 in-bounds reads that meet `!ok`, each followed by one past the
+        # block that does not.
+        text = "malloc r0 64\n" + "read r0 0 8 !ok\nread r0 64 8 !ok\n" * 30
+        result = run_trace(parse_trace(text), scheme, collect_outcomes=True)
+        spatial = FaultKind.SPATIAL_OUT_OF_BOUNDS
+        assert result.metrics.expect_mismatches == 30
+        assert result.mismatches == [(2 * k, None, spatial) for k in range(1, 26)]
+        assert result.outcomes == [None] + [None, spatial] * 30
+        assert result.metrics.faults_total == result.metrics.fault_SpatialOutOfBounds == 30
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError):
@@ -213,10 +226,33 @@ class TestFillBytes:
     @pytest.mark.parametrize("index", [0, 1, 5, 255, 69_999])
     def test_equals_per_byte_generator(self, index):
         # Widths past 512 wrap the 256-value ramp more than once.
+        wide = Capability(0, 0, 1500)
         for width in range(1501):
             expected = bytes((index * _FILL_SALT + 0x35 + j) & 0xFF for j in range(width))
-            assert _fill_bytes(index, width) == expected
-        assert _fill_bytes(index, -300) == b""  # as range() of a negative width
+            assert _fill_bytes(index, width, wide) == expected
+        assert _fill_bytes(index, -300, wide) == b""  # as range() of a negative width
+
+    def test_payload_past_the_capability_stops_one_byte_beyond_it(self):
+        whole = _fill_bytes(3, 301, Capability(0, 0, 301))
+        assert len(whole) == 301
+        assert _fill_bytes(3, 2**50, Capability(0, 0, 300)) == whole
+        assert _fill_bytes(3, 2**50, None) == b""
+        assert _fill_bytes(3, 200, None) == _fill_bytes(3, 200, Capability(0, 0, 16))
+
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    @pytest.mark.parametrize(
+        ("text", "fault"),
+        # A tagged capability narrower than the write, one 16 bytes in from
+        # scratch, and an empty register.
+        [("malloc r0 64 / write r0 0 W", FaultKind.SPATIAL_OUT_OF_BOUNDS),
+         ("scratch r0 / derive r0 r0 16 / write r0 0 W", FaultKind.SPATIAL_OUT_OF_BOUNDS),
+         ("write r0 0 W", FaultKind.UNTAGGED_OPERAND)],
+    )
+    def test_write_wider_than_memory_faults_without_building_it(self, scheme, text, fault):
+        trace = parse_trace(text.replace("W", str(2**50)).replace(" / ", "\n"))
+        result = run_trace(trace, scheme, collect_outcomes=True)
+        assert result.outcomes[-1] is fault
+        assert result.metrics.faults_total == 1
 
 
 def _fnv_masked(digest: int, data: bytes) -> int:
@@ -234,7 +270,7 @@ class TestReadDigest:
         # (op 1) fills the whole block.
         ops = [(OP_MALLOC, 0, 128, 0), (OP_WRITE, 0, 0, 128)]
         ops += [(OP_READ, 0, offset, width) for offset, width in reads]
-        block = _fill_bytes(1, 128)
+        block = _fill_bytes(1, 128, None)
         expected = 0xCBF29CE484222325
         for offset, width in reads:
             expected = _fnv_masked(expected, block[offset : offset + width])
