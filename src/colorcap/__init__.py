@@ -18,9 +18,10 @@ from .capability import (
     Capability,
     CapabilityError,
     ColorOutOfRange,
-    MachineConfig,
+    ConfigError,
     MonotonicityViolation,
     PermissionDenied,
+    RunConfig,
     SealedOperand,
     UntaggedOperand,
     clear_tag,
@@ -29,9 +30,7 @@ from .capability import (
     unpack,
 )
 from .harness import (
-    ConfigError,
     Metrics,
-    RunConfig,
     RunResult,
     corpus_gate,
     run_corpus,

@@ -15,6 +15,9 @@ strictly between 0 and the threshold are colors (provenance identifiers),
 and values at or above the threshold are sealed.  otype 0 is reserved and
 reads as unsealed; it is never handed out as a color, so the usable color
 pool is 1 .. 2**color_bits - 1.
+
+The module also holds the run config, `RunConfig`: every setting of a run
+and its default, written once, and the geometry derived from them.
 """
 
 from __future__ import annotations
@@ -212,32 +215,44 @@ def unpack(data: bytes, tag: bool = False) -> Capability:
     )
 
 
-@dataclass(frozen=True)
-class MachineConfig:
-    """Geometry and tunables of one simulated machine.
+class ConfigError(Exception):
+    pass
 
-    The heap starts at `heap_base`, the capability scratch region follows
-    it and the provenance-validity table follows that, so the three never
-    overlap.  Defaults give a 21-bit color space (2 MiB of colors => a
-    256 KiB provenance-validity table), an otype threshold of color_count
-    (every otype from 2**color_bits up is sealed), and a 64-word 4-way
-    set-associative PVT buffer.
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The run's settings, the only configuration: the machine is built
+    from it and every scheme reads its tunables from `machine.config`.
+
+    Defaults: 21 color bits (a 256 KiB provenance-validity table, and an
+    otype threshold of color_count, so every otype from 2**color_bits up
+    is sealed), a 1% revocation threshold, a 1/4 quarantine limit, a 1 MiB
+    heap, the PVT buffer on, sweeps to completion at their trigger, and
+    versioning's quarantine fallback on.  The heap starts at `heap_base`
+    and the harness's capability scratch region follows it.
     """
 
     heap_base: ClassVar[int] = 0x0001_0000
 
     color_bits: int = COLOR_BITS_DEFAULT
+    threshold_fraction: float = 0.01
+    quarantine_fraction: float = 0.25
     heap_size: int = 1 << 20
-    scratch_slots: int = 64  # capability spill slots, 16 bytes each
-    pvt_buffer_enabled: bool = True
+    pvt_buffer: bool = True
+    sweep_window: Optional[int] = None  # None = sweep to completion at trigger
+    versioning_fallback: bool = True
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if not 4 <= self.color_bits <= 24:
-            raise ValueError("color_bits must be in [4, 24]")
-        if self.heap_size % 16 or self.heap_size <= 0:
-            raise ValueError("heap must be 16-byte aligned and non-empty")
-        if self.scratch_slots < 0:
-            raise ValueError("scratch_slots must be >= 0")
+            raise ConfigError("color_bits must be in [4, 24]")
+        if not 0 < self.threshold_fraction < 1:
+            raise ConfigError("threshold_fraction must be in (0, 1)")
+        if not 0 < self.quarantine_fraction < 1:
+            raise ConfigError("quarantine_fraction must be in (0, 1)")
+        if not 0 < self.heap_size <= 1 << 32 or self.heap_size % 16:
+            raise ConfigError("heap_size must be a positive multiple of 16, at most 2**32")
+        if self.sweep_window is not None and self.sweep_window < 1:
+            raise ConfigError("sweep window must be >= 1")
 
     @property
     def color_count(self) -> int:
@@ -252,12 +267,3 @@ class MachineConfig:
     @property
     def scratch_base(self) -> int:
         return self.heap_base + self.heap_size
-
-    @property
-    def scratch_size(self) -> int:
-        return self.scratch_slots * CAPABILITY_WIDTH
-
-    @property
-    def pvt_base(self) -> int:
-        """The table's address: just past the scratch region."""
-        return self.scratch_base + self.scratch_size

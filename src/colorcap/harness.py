@@ -28,7 +28,8 @@ from .capability import (
     UNSEALED,
     Capability,
     CapabilityError,
-    MachineConfig,
+    ConfigError,
+    RunConfig,
     UntaggedOperand,
     derive,
 )
@@ -46,43 +47,6 @@ from .trace import (
     OP_WRITE,
     Trace,
 )
-
-class ConfigError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run tunables; defaults follow the scheme's stock settings
-    (21 color bits, 1% revocation threshold, 1/4 quarantine limit)."""
-
-    color_bits: int = 21
-    threshold_fraction: float = 0.01
-    quarantine_fraction: float = 0.25
-    heap_size: int = 1 << 20
-    pvt_buffer: bool = True
-    sweep_window: Optional[int] = None  # None = sweep to completion at trigger
-    versioning_fallback: bool = True
-
-    def validate(self) -> None:
-        if not 4 <= self.color_bits <= 24:
-            raise ConfigError("color_bits must be in [4, 24]")
-        if not 0 < self.threshold_fraction < 1:
-            raise ConfigError("threshold_fraction must be in (0, 1)")
-        if not 0 < self.quarantine_fraction < 1:
-            raise ConfigError("quarantine_fraction must be in (0, 1)")
-        if not 0 < self.heap_size <= 1 << 32 or self.heap_size % 16:
-            raise ConfigError("heap_size must be a positive multiple of 16, at most 2**32")
-        if self.sweep_window is not None and self.sweep_window < 1:
-            raise ConfigError("sweep window must be >= 1")
-
-    def machine_config(self, slots_needed: int = 0) -> MachineConfig:
-        return MachineConfig(
-            color_bits=self.color_bits,
-            heap_size=self.heap_size,
-            scratch_slots=max(slots_needed, 1),
-            pvt_buffer_enabled=self.pvt_buffer,
-        )
 
 
 @dataclass
@@ -139,13 +103,16 @@ def _fill_bytes(index: int, width: int, cap: Optional[Capability]) -> bytes:
     any width, and every check before that one ignores the width.  So past
     256 bytes at most `cap.length + 1` bytes are built, and none without a
     capability: the write faults exactly as it would with the full payload.
+    A negative width builds `cap.length + 1` bytes too, so the write fails
+    the bounds check as a read of that width does.
     """
     start = (index * _FILL_SALT + 0x35) & 0xFF
     if 0 <= width <= 256:
         return _RAMP[start : start + width]
     if cap is None:
         return b""
-    width = min(width, cap.length + 1)
+    if not 0 <= width <= cap.length:
+        width = cap.length + 1
     return (_RAMP[start : start + 256] * (width // 256 + 1))[:width]
 
 
@@ -164,31 +131,18 @@ def run_trace(
     config: Optional[RunConfig] = None,
     collect_outcomes: bool = False,
 ) -> RunResult:
-    """Replay a trace under one scheme on a fresh machine."""
+    """Replay a trace under one scheme on a fresh machine, which validates
+    `config`."""
     if scheme not in SCHEME_NAMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEME_NAMES}")
     config = config if config is not None else RunConfig()
-    config.validate()
-    machine_config = config.machine_config(trace.slots)
-    machine = TaggedMachine(machine_config)
-    adapter = make_scheme(
-        scheme,
-        machine,
-        threshold_fraction=config.threshold_fraction,
-        quarantine_fraction=config.quarantine_fraction,
-        sweep_window=config.sweep_window,
-        versioning_fallback=config.versioning_fallback,
-    )
+    machine = TaggedMachine(config)
+    adapter = make_scheme(scheme, machine)
+    scratch_base = config.scratch_base
     scratch_auth = Capability(
-        address=machine_config.scratch_base,
-        base=machine_config.scratch_base,
-        length=machine_config.scratch_size,
-        perms=PERMS_APP,
-        otype=UNSEALED,
-        tag=True,
+        scratch_base, scratch_base, 16 * max(trace.slots, 1), PERMS_APP, UNSEALED, True
     )
-    otypeth = machine_config.color_count
-    scratch_base = machine_config.scratch_base
+    otypeth = config.color_count
     regs = machine.regs
     load, store, malloc, free = adapter.load, adapter.store, adapter.malloc, adapter.free
     store_cap, load_cap = machine.store_cap, machine.load_cap
@@ -325,7 +279,7 @@ def run_trace(
         peak_live_bytes=adapter.peak_live_bytes,
         peak_quarantine_bytes=adapter.peak_quarantine_bytes,
         peak_unr_bytes=adapter.peak_unr_bytes,
-        pvt_bytes=machine_config.pvt_bytes if scheme == "picasso" else 0,
+        pvt_bytes=config.pvt_bytes if scheme == "picasso" else 0,
         pvt_lookups=machine.pvt_lookups,
         pvt_hits=buffer.hits if buffer else 0,
         pvt_misses=buffer.misses if buffer else 0,

@@ -19,7 +19,10 @@ that color faults.  `check_access` does that check inline, reading the
 table through a small set-associative buffer of 128-bit table words,
 invalidated (one counter bump) whenever a table bit actually changes, which
 keeps the buffer transparent: enabling or disabling it can never change
-fault behavior, only the hit/miss counters.
+fault behavior, only the hit/miss counters.  The buffer is keyed by
+table-word index (color >> 7).  Keyed by a 16-byte-aligned address, the
+set `((base >> 4) + word) % PVB_SETS` would be a fixed rotation of `word %
+PVB_SETS`: the same words would share a set, so no count would move.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .capability import (
     PERM_STORE_CAP,
     Capability,
     ColorOutOfRange,
-    MachineConfig,
+    RunConfig,
     clear_tag,
     pack,
     unpack,
@@ -60,8 +63,9 @@ PVB_WAYS: Final = 4
 
 
 class PvtBuffer:
-    """Set-associative buffer of 128-bit PVT words, keyed by their virtual
-    address, with round-robin replacement per set: PVB_SETS * PVB_WAYS words.
+    """Set-associative buffer of 128-bit PVT words, keyed by their index in
+    the table, with round-robin replacement per set: PVB_SETS * PVB_WAYS
+    words, word `w` in set `w % PVB_SETS`.
 
     Lines hold only tags.  Coherence is by whole-buffer invalidation on
     every table write that changes a bit, so a buffered word always equals
@@ -80,21 +84,21 @@ class PvtBuffer:
         self.misses = 0
         self.invalidations = 0
 
-    def lookup(self, word_addr: int) -> None:
+    def lookup(self, word: int) -> None:
         """Count a hit if the word is buffered, else a miss and a fill."""
-        idx = (word_addr >> 4) % PVB_SETS
+        idx = word % PVB_SETS
         ways = self.lines[idx]
         if self.stamps[idx] != self.invalidations:
             self.stamps[idx] = self.invalidations
             ways.clear()
-        elif word_addr in ways:
+        elif word in ways:
             self.hits += 1
             return
         self.misses += 1
         if len(ways) < PVB_WAYS:
-            ways.append(word_addr)
+            ways.append(word)
         else:
-            ways[self.rr[idx]] = word_addr
+            ways[self.rr[idx]] = word
             self.rr[idx] = (self.rr[idx] + 1) % PVB_WAYS
 
     def invalidate_all(self) -> None:
@@ -104,7 +108,8 @@ class PvtBuffer:
 
 
 class TaggedMachine:
-    """Tagged memory, 32 capability registers, the PVT, and its buffer."""
+    """Tagged memory, 32 capability registers, the PVT, and its buffer,
+    built from a `RunConfig` that it validates."""
 
     __slots__ = (
         "config",
@@ -114,23 +119,22 @@ class TaggedMachine:
         "pvt",
         "pvt_buffer",
         "pvt_lookups",
-        "_pvt_base",
         "_color_count",
         "cap_writes",
     )
 
-    def __init__(self, config: Optional[MachineConfig] = None) -> None:
-        self.config = config or MachineConfig()
+    def __init__(self, config: Optional[RunConfig] = None) -> None:
+        self.config = config = config or RunConfig()
+        config.validate()
         self.words: dict[int, bytes] = {}
         # Tagged words: the exact capability, in place of a packed image
         # in `words`.  tag(addr) == (addr in caps).
         self.caps: dict[int, Capability] = {}
         self.regs: list[Optional[Capability]] = [None] * NUM_REGISTERS
-        self.pvt = bytearray(self.config.pvt_bytes)
-        self.pvt_buffer = PvtBuffer() if self.config.pvt_buffer_enabled else None
+        self.pvt = bytearray(config.pvt_bytes)
+        self.pvt_buffer = PvtBuffer() if config.pvt_buffer else None
         self.pvt_lookups = 0
-        self._pvt_base = self.config.pvt_base
-        self._color_count = self.config.color_count
+        self._color_count = config.color_count
         # The running revocation job's `rewrites` (None with no job): a
         # tagged store adds its address, so the job re-visits it.
         self.cap_writes: Optional[set[int]] = None
@@ -216,7 +220,7 @@ class TaggedMachine:
         if otype > 0 and provenance:
             self.pvt_lookups += 1
             if self.pvt_buffer is not None:
-                self.pvt_buffer.lookup(self._pvt_base + ((otype >> 7) << 4))
+                self.pvt_buffer.lookup(otype >> 7)
             if self.pvt[otype >> 3] >> (otype & 7) & 1:
                 return FaultKind.PROVENANCE_RETRACTED
         return None

@@ -12,8 +12,8 @@ The shim is a `heap.HeapScheme`: heap, root capability, live map, counters
 and block carving come from the base; only the color lifecycle lives here.
 
 Colors stay out of rotation until a revocation sweep completes.  A sweep
-starts when the unclaimed population drops below the threshold or no color
-is free.  It freezes the retracted set as its targets and logs the tagged
+starts when the unclaimed population drops below the threshold
+(`RunConfig.threshold_fraction` of the pool) or no color is free.  It freezes the retracted set as its targets and logs the tagged
 capability stores made while it runs; `_advance` scans memory clearing
 matching tags (`TaggedMachine.sweep_scan` with the job's `doomed`
 selector), then re-visits the logged words and the registers, clears the
@@ -21,8 +21,9 @@ target bits and batch releases the colors.  Colors retracted after the
 targets froze wait for the next sweep.  The hardware sweep works from a
 snapshot of the PVT; the simulator keeps no copy and models it only by
 counting the PVT twice in the resident bytes while a sweep is in flight.
-A sweep window bounds the words scanned per allocation call; without one,
-a sweep runs to completion in the call that advances it.
+A sweep window (`RunConfig.sweep_window`) bounds the words scanned per
+allocation call; without one, a sweep runs to completion in the call that
+advances it.  The shim reads both settings from `machine.config`.
 """
 
 from __future__ import annotations
@@ -75,18 +76,13 @@ class MallocRevocationShim(HeapScheme):
     """The heap scheme plus colors: `live` maps base -> (size, color), and
     nothing is ever quarantined."""
 
-    def __init__(
-        self,
-        machine: TaggedMachine,
-        threshold_fraction: float = 0.01,
-        sweep_window: Optional[int] = None,
-    ) -> None:
+    def __init__(self, machine: TaggedMachine) -> None:
         super().__init__(machine)
         config = machine.config
         self.pool = config.color_count - 1  # color 0 is reserved
         self.unr = UnrState(self.pool)
-        self.threshold_count = math.ceil(threshold_fraction * self.pool)
-        self.sweep_window = sweep_window
+        self.threshold_count = math.ceil(config.threshold_fraction * self.pool)
+        self.sweep_window = config.sweep_window
         self.retracted_pending: set[int] = set()
         self.job: Optional[RevocationJob] = None
         self._color_count = config.color_count

@@ -5,7 +5,10 @@ root capability, the live map and the counters the harness harvests, so
 they differ only in what free does and how a stale capability is caught.
 Picasso is the malloc revocation shim itself; cornucopia (both variants)
 and versioning's fallback share one quarantine component,
-`_QuarantineScheme`, whose sweep selector is `quarantine_selector`:
+`_QuarantineScheme`, whose sweep selector is `quarantine_selector`.  Each
+scheme is built from the machine alone and reads its tunables (revocation
+threshold, sweep window, quarantine fraction, versioning fallback) from
+`machine.config`; only cornucopia takes one more argument, `revoke_on_free`:
 
 * picasso         - colored capabilities, provenance retraction, threshold
                     sweeps, immediate heap reuse.
@@ -25,7 +28,6 @@ and versioning's fallback share one quarantine component,
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Optional
 
 from .capability import PERM_LOAD, PERM_STORE, PERMS_APP, Capability
 from .heap import HeapScheme
@@ -85,9 +87,9 @@ class _QuarantineScheme(HeapScheme):
     sweep early (see `HeapScheme._carve`).  Its selector is built once per
     sweep by `quarantine_selector`."""
 
-    def __init__(self, machine: TaggedMachine, quarantine_fraction: float) -> None:
+    def __init__(self, machine: TaggedMachine) -> None:
         super().__init__(machine)
-        self.quarantine_fraction = quarantine_fraction
+        self.quarantine_fraction = machine.config.quarantine_fraction
         self.quarantine: list[tuple[int, int]] = []  # disjoint, in free order
 
     def _quarantine(self, base: int, size: int, force: bool = False) -> None:
@@ -128,13 +130,8 @@ class CornucopiaScheme(_QuarantineScheme):
 
     name = "cornucopia"
 
-    def __init__(
-        self,
-        machine: TaggedMachine,
-        quarantine_fraction: float = 0.25,
-        revoke_on_free: bool = False,
-    ) -> None:
-        super().__init__(machine, quarantine_fraction)
+    def __init__(self, machine: TaggedMachine, revoke_on_free: bool = False) -> None:
+        super().__init__(machine)
         self.revoke_on_free = revoke_on_free
         if revoke_on_free:
             self.name = "cornucopia-rof"
@@ -191,14 +188,9 @@ class VersioningScheme(_QuarantineScheme):
 
     name = "versioning"
 
-    def __init__(
-        self,
-        machine: TaggedMachine,
-        exhaustion_fallback: bool = True,
-        quarantine_fraction: float = 0.25,
-    ) -> None:
-        super().__init__(machine, quarantine_fraction)
-        self.exhaustion_fallback = exhaustion_fallback
+    def __init__(self, machine: TaggedMachine) -> None:
+        super().__init__(machine)
+        self.exhaustion_fallback = machine.config.versioning_fallback
         self.heap_base = machine.config.heap_base
         self.versions = bytearray(machine.config.heap_size >> 4)
         self.wraps = 0
@@ -283,22 +275,17 @@ class VersioningScheme(_QuarantineScheme):
         return None
 
 
-def make_scheme(
-    name: str,
-    machine: TaggedMachine,
-    threshold_fraction: float = 0.01,
-    quarantine_fraction: float = 0.25,
-    sweep_window: Optional[int] = None,
-    versioning_fallback: bool = True,
-) -> HeapScheme:
+def make_scheme(name: str, machine: TaggedMachine) -> HeapScheme:
+    """Build scheme `name` on `machine`; its tunables come from
+    `machine.config`."""
     if name == "picasso":
-        return PicassoScheme(machine, threshold_fraction, sweep_window)
+        return PicassoScheme(machine)
     if name == "cornucopia":
-        return CornucopiaScheme(machine, quarantine_fraction, revoke_on_free=False)
+        return CornucopiaScheme(machine)
     if name == "cornucopia-rof":
-        return CornucopiaScheme(machine, quarantine_fraction, revoke_on_free=True)
+        return CornucopiaScheme(machine, revoke_on_free=True)
     if name == "versioning":
-        return VersioningScheme(machine, versioning_fallback, quarantine_fraction)
+        return VersioningScheme(machine)
     if name == "none":
         return NoneScheme(machine)
     raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")

@@ -14,9 +14,10 @@ from colorcap.capability import (
     UNSEALED,
     Capability,
     ColorOutOfRange,
-    MachineConfig,
+    ConfigError,
     MonotonicityViolation,
     PermissionDenied,
+    RunConfig,
     SealedOperand,
     UntaggedOperand,
     clear_tag,
@@ -24,6 +25,7 @@ from colorcap.capability import (
     pack,
     unpack,
 )
+from colorcap.machine import TaggedMachine
 
 
 def cap(base=0x1000, length=0x100, perms=PERMS_APP, otype=UNSEALED, tag=True):
@@ -243,21 +245,22 @@ class TestPacking:
             unpack(b"\x00" * 15)
 
 
-class TestMachineConfig:
+class TestRunConfig:
     def test_default_pvt_size(self):
         # 2**21 colors at one bit each is a 256 KiB table.
-        assert MachineConfig().pvt_bytes == 256 * 1024
+        assert RunConfig().pvt_bytes == 256 * 1024
 
     def test_pool_excludes_reserved_zero(self):
-        config = MachineConfig(color_bits=10)
+        config = RunConfig(color_bits=10)
         assert config.color_count - 1 == 1023
 
     def test_bad_color_bits(self):
-        with pytest.raises(ValueError):
-            MachineConfig(color_bits=2)
+        with pytest.raises(ConfigError, match=r"color_bits must be in \[4, 24\]"):
+            RunConfig(color_bits=2).validate()
+
+    def test_machine_validates_its_config(self):
+        with pytest.raises(ConfigError, match=r"color_bits must be in \[4, 24\]"):
+            TaggedMachine(RunConfig(color_bits=2))
 
     def test_scratch_follows_heap(self):
-        config = MachineConfig(heap_size=0x1000, scratch_slots=4)
-        assert config.scratch_base == 0x11000
-        assert config.scratch_size == 64
-        assert config.pvt_base == config.scratch_base + config.scratch_size
+        assert RunConfig(heap_size=0x1000).scratch_base == 0x11000

@@ -23,6 +23,7 @@ from colorcap.trace import (
     OP_MALLOC,
     OP_READ,
     OP_RELOAD,
+    OP_SCRATCH,
     OP_SPILL,
     OP_WRITE,
     Trace,
@@ -230,7 +231,8 @@ class TestFillBytes:
         for width in range(1501):
             expected = bytes((index * _FILL_SALT + 0x35 + j) & 0xFF for j in range(width))
             assert _fill_bytes(index, width, wide) == expected
-        assert _fill_bytes(index, -300, wide) == b""  # as range() of a negative width
+        # A negative width builds one byte past the capability, so it faults.
+        assert _fill_bytes(index, -300, wide) == _fill_bytes(index, wide.length + 1, wide)
 
     def test_payload_past_the_capability_stops_one_byte_beyond_it(self):
         whole = _fill_bytes(3, 301, Capability(0, 0, 301))
@@ -253,6 +255,17 @@ class TestFillBytes:
         result = run_trace(trace, scheme, collect_outcomes=True)
         assert result.outcomes[-1] is fault
         assert result.metrics.faults_total == 1
+
+    @pytest.mark.parametrize("scheme", ["picasso", "none", "versioning"])
+    @pytest.mark.parametrize("opcode", [OP_READ, OP_WRITE], ids=["read", "write"])
+    def test_negative_width_faults_out_of_bounds(self, scheme, opcode):
+        # `parse_trace` rejects negative widths, so only a list-built trace
+        # carries one; a write of it must fault as the same read does.
+        trace = Trace(ops=[(OP_MALLOC, 0, 64, 0), (opcode, 0, 0, -5),
+                           (OP_SCRATCH, 1, 0, 0), (opcode, 1, 0, -1)])
+        result = run_trace(trace, scheme, collect_outcomes=True)
+        spatial = FaultKind.SPATIAL_OUT_OF_BOUNDS
+        assert result.outcomes == [None, spatial, None, spatial]
 
 
 def _fnv_masked(digest: int, data: bytes) -> int:

@@ -5,7 +5,6 @@ from colorcap.capability import (
     PERMS_APP,
     UNSEALED,
     Capability,
-    MachineConfig,
     clear_tag,
 )
 from colorcap.harness import RunConfig, run_trace
@@ -17,27 +16,16 @@ from colorcap.workloads import SplitMix64
 from helpers import claimed_ids, validate
 
 
-def make(color_bits=10, heap_size=0x4000, threshold=0.01, window=None, slots=8):
-    config = MachineConfig(
-        color_bits=color_bits, heap_size=heap_size, scratch_slots=slots
-    )
-    machine = TaggedMachine(config)
-    mrs = MallocRevocationShim(
-        machine, threshold_fraction=threshold, sweep_window=window
-    )
-    return machine, mrs
+def make(color_bits=10, heap_size=0x4000, threshold=0.01, window=None):
+    machine = TaggedMachine(RunConfig(color_bits=color_bits, heap_size=heap_size,
+                                      threshold_fraction=threshold, sweep_window=window))
+    return machine, MallocRevocationShim(machine)
 
 
 def scratch_cap(machine):
-    config = machine.config
-    return Capability(
-        config.scratch_base,
-        config.scratch_base,
-        config.scratch_size,
-        PERMS_APP,
-        UNSEALED,
-        True,
-    )
+    """Authority over 8 capability spill slots past the heap."""
+    base = machine.config.scratch_base
+    return Capability(base, base, 8 * 16, PERMS_APP, UNSEALED, True)
 
 
 class TestHeap:

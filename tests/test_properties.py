@@ -31,7 +31,7 @@ from unittest import mock
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from colorcap.capability import PERMS_APP, Capability, MachineConfig
+from colorcap.capability import PERMS_APP, Capability
 from colorcap.harness import RunConfig, run_trace
 from colorcap.machine import NUM_REGISTERS, TaggedMachine
 from colorcap.mrs import MallocRevocationShim, PoolExhausted
@@ -213,9 +213,9 @@ def test_sweep_window_never_exhausts_colors_early(trace, threshold):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_quarantine_sweep_clears_exactly_the_caps_touching_quarantined_words(data):
-    m = TaggedMachine(MachineConfig(color_bits=8, heap_size=0x4000, scratch_slots=64))
+    m = TaggedMachine(RunConfig(color_bits=8, heap_size=0x4000))
     heap_base, heap_top = m.config.heap_base, m.config.scratch_base
-    corn = CornucopiaScheme(m, quarantine_fraction=0.25)
+    corn = CornucopiaScheme(m)
     # At most 12 blocks of up to 256 bytes: the quarantine stays under the
     # sweep floor and the heap never runs out, so nothing sweeps early.
     caps = [corn.malloc(size) for size in data.draw(st.lists(st.integers(1, 256),

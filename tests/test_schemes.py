@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from colorcap.capability import MachineConfig, derive
+from colorcap.capability import derive
 from colorcap.harness import RunConfig, run_trace
 from colorcap.heap import OutOfMemory
 from colorcap.machine import FaultKind, TaggedMachine
@@ -17,8 +19,7 @@ from colorcap.workloads import gen_churn
 def machine(**kw):
     kw.setdefault("color_bits", 10)
     kw.setdefault("heap_size", 0x40000)
-    kw.setdefault("scratch_slots", 8)
-    return TaggedMachine(MachineConfig(**kw))
+    return TaggedMachine(RunConfig(**kw))
 
 
 class TestCornucopia:
@@ -38,7 +39,7 @@ class TestCornucopia:
         assert corn.load(cap, 0, 8) == b"secret!!"
 
     def test_quarantine_fraction_triggers_revocation(self):
-        corn = CornucopiaScheme(machine(), quarantine_fraction=0.25)
+        corn = CornucopiaScheme(machine(quarantine_fraction=0.25))
         live = [corn.malloc(4096) for _ in range(12)]
         assert corn.revocations == 0
         # Total allocated stays 48 KiB, so the third 4 KiB free reaches
@@ -220,7 +221,7 @@ class TestVersioning:
 
     def test_wrap_collision_goes_undetected(self):
         # 16 free/realloc cycles wrap the granule back to the stale value.
-        ver = VersioningScheme(machine(), exhaustion_fallback=False)
+        ver = VersioningScheme(machine(versioning_fallback=False))
         stale = ver.malloc(32)
         ver.store(stale, 0, b"original")
         ver.free(stale)
@@ -235,7 +236,7 @@ class TestVersioning:
         assert ver.wraps == 1
 
     def test_detection_below_wrap_threshold(self):
-        ver = VersioningScheme(machine(), exhaustion_fallback=False)
+        ver = VersioningScheme(machine(versioning_fallback=False))
         base_cap = ver.malloc(32)
         ver.free(base_cap)
         for _ in range(14):  # stays within the 15 safe recolorings
@@ -245,7 +246,7 @@ class TestVersioning:
             assert fault is FaultKind.PROVENANCE_RETRACTED
 
     def test_exhaustion_fallback_quarantines_on_wrap(self):
-        ver = VersioningScheme(machine(), exhaustion_fallback=True)
+        ver = VersioningScheme(machine(versioning_fallback=True))
         cap = ver.malloc(32)
         ver.free(cap)
         for _ in range(15):
@@ -258,8 +259,8 @@ class TestVersioning:
         assert ver.malloc(32).base != cap.base  # block held back
 
     def test_fallback_sweep_engages_at_limit(self):
-        m = machine()
-        ver = VersioningScheme(m, exhaustion_fallback=True, quarantine_fraction=0.25)
+        m = machine(versioning_fallback=True, quarantine_fraction=0.25)
+        ver = VersioningScheme(m)
         blocks = [ver.malloc(4096) for _ in range(4)]
         stale = blocks[0]
         m.regs[0] = stale
@@ -342,3 +343,15 @@ class TestFactory:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_scheme("mystery", machine())
+
+    def test_every_tunable_reaches_its_scheme_through_the_config(self):
+        config = RunConfig(threshold_fraction=0.5, quarantine_fraction=0.5, sweep_window=3,
+                           versioning_fallback=False)
+        picasso = make_scheme("picasso", TaggedMachine(config))
+        assert picasso.threshold_count == math.ceil(0.5 * picasso.pool)
+        assert picasso.sweep_window == 3
+        for name in ("cornucopia", "cornucopia-rof"):
+            corn = make_scheme(name, TaggedMachine(config))
+            assert corn.name == name
+            assert corn.quarantine_fraction == 0.5
+        assert make_scheme("versioning", TaggedMachine(config)).exhaustion_fallback is False

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from colorcap.capability import PERMS_APP, Capability, MachineConfig, derive
+from colorcap.capability import PERMS_APP, Capability, derive
 from colorcap.harness import RunConfig, run_trace
 from colorcap.heap import OutOfMemory
 from colorcap.machine import FaultKind, TaggedMachine
@@ -135,8 +135,8 @@ def replay(heap_granules: int, fallback: bool, ops: list[tuple]) -> VersioningSc
     each one."""
 
     def scheme(cls):
-        config = MachineConfig(heap_size=heap_granules * 16, scratch_slots=1)
-        return cls(TaggedMachine(config), exhaustion_fallback=fallback)
+        config = RunConfig(heap_size=heap_granules * 16, versioning_fallback=fallback)
+        return cls(TaggedMachine(config))
 
     table, reference = scheme(VersioningScheme), scheme(DictVersioning)
     for op in ops:
