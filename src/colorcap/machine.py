@@ -70,8 +70,10 @@ class PvtBuffer:
     Lines hold only tags.  Coherence is by whole-buffer invalidation on
     every table write that changes a bit, so a buffered word always equals
     the table: lookups read the bit from the table, and the buffer only
-    decides hit or miss.  Invalidation is O(1): it bumps `invalidations`,
-    and a lookup empties its set first when the set's stamp lags behind.
+    decides hit or miss.  Invalidation is O(1): the machine bumps
+    `invalidations`, and a lookup empties its set first when the set's
+    stamp lags behind.  The round-robin pointers persist across flushes;
+    replacement stays deterministic either way.
     """
 
     __slots__ = ("lines", "stamps", "rr", "hits", "misses", "invalidations")
@@ -100,11 +102,6 @@ class PvtBuffer:
         else:
             ways[self.rr[idx]] = word
             self.rr[idx] = (self.rr[idx] + 1) % PVB_WAYS
-
-    def invalidate_all(self) -> None:
-        # The round-robin pointers persist across flushes; replacement
-        # stays deterministic either way.
-        self.invalidations += 1
 
 
 class TaggedMachine:
@@ -165,7 +162,7 @@ class TaggedMachine:
         if new != cur:
             self.pvt[idx] = new
             if self.pvt_buffer is not None:
-                self.pvt_buffer.invalidate_all()
+                self.pvt_buffer.invalidations += 1
 
     def pvt_set_many(self, colors: Iterable[int], retracted: bool) -> None:
         """Bulk provenance-validity update with a single buffer invalidation."""
@@ -182,7 +179,7 @@ class TaggedMachine:
                 pvt[idx] = new
                 changed = True
         if changed and self.pvt_buffer is not None:
-            self.pvt_buffer.invalidate_all()
+            self.pvt_buffer.invalidations += 1
 
     # -- checked access -----------------------------------------------
 

@@ -77,6 +77,8 @@ class ReplayableOps:
 
 @dataclass
 class Trace:
+    #: Immutable 4-tuples; a generator may yield one object many times, so
+    #: consumers must neither mutate ops nor rely on their identity.
     ops: Iterable[TraceOp]
     #: op index -> expected outcome; None demands ok, a FaultKind demands
     #: that fault.  Absence means unconstrained.

@@ -3,7 +3,9 @@ the hand-built use-after-free / double-free mini-corpus.
 
 All randomness comes from SplitMix64, a fixed 64-bit generator defined by
 its update recurrence (documented on the class), so traces reproduce
-bit-for-bit across runs and platforms.
+bit-for-bit across runs and platforms.  The generators yield shared op
+tuples from small tables built once per iteration, so a materialised
+trace costs one list pointer per op.
 """
 
 from __future__ import annotations
@@ -81,6 +83,10 @@ def gen_churn(
     touch_rate adds a write after malloc and a read before free;
     inject/inject_rate add temporal violations (stale reads/writes after
     the free, sometimes after the reallocation, and double frees).
+
+    Ops are shared tuples from tables built once per iteration (a malloc
+    per size and register, a spill and a reload per slot, a free per
+    register), so a materialised trace costs one pointer per op.
     """
     if n_pairs < live_set:
         raise ValueError("n_pairs must be >= live_set")
@@ -97,46 +103,50 @@ def gen_churn(
         many_sizes = len(sizes) > 1
         if spill:
             # r0 = fresh allocation, r1 = victim being freed.
+            mallocs = [(OP_MALLOC, 0, size, 0) for size in sizes]
+            spills = [(OP_SPILL, 0, slot, 0) for slot in range(live_set)]
+            reloads = [(OP_RELOAD, 1, slot, 0) for slot in range(live_set)]
+            free, write0 = (OP_FREE, 1, 0, 0), (OP_WRITE, 0, 0, 8)
+            read1, write1 = (OP_READ, 1, 0, 8), (OP_WRITE, 1, 0, 8)
             for i in range(live_set):
-                size = sizes[rng.below(len(sizes))] if many_sizes else sizes[0]
-                yield (OP_MALLOC, 0, size, 0)
+                yield mallocs[rng.below(len(sizes)) if many_sizes else 0]
                 if touch_rate and rng.chance(touch_rate):
-                    yield (OP_WRITE, 0, 0, 8)
-                yield (OP_SPILL, 0, i, 0)
+                    yield write0
+                yield spills[i]
             for i in range(live_set, n_pairs):
                 slot = i % live_set
-                yield (OP_RELOAD, 1, slot, 0)
+                yield reloads[slot]
                 if touch_rate and rng.chance(touch_rate):
-                    yield (OP_WRITE, 1, 0, 8)
-                    yield (OP_READ, 1, 0, 8)
-                yield (OP_FREE, 1, 0, 0)
+                    yield write1
+                    yield read1
+                yield free
                 late = False
                 if inject is not None and rng.chance(inject_rate):
                     kind = inject
                     if kind == "mixed":
                         kind = ("uaf", "df")[rng.below(2)]
                     if kind == "df":
-                        yield (OP_FREE, 1, 0, 0)
+                        yield free
                     elif rng.below(2):
-                        yield ((OP_READ, OP_WRITE)[rng.below(2)], 1, 0, 8)
+                        yield (read1, write1)[rng.below(2)]
                     else:
                         late = True  # violate after the reallocation
-                size = sizes[rng.below(len(sizes))] if many_sizes else sizes[0]
-                yield (OP_MALLOC, 0, size, 0)
+                yield mallocs[rng.below(len(sizes)) if many_sizes else 0]
                 if late:
-                    yield ((OP_READ, OP_WRITE)[rng.below(2)], 1, 0, 8)
+                    yield (read1, write1)[rng.below(2)]
                 if touch_rate and rng.chance(touch_rate):
-                    yield (OP_WRITE, 0, 0, 8)
-                yield (OP_SPILL, 0, slot, 0)
+                    yield write0
+                yield spills[slot]
         else:
-            for i in range(live_set):
-                size = sizes[rng.below(len(sizes))] if many_sizes else sizes[0]
-                yield (OP_MALLOC, 2 + i, size, 0)
-            for i in range(live_set, n_pairs):
-                reg = 2 + (i % live_set)
-                yield (OP_FREE, reg, 0, 0)
-                size = sizes[rng.below(len(sizes))] if many_sizes else sizes[0]
-                yield (OP_MALLOC, reg, size, 0)
+            frees = [(OP_FREE, 2 + r, 0, 0) for r in range(live_set)]
+            mallocs_by_reg = [
+                [(OP_MALLOC, 2 + r, size, 0) for size in sizes] for r in range(live_set)
+            ]
+            for i in range(n_pairs):
+                r = i % live_set
+                if i >= live_set:
+                    yield frees[r]
+                yield mallocs_by_reg[r][rng.below(len(sizes)) if many_sizes else 0]
 
     name = f"churn:n={n_pairs},live={live_set},seed={seed}"
     return Trace(
@@ -155,7 +165,9 @@ def gen_locality(
     """Compress/decompress-shaped trace: a small working set of allocations
     repeatedly written and read end to end.  All colors land in a handful
     of 128-bit table words, so nearly every provenance lookup after the
-    first should hit the buffer."""
+    first should hit the buffer.  One round's ops are built once per
+    iteration and every round yields those shared tuples, so a materialised
+    trace costs one pointer per op."""
     if not 1 <= n_allocs <= 30:
         raise ValueError("n_allocs must be in [1, 30]")
     if width < 1:
@@ -168,12 +180,15 @@ def gen_locality(
     def ops() -> Iterator[TraceOp]:
         for reg in range(n_allocs):
             yield (OP_MALLOC, reg, size, 0)
+        offsets = range(0, size - width + 1, width)
+        round_ops = [
+            (code, reg, off, width)
+            for reg in range(n_allocs)
+            for code in (OP_WRITE, OP_READ)
+            for off in offsets
+        ]
         for _ in range(rounds):
-            for reg in range(n_allocs):
-                for off in range(0, size - width + 1, width):
-                    yield (OP_WRITE, reg, off, width)
-                for off in range(0, size - width + 1, width):
-                    yield (OP_READ, reg, off, width)
+            yield from round_ops
         for reg in range(n_allocs):
             yield (OP_FREE, reg, 0, 0)
 

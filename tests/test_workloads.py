@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import pytest
 
 from colorcap.harness import run_trace
@@ -86,6 +89,69 @@ class TestLocality:
         metrics = run_trace(gen_locality(29, 10, 64, 8), "picasso").metrics
         assert metrics.pvt_misses == 1  # all 29 colors share one table word
         assert metrics.faults_total == 0
+
+
+# SHA-256 of repr(list(trace.ops)), recorded before generators shared their
+# op tuples: the sharing must not change a single op.
+OPS_DIGESTS = [
+    (
+        lambda: gen_churn(66000, 1000, (32,), 1),
+        "f2cb73b0bdcf66e324c140c357de1e717b4fc63a1e5ac00be52615f078ec74c8",
+    ),
+    (
+        lambda: gen_churn(2000, 50, (16, 64, 200, 1024), 7),
+        "2b408e190b59d82c4920db2e407376b37fcb6732b82b276f55b05f9aad4dea04",
+    ),
+    (
+        lambda: gen_churn(
+            900, 25, (16, 64, 200, 1024), seed=1,
+            touch_rate=0.4, inject="mixed", inject_rate=0.07,
+        ),
+        "9761670e7ae09b93e2b59f4f67b8ac3c2517314299e1cc5a6fb1ac6a56b030ff",
+    ),
+    (
+        lambda: gen_churn(400, 12, (32, 48), 3, spill=False),
+        "ab7e289aff623ac12454db74ecfd021dba5992e2fc4b6638dbf15873e064bb6b",
+    ),
+    (
+        lambda: gen_locality(29, 300, 64, 8),
+        "3c320c5d84f2bfbe860561a05d3d06e5d66e5549dc6b07a30a30851edaabb9c7",
+    ),
+    (
+        lambda: gen_locality(7, 5, 40, 12),
+        "b928da37718d8030e56bc8f62143dda8cef8debf3b9a72dcfff6cd433a049dd3",
+    ),
+]
+
+
+class TestSharedOps:
+    @pytest.mark.parametrize("make, digest", OPS_DIGESTS)
+    def test_ops_digest(self, make, digest):
+        ops = list(make().ops)
+        assert hashlib.sha256(repr(ops).encode()).hexdigest() == digest
+
+    # The two bench shapes: churn-fifo (live set 1000, one size) and
+    # locality (29 allocations of 64 B read and written 8 B at a time).
+    @pytest.mark.parametrize(
+        "make, distinct",
+        [
+            (lambda: gen_churn(66000, 1000, (32,), 1), 2 * 1000 + 1 + 1),
+            (lambda: gen_locality(29, 300, 64, 8), 2 * 29 * (64 // 8) + 2 * 29),
+        ],
+    )
+    def test_materialised_ops_share_tuples(self, make, distinct):
+        trace = make()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ops = list(trace.ops)
+            per_op = (tracemalloc.get_traced_memory()[0] - before) / len(ops)
+        finally:
+            tracemalloc.stop()
+        assert len({id(op) for op in ops}) <= distinct
+        # A list pointer per op plus the small tables; a fresh tuple per op
+        # costs over 80 B.
+        assert per_op < 16
 
 
 class TestCorpus:
