@@ -4,7 +4,6 @@ the allocator schemes it is compared against."""
 from .capability import (
     CAPABILITY_WIDTH,
     COLOR_BITS_DEFAULT,
-    DEFAULT_OTYPETH,
     PERM_LOAD,
     PERM_LOAD_CAP,
     PERM_STORE,

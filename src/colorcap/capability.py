@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import ClassVar, Final, Optional
 
 COLOR_BITS_DEFAULT: Final = 21
-DEFAULT_OTYPETH: Final = 1 << COLOR_BITS_DEFAULT
 CAPABILITY_WIDTH: Final = 16  # bytes occupied by one capability record
 
 #: Distinguished otype for capabilities that carry no color and are not
@@ -123,7 +122,7 @@ def derive(
     new_base: int,
     new_length: int,
     new_perms: int,
-    otypeth: int = DEFAULT_OTYPETH,
+    otypeth: int,
     color: Optional[int] = None,
 ) -> Capability:
     """Derive a capability with narrowed bounds and permissions.
@@ -131,10 +130,10 @@ def derive(
     The child's address is placed at its new base and the otype is copied
     from the parent, or set to `color`: assigning a provenance color needs
     a parent holding sw_vmem, so only the trusted allocator can stamp one,
-    and an unsealed, uncolored parent.  Raises UntaggedOperand /
-    SealedOperand for unusable parents, MonotonicityViolation if bounds or
-    permissions would widen, and PermissionDenied / ColorOutOfRange for a
-    color the parent may not assign.
+    and an unsealed, uncolored parent; `otypeth` is the run's
+    `RunConfig.color_count`.  Raises UntaggedOperand / SealedOperand for
+    unusable parents, MonotonicityViolation if bounds or permissions would
+    widen, and PermissionDenied / ColorOutOfRange for a bad color.
     """
     if not parent.tag:
         raise UntaggedOperand("cannot derive from an untagged capability")

@@ -192,9 +192,6 @@ def _scheme_list(text: str) -> list[str]:
     schemes = [s.strip() for s in text.split(",") if s.strip()]
     if not schemes:
         raise ConfigError("empty scheme list")
-    for scheme in schemes:
-        if scheme not in SCHEME_NAMES:
-            raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEME_NAMES}")
     if len(set(schemes)) != len(schemes):
         raise ConfigError("duplicate scheme in list")
     return schemes

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import islice
 from typing import Optional
 
 from .capability import (
@@ -34,7 +35,7 @@ from .capability import (
     derive,
 )
 from .machine import NUM_REGISTERS, FaultKind, TaggedMachine
-from .schemes import SCHEME_NAMES, make_scheme
+from .schemes import make_scheme
 from .trace import (
     OP_COPY,
     OP_DERIVE,
@@ -46,6 +47,7 @@ from .trace import (
     OP_SPILL,
     OP_WRITE,
     Trace,
+    op_problem,
 )
 
 
@@ -133,8 +135,6 @@ def run_trace(
 ) -> RunResult:
     """Replay a trace under one scheme on a fresh machine, which validates
     `config`."""
-    if scheme not in SCHEME_NAMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEME_NAMES}")
     config = config if config is not None else RunConfig()
     machine = TaggedMachine(config)
     adapter = make_scheme(scheme, machine)
@@ -158,102 +158,117 @@ def run_trace(
     digest = 0xCBF29CE484222325  # FNV-1a over read results (good-trace identity)
     index = -1
 
-    for index, (code, a, b, c) in enumerate(trace.ops):
-        # READ, WRITE and FREE end in the verdict tail below, with `legal`
-        # the oracle's ruling and `outcome` the scheme's; every other op
-        # records its own fault and continues.
-        if code == OP_READ:
-            outcome = load(regs[a], b, c)
-            if type(outcome) is not FaultKind:
-                for byte in outcome:
-                    digest = ((digest ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-                outcome = None
-            binding = bound[a]
-            legal = binding is not None and (binding >> 1 in live or binding == _SCRATCH_BINDING)
-        elif code == OP_WRITE:
-            cap = regs[a]
-            outcome = store(cap, b, _fill_bytes(index, c, cap))
-            binding = bound[a]
-            if binding == _SCRATCH_BINDING:
-                legal = True
-                if outcome is None and c > 0:
-                    # The write clears the tag, and so the binding, of
-                    # every spill slot it overlaps.
-                    offset = cap.address + b - scratch_base
-                    for slot in range(offset >> 4, (offset + c + 15) >> 4):
-                        slots.pop(slot, None)
+    try:
+        for index, (code, a, b, c) in enumerate(trace.ops):
+            # READ, WRITE and FREE end in the verdict tail below, with `legal`
+            # the oracle's ruling and `outcome` the scheme's; every other op
+            # records its own fault and continues.
+            if code == OP_READ:
+                outcome = load(regs[a], b, c)
+                if type(outcome) is not FaultKind:
+                    for byte in outcome:
+                        digest = ((digest ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+                    outcome = None
+                binding = bound[a]
+                legal = binding is not None and (
+                    binding >> 1 in live or binding == _SCRATCH_BINDING
+                )
+            elif code == OP_WRITE:
+                cap = regs[a]
+                outcome = store(cap, b, _fill_bytes(index, c, cap))
+                binding = bound[a]
+                if binding == _SCRATCH_BINDING:
+                    legal = True
+                    if outcome is None and c > 0:
+                        # The write clears the tag, and so the binding, of
+                        # every spill slot it overlaps.
+                        offset = cap.address + b - scratch_base
+                        for slot in range(offset >> 4, (offset + c + 15) >> 4):
+                            slots.pop(slot, None)
+                else:
+                    legal = binding is not None and binding >> 1 in live
+            elif code == OP_MALLOC:
+                regs[a] = malloc(b)
+                live.add(next_id)
+                bound[a] = next_id * 2
+                next_id += 1
+                continue
+            elif code == OP_FREE:
+                outcome = free(regs[a])
+                binding = bound[a]
+                # Only a live allocation's own capability, not an interior
+                # one (bit 0) nor scratch, frees it.
+                legal = (
+                    binding not in (None, _SCRATCH_BINDING)
+                    and not binding & 1
+                    and binding >> 1 in live
+                )
+                if legal:
+                    live.discard(binding >> 1)
+            elif code == OP_SPILL:
+                outcome = store_cap(scratch_auth, b * 16, regs[a] or NULL_CAP)
+                if outcome is not None:
+                    faults[index] = outcome
+                slots[b] = bound[a]
+                continue
+            elif code == OP_RELOAD:
+                result = load_cap(scratch_auth, b * 16)
+                if type(result) is FaultKind:
+                    faults[index] = result
+                    result = None
+                regs[a] = result
+                bound[a] = slots.get(b)
+                continue
+            elif code == OP_COPY:
+                regs[a] = regs[b]
+                bound[a] = bound[b]
+                continue
+            elif code == OP_DERIVE:
+                parent = regs[b]
+                try:
+                    if parent is None:
+                        raise UntaggedOperand
+                    regs[a] = derive(
+                        parent, parent.base + c, parent.length - c, parent.perms, otypeth
+                    )
+                except UntaggedOperand:
+                    faults[index] = FaultKind.UNTAGGED_OPERAND
+                    regs[a] = None
+                except CapabilityError:
+                    faults[index] = FaultKind.SPATIAL_OUT_OF_BOUNDS
+                    regs[a] = None
+                binding = bound[b]
+                if binding is not None and binding != _SCRATCH_BINDING and c > 0:
+                    binding |= 1  # interior: freeing it is malformed
+                bound[a] = binding
+                continue
+            elif code == OP_SCRATCH:
+                regs[a] = scratch_auth
+                bound[a] = _SCRATCH_BINDING
+                continue
             else:
-                legal = binding is not None and binding >> 1 in live
-        elif code == OP_MALLOC:
-            regs[a] = malloc(b)
-            live.add(next_id)
-            bound[a] = next_id * 2
-            next_id += 1
-            continue
-        elif code == OP_FREE:
-            outcome = free(regs[a])
-            binding = bound[a]
-            # Only a live allocation's own capability, not an interior
-            # one (bit 0) nor scratch, frees it.
-            legal = (
-                binding not in (None, _SCRATCH_BINDING)
-                and not binding & 1
-                and binding >> 1 in live
-            )
-            if legal:
-                live.discard(binding >> 1)
-        elif code == OP_SPILL:
-            outcome = store_cap(scratch_auth, b * 16, regs[a] or NULL_CAP)
+                raise ConfigError(f"op {index}: {op_problem((code, a, b, c))}")
+
+            if not legal:
+                violations += 1
+                if outcome is None:
+                    escapes += 1
             if outcome is not None:
                 faults[index] = outcome
-            slots[b] = bound[a]
-            continue
-        elif code == OP_RELOAD:
-            result = load_cap(scratch_auth, b * 16)
-            if type(result) is FaultKind:
-                faults[index] = result
-                result = None
-            regs[a] = result
-            bound[a] = slots.get(b)
-            continue
-        elif code == OP_COPY:
-            regs[a] = regs[b]
-            bound[a] = bound[b]
-            continue
-        elif code == OP_DERIVE:
-            parent = regs[b]
-            try:
-                if parent is None:
-                    raise UntaggedOperand
-                regs[a] = derive(parent, parent.base + c, parent.length - c, parent.perms, otypeth)
-            except UntaggedOperand:
-                faults[index] = FaultKind.UNTAGGED_OPERAND
-                regs[a] = None
-            except CapabilityError:
-                faults[index] = FaultKind.SPATIAL_OUT_OF_BOUNDS
-                regs[a] = None
-            binding = bound[b]
-            if binding is not None and binding != _SCRATCH_BINDING and c > 0:
-                binding |= 1  # interior: freeing it is malformed
-            bound[a] = binding
-            continue
-        elif code == OP_SCRATCH:
-            regs[a] = scratch_auth
-            bound[a] = _SCRATCH_BINDING
-            continue
-        else:
-            raise ConfigError(f"unknown opcode {code}")
-
-        if not legal:
-            violations += 1
-            if outcome is None:
-                escapes += 1
-        if outcome is not None:
-            faults[index] = outcome
-            # The oracle judges lifetimes, not bounds: a spatial fault on a
-            # live allocation is a bug in the trace, not a misfire.
-            if legal and outcome is not FaultKind.SPATIAL_OUT_OF_BOUNDS:
-                false_positives += 1
+                # The oracle judges lifetimes, not bounds: a spatial fault on a
+                # live allocation is a bug in the trace, not a misfire.
+                if legal and outcome is not FaultKind.SPATIAL_OUT_OF_BOUNDS:
+                    false_positives += 1
+    except (IndexError, TypeError, ValueError):
+        # Checked only on failure, so the loop pays nothing per op; one-shot
+        # ops cannot be re-read, and a well-formed op's failure propagates.
+        stream = trace.ops
+        problem = index >= 0 and iter(stream) is not stream and op_problem(
+            next(islice(stream, index, None))
+        )
+        if not problem:
+            raise
+        raise ConfigError(f"op {index}: {problem}") from None
 
     ops = index + 1
     mismatches = [
@@ -279,7 +294,7 @@ def run_trace(
         peak_live_bytes=adapter.peak_live_bytes,
         peak_quarantine_bytes=adapter.peak_quarantine_bytes,
         peak_unr_bytes=adapter.peak_unr_bytes,
-        pvt_bytes=config.pvt_bytes if scheme == "picasso" else 0,
+        pvt_bytes=adapter.pvt_bytes,
         pvt_lookups=machine.pvt_lookups,
         pvt_hits=buffer.hits if buffer else 0,
         pvt_misses=buffer.misses if buffer else 0,

@@ -187,6 +187,7 @@ class HeapScheme:
             otype=UNSEALED,
             tag=True,
         )
+        self._color_count = config.color_count  # the otype threshold
         self.live: dict = {}  # base -> the scheme's allocation record
         self.allocations = 0
         self.frees = 0
@@ -198,6 +199,7 @@ class HeapScheme:
         self.peak_quarantine_bytes = 0
         self.peak_resident_bytes = 0
         self.peak_unr_bytes = 0
+        self.pvt_bytes = 0  # only picasso keeps a provenance-validity table
 
     def _sample(self) -> None:
         if self.live_bytes > self.peak_live_bytes:
@@ -228,7 +230,7 @@ class HeapScheme:
     def malloc(self, size: int) -> Capability:
         base, block = self._carve(size)
         self.live[base] = block
-        return derive(self.root, base, block, PERMS_APP)
+        return derive(self.root, base, block, PERMS_APP, self._color_count)
 
     def free(self, cap: Optional[Capability]) -> Optional[FaultKind]:
         raise NotImplementedError

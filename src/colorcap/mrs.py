@@ -12,10 +12,12 @@ The shim is a `heap.HeapScheme`: heap, root capability, live map, counters
 and block carving come from the base; only the color lifecycle lives here.
 
 Colors stay out of rotation until a revocation sweep completes.  A sweep
-starts when the unclaimed population drops below the threshold
-(`RunConfig.threshold_fraction` of the pool) or no color is free.  It freezes the retracted set as its targets and logs the tagged
-capability stores made while it runs; `_advance` scans memory clearing
-matching tags (`TaggedMachine.sweep_scan` with the job's `doomed`
+starts in one place, `m_malloc`'s threshold test: some color is retracted,
+none is in flight, and fewer colors are unclaimed than the threshold
+(`RunConfig.threshold_fraction` of the pool, at least 1, so an empty pool
+is below it).  It freezes the retracted set as its targets and logs the
+tagged capability stores made while it runs; `_advance` scans memory
+clearing matching tags (`TaggedMachine.sweep_scan` with the job's `doomed`
 selector), then re-visits the logged words and the registers, clears the
 target bits and batch releases the colors.  Colors retracted after the
 targets froze wait for the next sweep.  The hardware sweep works from a
@@ -36,13 +38,6 @@ from .capability import PERMS_APP, Capability, derive
 from .heap import HeapScheme, OutOfMemory
 from .machine import FaultKind, TaggedMachine
 from .unr import Exhausted, UnrState
-
-__all__ = [
-    "MallocRevocationShim",
-    "PoolExhausted",
-    "RevocationJob",
-    "OutOfMemory",
-]
 
 
 class PoolExhausted(Exception):
@@ -85,21 +80,16 @@ class MallocRevocationShim(HeapScheme):
         self.sweep_window = config.sweep_window
         self.retracted_pending: set[int] = set()
         self.job: Optional[RevocationJob] = None
-        self._color_count = config.color_count
-        self._pvt_bytes = config.pvt_bytes
+        self.pvt_bytes = config.pvt_bytes
         self._sample()
 
     # -- accounting -----------------------------------------------------
-
-    @property
-    def unclaimed(self) -> int:
-        return self.pool - self.unr.population
 
     def _sample(self) -> None:
         """Peak accounting: live heap bytes plus the PVT (doubled while a
         sweep holds its snapshot) plus the ID-allocator node memory."""
         unr_bytes = self.unr.node_memory()
-        pvt = self._pvt_bytes
+        pvt = self.pvt_bytes
         if self.job is not None:
             pvt *= 2
         resident = self.live_bytes + pvt + unr_bytes
@@ -116,25 +106,28 @@ class MallocRevocationShim(HeapScheme):
         """Allocate >= size bytes and return a freshly colored capability.
 
         Advances the sweep in flight, if any; below the threshold, starts
-        one.  Claims the lowest free color; with none free, runs a sweep to
-        completion first.  `_carve` then takes the block and the one peak
-        sample.  Raises PoolExhausted (every color live) or OutOfMemory.
+        one.  Claims the lowest free color; with none free, finishes the
+        sweep in flight first.  `_carve` then takes the block and the one
+        peak sample.  Raises PoolExhausted (every color live) or OutOfMemory.
         """
         if size <= 0:
             raise ValueError("allocation size must be positive")
         if self.job is not None:
             self._advance(self.sweep_window)
         unr = self.unr
-        if self.pool - unr.population < self.threshold_count and self.maybe_revoke():
+        if self.pool - unr.population < self.threshold_count and (
+            self.job is None and self.retracted_pending
+        ):
+            self._start_job()
             if self.sweep_window is None:
                 self._advance(None)
         try:
             color = unr.alloc_first_free()
         except Exhausted:
+            # With a color pending, the threshold test above started a
+            # sweep; only a windowed one can still hold every color.
             if self.job is None:
-                if not self.retracted_pending:
-                    raise PoolExhausted("provenance identifiers exhausted")
-                self._start_job()
+                raise PoolExhausted("provenance identifiers exhausted")
             self._advance(None)  # a sweep's targets are never empty
             color = unr.alloc_first_free()
         try:
@@ -179,16 +172,6 @@ class MallocRevocationShim(HeapScheme):
 
     # -- revocation ----------------------------------------------------------
 
-    def maybe_revoke(self) -> bool:
-        """Start a revocation job if the unclaimed population fell below the
-        threshold, some color waits to be reclaimed and none is in flight."""
-        if self.job is not None or not self.retracted_pending:
-            return False
-        if self.unclaimed >= self.threshold_count:
-            return False
-        self._start_job()
-        return True
-
     def _start_job(self) -> None:
         # Freeze the targets: colors retracted from here on wait for the
         # next sweep and stay retracted when this one completes.
@@ -210,40 +193,25 @@ class MallocRevocationShim(HeapScheme):
         if job.done:
             self.revocation_finalize()
 
-    def revocation_step(self, window: Optional[int] = None) -> int:
-        """Advance the sweep over up to `window` tagged words (all of them
-        when None); returns the number of words scanned."""
+    def revocation_step(self, window: Optional[int] = None) -> None:
+        """Advance the sweep over up to `window` tagged words (None: all)."""
         job = self.job
-        if job is None:
-            raise RuntimeError("no revocation in progress")
         end = len(job.addresses)
         if window is not None:
             end = min(job.cursor + window, end)
         chunk = job.addresses[job.cursor : end]
-        job.swept += self.machine.sweep_scan(
-            job.doomed, addresses=chunk, include_registers=False
-        )
-        scanned = end - job.cursor
+        job.swept += self.machine.sweep_scan(job.doomed, chunk, include_registers=False)
         job.cursor = end
-        return scanned
 
-    def revocation_finalize(self) -> int:
+    def revocation_finalize(self) -> None:
         """Complete a fully scanned job: stop logging capability stores,
         re-visit the words the job logged, scan the registers, clear the
-        target bits, and batch release the colors.  Returns the number of
-        colors reclaimed."""
+        target bits, and batch release the colors."""
         job = self.job
-        if job is None:
-            raise RuntimeError("no revocation in progress")
-        if not job.done:
-            raise RuntimeError("revocation scan has not completed")
         self.machine.cap_writes = None
-        job.swept += self.machine.sweep_scan(
-            job.doomed, addresses=sorted(job.rewrites), include_registers=True
-        )
+        job.swept += self.machine.sweep_scan(job.doomed, sorted(job.rewrites))
         self.machine.pvt_set_many(job.targets, retracted=False)
         self.unr.batch_release(sorted(job.targets))
         self.swept_tags += job.swept
         self.job = None
         self._sample()
-        return len(job.targets)

@@ -5,10 +5,10 @@ root capability, the live map and the counters the harness harvests, so
 they differ only in what free does and how a stale capability is caught.
 Picasso is the malloc revocation shim itself; cornucopia (both variants)
 and versioning's fallback share one quarantine component,
-`_QuarantineScheme`, whose sweep selector is `quarantine_selector`.  Each
-scheme is built from the machine alone and reads its tunables (revocation
-threshold, sweep window, quarantine fraction, versioning fallback) from
-`machine.config`; only cornucopia takes one more argument, `revoke_on_free`:
+`_QuarantineScheme`, whose sweep selector is `quarantine_selector`.  Every
+scheme is a class in `SCHEMES`, keyed by its name, built from the machine
+alone; it reads its tunables (revocation threshold, sweep window,
+quarantine fraction, versioning fallback) from `machine.config`:
 
 * picasso         - colored capabilities, provenance retraction, threshold
                     sweeps, immediate heap reuse.
@@ -29,12 +29,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .capability import PERM_LOAD, PERM_STORE, PERMS_APP, Capability
+from .capability import PERM_LOAD, PERM_STORE, PERMS_APP, Capability, ConfigError
 from .heap import HeapScheme
 from .machine import FaultKind, TaggedMachine
 from .mrs import MallocRevocationShim
-
-SCHEME_NAMES = ("picasso", "cornucopia", "cornucopia-rof", "versioning", "none")
 
 VERSION_BITS = 4
 VERSION_MASK = (1 << VERSION_BITS) - 1
@@ -87,18 +85,20 @@ class _QuarantineScheme(HeapScheme):
     sweep early (see `HeapScheme._carve`).  Its selector is built once per
     sweep by `quarantine_selector`."""
 
+    revoke_on_free = False
+
     def __init__(self, machine: TaggedMachine) -> None:
         super().__init__(machine)
         self.quarantine_fraction = machine.config.quarantine_fraction
         self.quarantine: list[tuple[int, int]] = []  # disjoint, in free order
 
-    def _quarantine(self, base: int, size: int, force: bool = False) -> None:
-        """Hold a freed block back; sweep when forced or once the
-        quarantine reaches its share of the resident bytes."""
+    def _quarantine(self, base: int, size: int) -> None:
+        """Hold a freed block back; sweep at once under `revoke_on_free`,
+        else once the quarantine reaches its share of the resident bytes."""
         self.quarantine.append((base, base + size))
         self.quarantine_bytes += size
         self._sample()  # the only point after a free where a peak can rise
-        if force or self.quarantine_bytes >= max(
+        if self.revoke_on_free or self.quarantine_bytes >= max(
             MIN_QUARANTINE_BYTES,
             self.quarantine_fraction * (self.live_bytes + self.quarantine_bytes),
         ):
@@ -130,12 +130,6 @@ class CornucopiaScheme(_QuarantineScheme):
 
     name = "cornucopia"
 
-    def __init__(self, machine: TaggedMachine, revoke_on_free: bool = False) -> None:
-        super().__init__(machine)
-        self.revoke_on_free = revoke_on_free
-        if revoke_on_free:
-            self.name = "cornucopia-rof"
-
     def free(self, cap):
         if cap is None or not cap.tag:
             return FaultKind.MALFORMED_FREE
@@ -145,8 +139,15 @@ class CornucopiaScheme(_QuarantineScheme):
             return FaultKind.DOUBLE_FREE if self._held(base) else FaultKind.MALFORMED_FREE
         self.live_bytes -= size
         self.frees += 1
-        self._quarantine(base, size, force=self.revoke_on_free)
+        self._quarantine(base, size)
         return None
+
+
+class CornucopiaRofScheme(CornucopiaScheme):
+    """Cornucopia sweeping on every free: a freed block is reusable at once."""
+
+    name = "cornucopia-rof"
+    revoke_on_free = True
 
 
 class NoneScheme(HeapScheme):
@@ -275,17 +276,15 @@ class VersioningScheme(_QuarantineScheme):
         return None
 
 
+SCHEMES = {cls.name: cls for cls in (PicassoScheme, CornucopiaScheme, CornucopiaRofScheme,
+                                     VersioningScheme, NoneScheme)}
+SCHEME_NAMES = tuple(SCHEMES)
+
+
 def make_scheme(name: str, machine: TaggedMachine) -> HeapScheme:
     """Build scheme `name` on `machine`; its tunables come from
     `machine.config`."""
-    if name == "picasso":
-        return PicassoScheme(machine)
-    if name == "cornucopia":
-        return CornucopiaScheme(machine)
-    if name == "cornucopia-rof":
-        return CornucopiaScheme(machine, revoke_on_free=True)
-    if name == "versioning":
-        return VersioningScheme(machine)
-    if name == "none":
-        return NoneScheme(machine)
-    raise ValueError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
+    cls = SCHEMES.get(name)
+    if cls is None:
+        raise ConfigError(f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}")
+    return cls(machine)

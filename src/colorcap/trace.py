@@ -198,6 +198,26 @@ def parse_trace(text: str, name: str = "") -> Trace:
     return Trace(ops=ops, expects=expects, slots=max_slot + 1, name=name)
 
 
+def op_problem(op) -> Optional[str]:
+    """Why an op built through the API is malformed, naming the field, or
+    None.  An op is a 4-tuple of ints (opcode, a, b, c): a known opcode,
+    registers (a; b of copy and derive) in [0, NUM_REGISTERS), malloc size b >= 1."""
+    if type(op) is not tuple or len(op) != 4:
+        return f"expected a 4-tuple (opcode, a, b, c), got {op!r}"
+    for name, value in zip(("opcode", "a", "b", "c"), op):
+        if type(value) is not int:
+            return f"field {name} must be an int, got {value!r}"
+    code, a, b, _ = op
+    if not 0 <= code < len(_OP_NAMES):
+        return f"field opcode: unknown opcode {code}"
+    for name, reg in zip("ab", (a, b) if code in (OP_COPY, OP_DERIVE) else (a,)):
+        if not 0 <= reg < NUM_REGISTERS:
+            return f"field {name}: register {reg} not in [0, {NUM_REGISTERS})"
+    if code == OP_MALLOC and b < 1:
+        return f"field b: malloc size {b} is not positive"
+    return None
+
+
 def format_op(op: TraceOp) -> str:
     code, a, b, c = op
     head = _OP_NAMES[code]

@@ -1,5 +1,6 @@
-"""Decoders of simulator state that tests use as oracles, a node list that
-counts the passes over it, and checked data access straight on a machine."""
+"""Decoders of simulator state that tests use as oracles, the naive
+lowest-free-ID oracle, a node list that counts the passes over it, and
+checked data access straight on a machine."""
 
 from colorcap.capability import PERM_LOAD, PERM_STORE
 from colorcap.unr import BITMAP_CAPACITY, Run
@@ -17,6 +18,15 @@ def claimed_ids(state) -> set[int]:
             claimed.update(offset + 1 + i for i in range(node.length) if node.bits >> i & 1)
         offset += node.length
     return claimed
+
+
+def oracle_min_free(claimed, total):
+    """The naive oracle for `UnrState.alloc_first_free`: the lowest ID in
+    1..total that `claimed` lacks, or None."""
+    ident = 1
+    while ident in claimed:
+        ident += 1
+    return ident if ident <= total else None
 
 
 class CountingNodes(list):

@@ -11,7 +11,7 @@ from colorcap.harness import RunConfig, run_corpus, run_trace
 from colorcap.trace import OP_COPY, OP_FREE, OP_MALLOC, OP_READ, Trace
 from colorcap.unr import UnrState
 from colorcap.workloads import SplitMix64, gen_churn, gen_corpus, gen_locality
-from helpers import claimed_ids, release_passes
+from helpers import claimed_ids, oracle_min_free, release_passes
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -124,13 +124,6 @@ def test_criterion_2_revocation_frequency_desk_scale():
 # -- criterion 3: unr equivalence ------------------------------------------
 
 
-def _oracle_min_free(claimed, total):
-    ident = 1
-    while ident in claimed:
-        ident += 1
-    return ident if ident <= total else None
-
-
 def test_criterion_3_unr_oracle_equivalence():
     rng = SplitMix64(0xC01)
     runs = 10_000
@@ -142,7 +135,7 @@ def test_criterion_3_unr_oracle_equivalence():
         for _ in range(12 + rng.below(12)):
             roll = rng.below(10)
             if roll < 5:
-                expected = _oracle_min_free(claimed, total)
+                expected = oracle_min_free(claimed, total)
                 if expected is not None:
                     got = state.alloc_first_free()
                     assert got == expected, "alloc deviated from oracle minimum"

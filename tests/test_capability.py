@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from colorcap.capability import (
     CAPABILITY_WIDTH,
-    DEFAULT_OTYPETH,
     NULL_CAP,
     PERMS_APP,
     PERMS_DATA,
@@ -26,6 +25,8 @@ from colorcap.capability import (
     unpack,
 )
 from colorcap.machine import TaggedMachine
+
+OTYPETH = RunConfig().color_count  # the default run's otype threshold
 
 
 def cap(base=0x1000, length=0x100, perms=PERMS_APP, otype=UNSEALED, tag=True):
@@ -73,11 +74,11 @@ class TestConstruction:
 class TestDerive:
     def test_identity(self):
         parent = cap()
-        child = derive(parent, 0x1000, 0x100, PERMS_APP)
+        child = derive(parent, 0x1000, 0x100, PERMS_APP, OTYPETH)
         assert child == parent
 
     def test_subset_bounds(self):
-        child = derive(cap(), 0x1040, 0x10, PERMS_APP)
+        child = derive(cap(), 0x1040, 0x10, PERMS_APP, OTYPETH)
         assert child.base == 0x1040
         assert child.length == 0x10
         assert child.address == 0x1040
@@ -85,18 +86,18 @@ class TestDerive:
 
     def test_widening_forbidden(self):
         with pytest.raises(MonotonicityViolation):
-            derive(cap(), 0x1000, 0x200, PERMS_APP)
+            derive(cap(), 0x1000, 0x200, PERMS_APP, OTYPETH)
         with pytest.raises(MonotonicityViolation):
-            derive(cap(), 0x0FFF, 0x10, PERMS_APP)
+            derive(cap(), 0x0FFF, 0x10, PERMS_APP, OTYPETH)
 
     def test_permission_widening_forbidden(self):
         parent = cap(perms=PERMS_DATA)
         with pytest.raises(MonotonicityViolation):
-            derive(parent, 0x1000, 0x10, PERMS_APP)
+            derive(parent, 0x1000, 0x10, PERMS_APP, OTYPETH)
 
     def test_untagged_parent(self):
         with pytest.raises(UntaggedOperand):
-            derive(cap(tag=False), 0x1000, 0x10, PERMS_APP)
+            derive(cap(tag=False), 0x1000, 0x10, PERMS_APP, OTYPETH)
 
     def test_sealed_parent(self):
         sealed = cap(otype=8)
@@ -104,50 +105,50 @@ class TestDerive:
             derive(sealed, 0x1000, 0x10, PERMS_APP, otypeth=4)
 
     def test_otype_copied(self):
-        child = derive(cap(otype=7), 0x1010, 0x20, PERMS_DATA)
+        child = derive(cap(otype=7), 0x1010, 0x20, PERMS_DATA, OTYPETH)
         assert child.otype == 7
 
 
-class TestSetColor:
-    """Coloring is a derivation: `derive(..., color=...)` from the allocator's
+class TestDeriveColor:
+    """Coloring is a derivation: `derive(..., OTYPETH, color=...)` from the allocator's
     sw_vmem authority."""
 
     def test_smallest_valid_color(self):
         auth = cap(perms=PERMS_ROOT)
-        colored = derive(auth, 0x1000, 0x100, PERMS_APP, color=1)
+        colored = derive(auth, 0x1000, 0x100, PERMS_APP, OTYPETH, color=1)
         assert colored.otype == 1
-        assert colored.otype < DEFAULT_OTYPETH
+        assert colored.otype < OTYPETH
 
     def test_requires_sw_vmem(self):
         # Only the trusted allocator may assign provenance identifiers.
         auth = cap(perms=PERMS_APP)
         with pytest.raises(PermissionDenied):
-            derive(auth, 0x1000, 0x100, PERMS_APP, color=1)
+            derive(auth, 0x1000, 0x100, PERMS_APP, OTYPETH, color=1)
 
     def test_color_range_boundaries(self):
         auth = cap(perms=PERMS_ROOT)
         with pytest.raises(ColorOutOfRange):
-            derive(auth, 0x1000, 0x100, PERMS_APP, color=0)
+            derive(auth, 0x1000, 0x100, PERMS_APP, OTYPETH, color=0)
         with pytest.raises(ColorOutOfRange):
-            derive(auth, 0x1000, 0x100, PERMS_APP, color=DEFAULT_OTYPETH)
+            derive(auth, 0x1000, 0x100, PERMS_APP, OTYPETH, color=OTYPETH)
 
     def test_recolor_rejected(self):
         auth = cap(perms=PERMS_ROOT)
-        once = derive(auth, 0x1000, 0x100, PERMS_ROOT, color=5)
+        once = derive(auth, 0x1000, 0x100, PERMS_ROOT, OTYPETH, color=5)
         with pytest.raises(SealedOperand):
-            derive(once, 0x1000, 0x100, PERMS_APP, color=6)
+            derive(once, 0x1000, 0x100, PERMS_APP, OTYPETH, color=6)
 
     def test_untagged_operands(self):
         auth = cap(perms=PERMS_ROOT)
         with pytest.raises(UntaggedOperand):
-            derive(cap(perms=PERMS_ROOT, tag=False), 0x1000, 0x100, PERMS_APP, color=1)
+            derive(cap(perms=PERMS_ROOT, tag=False), 0x1000, 0x100, PERMS_APP, OTYPETH, color=1)
         with pytest.raises(UntaggedOperand):
-            derive(clear_tag(auth), 0x1000, 0x100, PERMS_APP, color=1)
+            derive(clear_tag(auth), 0x1000, 0x100, PERMS_APP, OTYPETH, color=1)
 
     def test_only_otype_changes(self):
         auth = cap(perms=PERMS_ROOT)
-        before = derive(auth, 0x1040, 0x20, PERMS_DATA)
-        after = derive(auth, 0x1040, 0x20, PERMS_DATA, color=9)
+        before = derive(auth, 0x1040, 0x20, PERMS_DATA, OTYPETH)
+        after = derive(auth, 0x1040, 0x20, PERMS_DATA, OTYPETH, color=9)
         assert (after.address, after.base, after.length) == (
             before.address,
             before.base,
@@ -176,7 +177,7 @@ class TestClearTag:
 
     def test_cleared_cap_authorizes_nothing(self):
         with pytest.raises(UntaggedOperand):
-            derive(clear_tag(cap()), 0x1000, 0x10, PERMS_APP)
+            derive(clear_tag(cap()), 0x1000, 0x10, PERMS_APP, OTYPETH)
 
 
 def widens(child: int, parent: int) -> bool:
@@ -194,7 +195,7 @@ class TestMonotonicityChains:
             perms = data.draw(st.integers(0, 31))
             parent = current
             try:
-                current = derive(current, current.base + lo, hi - lo, perms)
+                current = derive(current, current.base + lo, hi - lo, perms, OTYPETH)
             except MonotonicityViolation:
                 assert widens(perms, parent.perms)
                 break
@@ -209,9 +210,9 @@ class TestMonotonicityChains:
             for perms in range(32):
                 if widens(perms, parent_perms):
                     with pytest.raises(MonotonicityViolation):
-                        derive(parent, 0x1000, 0x10, perms)
+                        derive(parent, 0x1000, 0x10, perms, OTYPETH)
                 else:
-                    assert derive(parent, 0x1000, 0x10, perms).perms == perms
+                    assert derive(parent, 0x1000, 0x10, perms, OTYPETH).perms == perms
 
 
 class TestPacking:

@@ -15,8 +15,9 @@ from colorcap.harness import (
     run_corpus,
     run_trace,
 )
-from colorcap.machine import FaultKind
-from colorcap.schemes import SCHEME_NAMES
+from colorcap import cli
+from colorcap.machine import FaultKind, TaggedMachine
+from colorcap.schemes import SCHEME_NAMES, make_scheme
 from colorcap.trace import (
     OP_COPY,
     OP_FREE,
@@ -27,6 +28,7 @@ from colorcap.trace import (
     OP_SPILL,
     OP_WRITE,
     Trace,
+    op_problem,
     parse_trace,
 )
 from colorcap.workloads import gen_churn, gen_corpus
@@ -97,9 +99,18 @@ class TestRunTrace:
         assert result.outcomes == [None] + [None, spatial] * 30
         assert result.metrics.faults_total == result.metrics.fault_SpatialOutOfBounds == 30
 
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ConfigError):
+    def test_unknown_scheme_rejected(self, capsys):
+        # One check, in `make_scheme`: the API, the harness and the CLI
+        # give the same error.
+        with pytest.raises(ConfigError) as built:
+            make_scheme("quantum", TaggedMachine(RunConfig()))
+        with pytest.raises(ConfigError) as replayed:
             run_trace(GOOD, "quantum")
+        assert str(built.value) == str(replayed.value)
+        assert "unknown scheme 'quantum'" in str(built.value)
+        argv = ["compare", "--schemes", "picasso,quantum", "--gen", "churn:n=10,live=2"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"colorcap: error: {built.value}\n"
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
@@ -191,6 +202,53 @@ class TestRunTrace:
         )
         result = run_trace(trace, "picasso")
         assert result.metrics.expect_mismatches == 0
+
+
+class TestMalformedOps:
+    """Ops built through the API are checked only when one fails: each
+    malformed op is a ConfigError naming its index and field."""
+
+    CASES = [
+        ((OP_MALLOC, 40, 16, 0), "op 1: field a: register 40 not in [0, 32)"),
+        ((OP_MALLOC, 0, 16), "op 1: expected a 4-tuple (opcode, a, b, c), got (0, 0, 16)"),
+        ((OP_MALLOC, 0, "16", 0), "op 1: field b must be an int, got '16'"),
+    ]
+
+    @pytest.mark.parametrize("op, message", CASES)
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_in_process(self, op, message, scheme):
+        trace = Trace(ops=[(OP_MALLOC, 0, 16, 0), op, (OP_FREE, 0, 0, 0)])
+        with pytest.raises(ConfigError) as caught:
+            run_trace(trace, scheme)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("op, message", CASES)
+    def test_through_the_cli(self, op, message, capsys, monkeypatch):
+        trace = Trace(ops=[(OP_SCRATCH, 0, 0, 0), op])
+        monkeypatch.setattr(cli, "_load_trace", lambda args: trace)
+        assert cli.main(["run", "--gen", "churn"]) == 2
+        assert capsys.readouterr().err == f"colorcap: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            ((99, 0, 0, 0), "op 0: field opcode: unknown opcode 99"),
+            (("0", 0, 0, 0), "op 0: field opcode must be an int, got '0'"),
+            ((OP_MALLOC, 0, 0, 0), "op 0: field b: malloc size 0 is not positive"),
+            ((OP_COPY, 0, 32, 0), "op 0: field b: register 32 not in [0, 32)"),
+        ],
+    )
+    def test_other_fields(self, op, message):
+        with pytest.raises(ConfigError) as caught:
+            run_trace(Trace(ops=[op]), "picasso")
+        assert str(caught.value) == message
+
+    def test_other_failures_propagate(self):
+        # A one-shot iterator cannot be re-read, so its failure stands.
+        with pytest.raises(IndexError):
+            run_trace(Trace(ops=iter([(OP_MALLOC, 40, 16, 0)])), "picasso")
+        for op in [(OP_MALLOC, 31, 1, 0), (OP_COPY, 0, 31, 0), (OP_READ, 0, -1, -1)]:
+            assert op_problem(op) is None
 
 
 class TestNoReferenceCycles:

@@ -8,7 +8,7 @@ from colorcap.capability import (
     clear_tag,
 )
 from colorcap.harness import RunConfig, run_trace
-from colorcap.heap import FreeListHeap, OutOfMemory
+from colorcap.heap import OutOfMemory
 from colorcap.machine import FaultKind, TaggedMachine
 from colorcap.mrs import MallocRevocationShim, PoolExhausted
 from colorcap.trace import parse_trace
@@ -26,32 +26,6 @@ def scratch_cap(machine):
     """Authority over 8 capability spill slots past the heap."""
     base = machine.config.scratch_base
     return Capability(base, base, 8 * 16, PERMS_APP, UNSEALED, True)
-
-
-class TestHeap:
-    def test_first_fit_is_deterministic(self):
-        heap = FreeListHeap(0x1000, 0x100)
-        a = heap.alloc(0x20)
-        b = heap.alloc(0x20)
-        assert (a, b) == (0x1000, 0x1020)
-        heap.free(a, 0x20)
-        assert heap.alloc(0x10) == a  # lowest adequate hole
-
-    def test_coalescing(self):
-        heap = FreeListHeap(0x1000, 0x100)
-        a = heap.alloc(0x20)
-        b = heap.alloc(0x20)
-        c = heap.alloc(0x20)
-        heap.free(a, 0x20)
-        heap.free(c, 0x20)
-        heap.free(b, 0x20)
-        assert heap.free_blocks == [[0x1000, 0x100]]
-
-    def test_out_of_memory(self):
-        heap = FreeListHeap(0x1000, 0x40)
-        heap.alloc(0x40)
-        with pytest.raises(OutOfMemory):
-            heap.alloc(16)
 
 
 class TestMalloc:
@@ -134,8 +108,12 @@ class TestFree:
 
 class TestThreshold:
     def test_fresh_state_no_trigger(self):
-        _, mrs = make()
-        assert mrs.maybe_revoke() is False
+        # Below the threshold from the second claim on, but with nothing
+        # retracted a sweep would reclaim nothing, so none starts.
+        _, mrs = make(color_bits=4, threshold=0.99)
+        for _ in range(5):
+            mrs.m_malloc(16)
+        assert mrs.revocations == 0 and mrs.job is None
 
     def test_scaled_pool_example(self):
         # Pool 1023 at 1%: threshold = ceil(10.23) = 11 unclaimed.
@@ -151,16 +129,19 @@ class TestThreshold:
         while mrs.unr.population < 1014:
             mrs.unr.alloc_first_free()
         mrs.retracted_pending.add(5)  # something to reclaim
-        assert mrs.unclaimed == 9
-        assert mrs.maybe_revoke() is True
+        assert mrs.pool - mrs.unr.population == 9
+        mrs.m_malloc(16)
         assert mrs.revocations == 1
 
     def test_no_trigger_at_threshold_boundary(self):
         _, mrs = make()
-        while mrs.unclaimed > mrs.threshold_count:
+        while mrs.pool - mrs.unr.population > mrs.threshold_count:
             mrs.unr.alloc_first_free()
-        assert mrs.unclaimed == mrs.threshold_count
-        assert mrs.maybe_revoke() is False  # strict less-than
+        mrs.retracted_pending.add(5)  # something to reclaim
+        mrs.m_malloc(16)  # at the threshold, not below it: strict less-than
+        assert mrs.revocations == 0
+        mrs.m_malloc(16)  # one claim past it
+        assert mrs.revocations == 1
 
     def test_no_sweep_without_a_retracted_color(self):
         # Below the threshold with nothing retracted, a sweep would scan
@@ -184,7 +165,8 @@ class TestThreshold:
         caps = [mrs.m_malloc(16) for _ in range(mrs.pool - mrs.threshold_count)]
         machine.store_cap(scratch_cap(machine), 0, caps[0])  # one stale copy
         mrs.m_free(caps[0])
-        assert mrs.retracted_pending and mrs.unclaimed == mrs.threshold_count
+        assert mrs.retracted_pending
+        assert mrs.pool - mrs.unr.population == mrs.threshold_count
         mrs.m_malloc(16)  # not below the threshold: no sweep
         assert mrs.revocations == 0 and mrs.job is None
         cap = mrs.m_malloc(16)
@@ -196,104 +178,89 @@ class TestThreshold:
             assert mrs.job is not None and not mrs.job.done
 
     def test_single_outstanding_job(self):
-        _, mrs = make(window=1)
-        while mrs.unclaimed >= mrs.threshold_count:
-            mrs.unr.alloc_first_free()
-        mrs.retracted_pending.add(5)  # something to reclaim
-        assert mrs.maybe_revoke() is True
-        assert mrs.maybe_revoke() is False
+        machine, mrs = make(color_bits=4, threshold=0.99, window=1)
+        caps = [mrs.m_malloc(16) for _ in range(4)]
+        for i, cap in enumerate(caps[1:]):
+            machine.store_cap(scratch_cap(machine), i * 16, cap)
+        mrs.m_free(caps[0])
+        mrs.m_malloc(16)  # starts a sweep over three words
+        job = mrs.job
+        mrs.m_free(caps[1])  # retracted while the sweep is in flight
+        mrs.m_malloc(16)  # advances the sweep one word and starts no other
+        assert mrs.job is job and not job.done
+        assert mrs.revocations == 1
+        assert mrs.retracted_pending == {caps[1].otype}
 
 
 class TestRevocation:
+    """Sweeps driven through `m_malloc`: at 4 color bits and a 0.99
+    threshold, every claim after the first is below the threshold, so the
+    malloc after a free starts a sweep."""
+
     def test_single_color_end_to_end(self):
-        machine, mrs = make()
+        # Without a window the sweep never outlives the malloc that starts
+        # it: it completes, stops logging stores, and its color is claimed
+        # again, lowest first.
+        machine, mrs = make(color_bits=4, threshold=0.99)
         cap = mrs.m_malloc(32)
-        color = cap.otype
         machine.store_cap(scratch_cap(machine), 0, cap)  # one stale copy
         mrs.m_free(cap)
-        mrs._start_job()
-        assert mrs.revocation_step() == 1  # one tagged word scanned
-        assert mrs.revocation_finalize() == 1
-        assert not machine.pvb_retracted(color)
-        assert color not in claimed_ids(mrs.unr)
+        again = mrs.m_malloc(16)
+        assert mrs.revocations == 1 and mrs.job is None
+        assert machine.cap_writes is None
+        assert not machine.pvb_retracted(cap.otype)
+        assert again.otype == cap.otype
         assert machine.load_cap(scratch_cap(machine), 0).tag is False
         assert mrs.swept_tags == 1
 
     def test_colors_retracted_after_snapshot_stay_pending(self):
-        machine, mrs = make()
+        machine, mrs = make(color_bits=4, threshold=0.99, window=1)
         early = mrs.m_malloc(16)
         late = mrs.m_malloc(16)
         mrs.m_free(early)
-        mrs._start_job()
+        mrs.m_malloc(16)  # starts the sweep: its targets freeze
         mrs.m_free(late)  # after the snapshot
-        mrs.revocation_step()
-        mrs.revocation_finalize()
+        mrs._advance(None)
+        assert mrs.job is None
         assert machine.pvb_retracted(late.otype)  # still invalidated
         assert mrs.retracted_pending == {late.otype}
         claimed = claimed_ids(mrs.unr)
         assert early.otype not in claimed
         assert late.otype in claimed
 
-    def test_empty_target_set(self):
-        _, mrs = make()
-        mrs._start_job()
-        mrs.revocation_step()
-        assert mrs.revocation_finalize() == 0
-
     def test_windowed_job_revisits_mid_sweep_stores(self):
-        machine, mrs = make(window=1)
+        machine, mrs = make(color_bits=4, threshold=0.99, window=1)
         stale = mrs.m_malloc(16)
         keep = [mrs.m_malloc(16) for _ in range(4)]
         scratch = scratch_cap(machine)
         for i, cap in enumerate(keep):
             machine.store_cap(scratch, i * 16, cap)
         mrs.m_free(stale)
-        mrs._start_job()
-        mrs.revocation_step(1)  # slot 0 scanned
+        mrs.m_malloc(16)  # starts the sweep over the four slots
+        mrs.m_malloc(16)  # the next malloc scans slot 0
+        assert mrs.job.cursor == 1
         # Stash a stale copy behind the cursor; the finalize pass must
         # still revoke it even though its word was already visited.
         machine.store_cap(scratch, 0, stale)
-        while not mrs.job.done:
-            mrs.revocation_step(1)
-        mrs.revocation_finalize()
+        while mrs.job is not None:
+            mrs.m_malloc(16)
         assert machine.load_cap(scratch, 0).tag is False
 
-    def test_synchronous_malloc_finishes_a_job_in_flight(self):
-        # With no window, a job started outside m_malloc runs to completion
-        # in the next malloc instead of waiting for the pool to run out.
-        machine, mrs = make()
-        cap = mrs.m_malloc(32)
-        machine.store_cap(scratch_cap(machine), 0, cap)  # one stale copy
-        mrs.m_free(cap)
-        mrs._start_job()
-        mrs.m_malloc(16)
-        assert mrs.job is None
-        assert mrs.swept_tags == 1
-        assert machine.cap_writes is None
-
     def test_cap_writes_logs_tagged_stores_while_a_job_runs(self):
-        machine, mrs = make(window=1)
+        machine, mrs = make(color_bits=4, threshold=0.99, window=1)
         scratch = scratch_cap(machine)
         stale, keep = mrs.m_malloc(16), mrs.m_malloc(16)
         machine.store_cap(scratch, 0, stale)
         assert machine.cap_writes is None
         mrs.m_free(stale)
-        mrs._start_job()
+        mrs.m_malloc(16)  # starts the sweep
         job = mrs.job
         machine.store_cap(scratch, 16, keep)
         machine.store_cap(scratch, 32, clear_tag(keep))
         assert job.rewrites == {scratch.address + 16}
-        while not job.done:
-            mrs.revocation_step(1)
-        mrs.revocation_finalize()
+        while mrs.job is not None:
+            mrs.m_malloc(16)
         assert machine.cap_writes is None
-
-    def test_step_without_job_raises(self):
-        _, mrs = make()
-        with pytest.raises(RuntimeError):
-            mrs.revocation_step()
-        with pytest.raises(RuntimeError):
-            mrs.revocation_finalize()
 
 
 class TestExhaustion:
@@ -316,6 +283,19 @@ class TestExhaustion:
         cap = mrs.m_malloc(16)
         assert cap.otype in range(1, 16)
         assert mrs.revocations == 1
+
+    def test_exhausted_pool_finishes_a_windowed_sweep(self):
+        # An empty pool is below any threshold, so the malloc that finds it
+        # empty starts the sweep, then finishes it at once to claim a color.
+        machine, mrs = make(color_bits=4, window=1)
+        caps = [mrs.m_malloc(16) for _ in range(15)]
+        for i in range(3):
+            machine.store_cap(scratch_cap(machine), i * 16, caps[i])
+        mrs.m_free(caps[0])
+        cap = mrs.m_malloc(16)
+        assert cap.otype == caps[0].otype
+        assert mrs.revocations == 1 and mrs.job is None
+        assert machine.load_cap(scratch_cap(machine), 0).tag is False
 
     def test_heap_exhaustion_propagates(self):
         _, mrs = make(heap_size=0x20)

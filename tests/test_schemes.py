@@ -2,12 +2,14 @@ import math
 
 import pytest
 
-from colorcap.capability import derive
+from colorcap.capability import ConfigError, derive
 from colorcap.harness import RunConfig, run_trace
 from colorcap.heap import OutOfMemory
 from colorcap.machine import FaultKind, TaggedMachine
 from colorcap.schemes import (
     MIN_QUARANTINE_BYTES,
+    SCHEME_NAMES,
+    CornucopiaRofScheme,
     CornucopiaScheme,
     NoneScheme,
     VersioningScheme,
@@ -78,7 +80,7 @@ class TestCornucopia:
         corn = CornucopiaScheme(m)
         auth = corn.malloc(64)
         cap = corn.malloc(64)
-        empty = derive(cap, cap.base, 0, cap.perms)
+        empty = derive(cap, cap.base, 0, cap.perms, m.config.color_count)
         assert m.store_cap(auth, 0, cap) is None
         assert m.store_cap(auth, 16, empty) is None
         m.regs[3] = cap
@@ -116,7 +118,7 @@ class TestCornucopia:
     def test_interior_free_of_quarantined_block_is_double_free(self):
         corn = CornucopiaScheme(machine())
         cap = corn.malloc(64)
-        interior = derive(cap, cap.base + 16, 48, cap.perms)
+        interior = derive(cap, cap.base + 16, 48, cap.perms, corn.machine.config.color_count)
         assert corn.free(interior) is FaultKind.MALFORMED_FREE  # block live
         assert corn.free(cap) is None
         assert corn.free(interior) is FaultKind.DOUBLE_FREE
@@ -127,7 +129,7 @@ class TestCornucopia:
         b = corn.malloc(64)
         assert b.base == a.base + 64
         assert corn.free(b) is None
-        empty = derive(a, a.base + 64, 0, a.perms)
+        empty = derive(a, a.base + 64, 0, a.perms, corn.machine.config.color_count)
         assert corn.free(empty) is FaultKind.DOUBLE_FREE
         assert corn.live == {a.base: 64}
 
@@ -163,7 +165,7 @@ class TestCornucopia:
 
 class TestRevokeOnFree:
     def test_every_free_revokes(self):
-        rof = CornucopiaScheme(machine(), revoke_on_free=True)
+        rof = make_scheme("cornucopia-rof", machine())
         assert rof.name == "cornucopia-rof"
         caps = [rof.malloc(64) for _ in range(5)]
         for i, cap in enumerate(caps, start=1):
@@ -172,14 +174,14 @@ class TestRevokeOnFree:
 
     def test_dangling_register_revoked_immediately(self):
         m = machine()
-        rof = CornucopiaScheme(m, revoke_on_free=True)
+        rof = make_scheme("cornucopia-rof", m)
         cap = rof.malloc(64)
         m.regs[0] = cap
         rof.free(cap)
         assert m.regs[0].tag is False
 
     def test_block_reusable_right_after_free(self):
-        rof = CornucopiaScheme(machine(), revoke_on_free=True)
+        rof = make_scheme("cornucopia-rof", machine())
         cap = rof.malloc(64)
         rof.free(cap)
         assert rof.malloc(64).base == cap.base
@@ -336,12 +338,14 @@ class TestNoneMode:
 
 class TestFactory:
     def test_all_names_construct(self):
-        for name in ("picasso", "cornucopia", "cornucopia-rof", "versioning", "none"):
+        assert SCHEME_NAMES == ("picasso", "cornucopia", "cornucopia-rof", "versioning", "none")
+        for name in SCHEME_NAMES:
             scheme = make_scheme(name, machine())
             assert scheme.name == name
+        assert type(make_scheme("cornucopia-rof", machine())) is CornucopiaRofScheme
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="unknown scheme 'mystery'"):
             make_scheme("mystery", machine())
 
     def test_every_tunable_reaches_its_scheme_through_the_config(self):

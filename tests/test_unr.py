@@ -10,7 +10,7 @@ from colorcap.unr import (
     UnrState,
 )
 from colorcap.workloads import SplitMix64
-from helpers import claimed_ids, dump, release_passes, validate
+from helpers import claimed_ids, dump, oracle_min_free, release_passes, validate
 
 
 def claim(state, n):
@@ -201,13 +201,6 @@ class TestDump:
         assert dump(state) == "B:len=8:e7 R:a:592"
 
 
-def _oracle_min_free(claimed, total):
-    ident = 1
-    while ident in claimed:
-        ident += 1
-    return ident if ident <= total else None
-
-
 def _bitmap_nodes(state):
     return sum(type(node) is BitmapNode for node in state.nodes)
 
@@ -225,7 +218,7 @@ def _random_ops(state, claimed, rng, ops):
     for _ in range(ops):
         roll = rng.below(10)
         if roll < 5:
-            expected = _oracle_min_free(claimed, total)
+            expected = oracle_min_free(claimed, total)
             if expected is None:
                 with pytest.raises(Exhausted):
                     state.alloc_first_free()

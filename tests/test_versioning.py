@@ -104,15 +104,17 @@ def apply(scheme: VersioningScheme, op: tuple):
         return regs[reg]
     if kind == "free":
         return scheme.free(regs[reg])
+    otypeth = scheme.machine.config.color_count
     src = regs[op[2]] if kind in ("derive", "top", "uncolor") else regs[reg]
     if src is None or not src.tag:
         return None
     if kind == "derive":  # any sub-range of the source, possibly empty
         offset = op[3] % (src.length + 1)
-        regs[reg] = derive(src, src.base + offset, op[4] % (src.length - offset + 1), src.perms)
+        length = op[4] % (src.length - offset + 1)
+        regs[reg] = derive(src, src.base + offset, length, src.perms, otypeth)
         return regs[reg]
     if kind == "top":  # empty, at the source's top: the heap top for the last block
-        regs[reg] = derive(src, src.base + src.length, 0, src.perms)
+        regs[reg] = derive(src, src.base + src.length, 0, src.perms, otypeth)
         return regs[reg]
     if kind == "uncolor":
         regs[reg] = Capability(src.address, src.base, src.length, src.perms, None, True)
