@@ -145,7 +145,7 @@ class TaggedMachine:
         """
         return (self.pvt[color >> 3] >> (color & 7)) & 1 == 1
 
-    # Not folded into pvt_set_many: this per-malloc/free path is measurably slower through it.
+    # The per-malloc/free path; pvt_set_many would turn the whole table into an int.
     def pvt_set(self, color: int, retracted: bool) -> None:
         """Write one provenance-validity bit.
 
@@ -164,22 +164,19 @@ class TaggedMachine:
             if self.pvt_buffer is not None:
                 self.pvt_buffer.invalidations += 1
 
-    def pvt_set_many(self, colors: Iterable[int], retracted: bool) -> None:
-        """Bulk provenance-validity update with a single buffer invalidation."""
+    def pvt_set_many(self, mask: bytes, retracted: bool) -> None:
+        """Set or clear every bit of `mask`, a bitmap laid out as the table,
+        in a few big-int steps, with one buffer invalidation if a bit changed."""
         pvt = self.pvt
-        changed = False
-        for color in colors:
-            if not 0 < color < self._color_count:
-                raise ColorOutOfRange(f"color {color} outside [1, {self._color_count})")
-            idx = color >> 3
-            mask = 1 << (color & 7)
-            cur = pvt[idx]
-            new = (cur | mask) if retracted else (cur & ~mask)
-            if new != cur:
-                pvt[idx] = new
-                changed = True
-        if changed and self.pvt_buffer is not None:
-            self.pvt_buffer.invalidations += 1
+        if len(mask) != len(pvt) or mask[0] & 1:
+            raise ColorOutOfRange(f"mask must cover colors [1, {self._color_count}) only")
+        bits = int.from_bytes(mask, "little")
+        cur = int.from_bytes(pvt, "little")
+        new = cur | bits if retracted else cur & ~bits
+        if new != cur:
+            pvt[:] = new.to_bytes(len(pvt), "little")
+            if self.pvt_buffer is not None:
+                self.pvt_buffer.invalidations += 1
 
     # -- checked access -----------------------------------------------
 

@@ -15,14 +15,14 @@ Colors stay out of rotation until a revocation sweep completes.  A sweep
 starts in one place, `m_malloc`'s threshold test: some color is retracted,
 none is in flight, and fewer colors are unclaimed than the threshold
 (`RunConfig.threshold_fraction` of the pool, at least 1, so an empty pool
-is below it).  It freezes the retracted set as its targets and logs the
-tagged capability stores made while it runs; `_advance` scans memory
-clearing matching tags (`TaggedMachine.sweep_scan` with the job's `doomed`
-selector), then re-visits the logged words and the registers, clears the
-target bits and batch releases the colors.  Colors retracted after the
-targets froze wait for the next sweep.  The hardware sweep works from a
-snapshot of the PVT; the simulator keeps no copy and models it only by
-counting the PVT twice in the resident bytes while a sweep is in flight.
+is below it).  The job takes the retracted set as its targets and a PVT
+snapshot, whose set bits are those targets, and logs the tagged capability
+stores made while it runs; `_advance` scans memory clearing matching tags
+(`TaggedMachine.sweep_scan` with the job's `doomed` selector), then
+re-visits the logged words and the registers, clears the snapshot's bits
+and batch releases the colors, both per run of colors.  Colors retracted
+after the snapshot wait for the next sweep; the snapshot doubles the PVT
+in the resident bytes while the sweep is in flight.
 A sweep window (`RunConfig.sweep_window`) bounds the words scanned per
 allocation call; without one, a sweep runs to completion in the call that
 advances it.  The shim reads both settings from `machine.config`.
@@ -46,12 +46,13 @@ class PoolExhausted(Exception):
 
 @dataclass
 class RevocationJob:
-    """One in-flight sweep: the frozen target colors, a cursor over the
-    tagged addresses captured when it started, and the words given a tagged
-    capability since (`rewrites`, which the machine fills as `cap_writes`).
-    Its PVT snapshot is modelled only by the doubled PVT in `_sample`."""
+    """One in-flight sweep: the target colors, the PVT as it stood when the
+    sweep started (its set bits are the targets), a cursor over the tagged
+    addresses captured then, and the words given a tagged capability since
+    (`rewrites`, which the machine fills as `cap_writes`)."""
 
-    targets: frozenset[int]
+    targets: set[int]
+    snapshot: bytes
     addresses: list[int]
     cursor: int = 0
     swept: int = 0
@@ -173,14 +174,14 @@ class MallocRevocationShim(HeapScheme):
     # -- revocation ----------------------------------------------------------
 
     def _start_job(self) -> None:
-        # Freeze the targets: colors retracted from here on wait for the
-        # next sweep and stay retracted when this one completes.
-        targets = frozenset(self.retracted_pending)
-        self.retracted_pending.clear()
+        # With no job in flight the PVT's set bits are the retracted set, so
+        # the snapshot's are the targets; later retractions wait for the next.
         self.job = job = RevocationJob(
-            targets=targets,
+            targets=self.retracted_pending,
+            snapshot=bytes(self.machine.pvt),
             addresses=sorted(self.machine.caps),
         )
+        self.retracted_pending = set()
         self.machine.cap_writes = job.rewrites
         self.revocations += 1
         self._sample()
@@ -210,7 +211,7 @@ class MallocRevocationShim(HeapScheme):
         job = self.job
         self.machine.cap_writes = None
         job.swept += self.machine.sweep_scan(job.doomed, sorted(job.rewrites))
-        self.machine.pvt_set_many(job.targets, retracted=False)
+        self.machine.pvt_set_many(job.snapshot, retracted=False)
         self.unr.batch_release(sorted(job.targets))
         self.swept_tags += job.swept
         self.job = None

@@ -104,20 +104,23 @@ class _QuarantineScheme(HeapScheme):
         ):
             self.revoke()
 
-    def revoke(self) -> int:
+    def revoke(self) -> None:
         """Sweep memory and registers for capabilities into the quarantine,
-        then return its blocks to the free list.  Returns bytes reclaimed."""
+        then give its blocks back to the heap, each adjacent run as one block."""
         self.revocations += 1
         blocks = self.quarantine
         if blocks:
             blocks.sort()
             self.swept_tags += self.machine.sweep_scan(quarantine_selector(blocks))
-        for base, top in blocks:  # coalescing makes the order immaterial
-            self.heap.free(base, top - base)
+            start = end = blocks[0][0]
+            for base, top in blocks:
+                if base != end:  # a gap closes the run
+                    self.heap.free(start, end - start)
+                    start = base
+                end = top
+            self.heap.free(start, end - start)
         self.quarantine = []
-        reclaimed = self.quarantine_bytes
         self.quarantine_bytes = 0
-        return reclaimed
 
     def _held(self, addr: int) -> bool:
         """Is `addr` inside a quarantined block?  Fault path only."""

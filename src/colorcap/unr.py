@@ -9,11 +9,11 @@ three runs - the point where it stops costing more memory than the runs -
 and are dissolved back into runs when they become uniform.
 
 Batch release takes a strictly ascending ID sequence and rewrites the node
-sequence in a single forward pass, freeing IDs on the fly and converting to
-a "first good bitmap" the moment a window of runs qualifies, with no
-lookahead for globally optimal packing.  The resulting claimed/available
-membership is identical to releasing the IDs one at a time; only the node
-structure may differ.
+sequence in a single forward pass, each run of consecutive IDs one builder
+step, converting to a "first good bitmap" the moment a window of runs
+qualifies, with no lookahead for globally optimal packing.  The resulting
+claimed/available membership is identical to releasing the IDs one at a
+time; only the node structure may differ.
 """
 
 from __future__ import annotations
@@ -88,13 +88,22 @@ class _Builder:
         self.win_len = length
         self._settle()
 
+    def release(self, length: int) -> None:
+        """Emit `length` available IDs as the same nodes that as many
+        one-ID runs would make, in O(1) builder steps."""
+        win, out = self.win, self.out
+        if len(win) == 2 and win[1][0] and self.win_len < BITMAP_CAPACITY:
+            self.run(False, 1)
+            length -= 1
+        if not win and out and type(out[-1]) is BitmapNode:
+            room = min(length, BITMAP_CAPACITY - out[-1].length)
+            out[-1].length += room
+            length -= room
+        self.run(False, length)
+
     def bitmap(self, bits: int, length: int) -> None:
-        full = (1 << length) - 1
-        if bits == 0:  # uniform bitmaps dissolve back into runs
-            self.run(False, length)
-            return
-        if bits == full:
-            self.run(True, length)
+        if bits == 0 or bits == (1 << length) - 1:  # uniform: dissolve into a run
+            self.run(bits != 0, length)
             return
         if self.win and self.win_len + length <= BITMAP_CAPACITY:
             # Fold the pending runs in as the bitmap's prefix.
@@ -270,19 +279,19 @@ class UnrState:
             if type(node) is Run:
                 if not node.claimed:
                     raise NotClaimed(f"id {nxt} is not claimed")
-                cursor = offset
+                last = offset  # the IDs so far all lie before this node
                 while nxt is not None and nxt <= end:
                     if nxt <= last:
                         raise ValueError("ids must be strictly ascending")
-                    last = nxt
-                    if nxt - 1 > cursor:
-                        builder.run(True, nxt - 1 - cursor)
-                    builder.run(False, 1)
-                    cursor = nxt
-                    released += 1
+                    builder.run(True, nxt - 1 - last)
+                    first = last = nxt
                     nxt = next(it, None)
-                if end > cursor:
-                    builder.run(True, end - cursor)
+                    while nxt == last + 1 and nxt <= end:  # one run of IDs
+                        last = nxt
+                        nxt = next(it, None)
+                    builder.release(last - first + 1)
+                    released += last - first + 1
+                builder.run(True, end - last)
             else:
                 bits = node.bits
                 while nxt is not None and nxt <= end:

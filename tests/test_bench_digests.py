@@ -6,6 +6,9 @@ the cornucopia-rof prefixes and the digest function are the bench's own,
 imported from bench/, so this replays exactly what the bench replays.
 """
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,7 +16,8 @@ import pytest
 
 from colorcap.harness import run_trace
 
-BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = str(ROOT / "bench")
 if BENCH not in sys.path:
     sys.path.insert(0, BENCH)
 
@@ -61,3 +65,29 @@ def test_every_scheme_replays_to_its_pinned_digest(name):
         replayed = prefix(trace, workload.rof_ops) if scheme == "cornucopia-rof" else trace
         digests[scheme] = metrics_digest(run_trace(replayed, scheme, workload.config).metrics)
     assert digests == DIGESTS[name]
+
+
+#: Replays churn-fifo at seed 1 under the schemes named in argv and prints
+#: their digests as one JSON object.
+_REPLAY = """
+import json, sys
+from colorcap.harness import run_trace
+from matrix import WORKLOADS
+from run import metrics_digest
+workload = WORKLOADS["churn-fifo"]
+trace = workload.build(1)
+print(json.dumps({s: metrics_digest(run_trace(trace, s, workload.config).metrics)
+                  for s in sys.argv[1:]}))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "987654"])
+def test_digests_do_not_depend_on_the_hash_seed(hash_seed):
+    # No result may follow the order of a str- or bytes-keyed set or dict: a
+    # fresh interpreter under another hash seed replays to the same digests.
+    schemes = ["picasso", "cornucopia"]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), BENCH]))
+    done = subprocess.run([sys.executable, "-c", _REPLAY, *schemes], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {s: DIGESTS["churn-fifo"][s] for s in schemes}

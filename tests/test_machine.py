@@ -231,6 +231,37 @@ class TestPvt:
         with pytest.raises(ColorOutOfRange):
             m.pvt_set(1 << 10, retracted=True)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.sets(st.integers(1, (1 << 10) - 1), max_size=40),
+        colors=st.sets(st.integers(1, (1 << 10) - 1), max_size=40),
+        retracted=st.booleans(),
+    )
+    @example(start=set(), colors=set(), retracted=True)
+    @example(start={3, 700}, colors={3, 700}, retracted=True)
+    def test_set_many_touches_exactly_the_mask(self, start, colors, retracted):
+        m = machine()
+        for color in start:
+            m.pvt_set(color, retracted=True)
+        before = m.pvt_buffer.invalidations
+        mask = bytearray(len(m.pvt))
+        for color in colors:
+            mask[color >> 3] |= 1 << (color & 7)
+        m.pvt_set_many(bytes(mask), retracted=retracted)
+        expected = start | colors if retracted else start - colors
+        assert {c for c in range(1 << 10) if m.pvb_retracted(c)} == expected
+        assert m.pvt_buffer.invalidations == before + (expected != start)
+
+    def test_set_many_rejects_a_bad_mask(self):
+        m = machine()
+        m.pvt_set(9, retracted=True)
+        before = bytes(m.pvt)
+        size = len(m.pvt)
+        for mask in (bytes(size - 1), bytes(size + 1), b"\x01" + bytes(size - 1)):
+            with pytest.raises(ColorOutOfRange):
+                m.pvt_set_many(mask, retracted=False)
+        assert bytes(m.pvt) == before and m.pvt_buffer.invalidations == 1
+
     def test_same_word_second_lookup_hits(self):
         m = machine()
         buf = m.pvt_buffer
@@ -281,7 +312,7 @@ class TestPvt:
 
 def colored(*colors):
     """The sweep selector of a revocation that targets `colors`."""
-    return RevocationJob(frozenset(colors), []).doomed
+    return RevocationJob(set(colors), b"", []).doomed
 
 
 class TestSweep:
@@ -436,7 +467,7 @@ class TestSelectorSweep:
     ):
         checks = (
             (quarantine_selector(blocks), overlaps_a_block(blocks)),
-            (RevocationJob(targets, []).doomed, lambda cap: cap.otype in targets),
+            (RevocationJob(targets, b"", []).doomed, lambda cap: cap.otype in targets),
         )
         for select, doomed in checks:
             m, ref = machine(), machine()

@@ -22,6 +22,12 @@ def make(color_bits=10, heap_size=0x4000, threshold=0.01, window=None):
     return machine, MallocRevocationShim(machine)
 
 
+def set_bits(table):
+    """The colors whose bits are set in a PVT-layout bitmap."""
+    bits = int.from_bytes(table, "little")
+    return {color for color in range(8 * len(table)) if bits >> color & 1}
+
+
 def scratch_cap(machine):
     """Authority over 8 capability spill slots past the heap."""
     base = machine.config.scratch_base
@@ -120,24 +126,19 @@ class TestThreshold:
         _, mrs = make()
         assert mrs.pool == 1023
         assert mrs.threshold_count == 11
-        caps = [mrs.m_malloc(16) for _ in range(64)]
-        for cap in caps:
-            mrs.m_free(cap)
-        # Drive claims without frees: at 1014 claimed, unclaimed = 9 < 11.
-        mrs.unr.batch_release(sorted(mrs.retracted_pending))
-        mrs.retracted_pending.clear()
-        while mrs.unr.population < 1014:
-            mrs.unr.alloc_first_free()
-        mrs.retracted_pending.add(5)  # something to reclaim
+        # With nothing retracted, claims below the threshold start no sweep:
+        # at 1014 claimed, unclaimed = 9 < 11.
+        caps = [mrs.m_malloc(16) for _ in range(1014)]
+        assert mrs.revocations == 0
+        mrs.m_free(caps[4])  # color 5: something to reclaim
         assert mrs.pool - mrs.unr.population == 9
         mrs.m_malloc(16)
         assert mrs.revocations == 1
 
     def test_no_trigger_at_threshold_boundary(self):
         _, mrs = make()
-        while mrs.pool - mrs.unr.population > mrs.threshold_count:
-            mrs.unr.alloc_first_free()
-        mrs.retracted_pending.add(5)  # something to reclaim
+        caps = [mrs.m_malloc(16) for _ in range(mrs.pool - mrs.threshold_count)]
+        mrs.m_free(caps[4])  # color 5: something to reclaim
         mrs.m_malloc(16)  # at the threshold, not below it: strict less-than
         assert mrs.revocations == 0
         mrs.m_malloc(16)  # one claim past it
@@ -324,16 +325,24 @@ class TestConservation:
         machine, mrs = make(color_bits=8, heap_size=0x8000, threshold=0.05, window=2)
         rng = SplitMix64(99)
         live = []
+        seen_job = False
         for step in range(2000):
             if live and rng.below(2):
                 cap = live.pop(rng.below(len(live)))
                 assert mrs.m_free(cap) is None
             else:
                 live.append(mrs.m_malloc(16))
-            targets = len(mrs.job.targets) if mrs.job else 0
+            targets = mrs.job.targets if mrs.job else set()
             assert mrs.unr.population == (
-                len(mrs.live) + len(mrs.retracted_pending) + targets
+                len(mrs.live) + len(mrs.retracted_pending) + len(targets)
             )
+            # The PVT's set bits are the colors awaiting a sweep, and a
+            # job's snapshot holds exactly its targets.
+            assert set_bits(machine.pvt) == mrs.retracted_pending | targets
+            if mrs.job:
+                assert set_bits(mrs.job.snapshot) == targets
+                seen_job = True
+        assert seen_job
         validate(mrs.unr)
 
     def test_failed_malloc_hands_its_color_back(self):

@@ -96,7 +96,10 @@ class TestCornucopia:
 
     def test_empty_quarantine_revoke(self):
         corn = CornucopiaScheme(machine())
-        assert corn.revoke() == 0
+        heap = corn.heap.free_blocks
+        corn.revoke()
+        assert corn.revocations == 1 and corn.swept_tags == 0
+        assert corn.heap.free_blocks == heap
 
     def test_double_free_detected_by_shadow(self):
         corn = CornucopiaScheme(machine())

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,9 @@ from colorcap.unr import (
     BitmapNode,
     Exhausted,
     NotClaimed,
+    Run,
     UnrState,
+    _Builder,
 )
 from colorcap.workloads import SplitMix64
 from helpers import claimed_ids, dump, oracle_min_free, release_passes, validate
@@ -15,6 +19,12 @@ from helpers import claimed_ids, dump, oracle_min_free, release_passes, validate
 
 def claim(state, n):
     return [state.alloc_first_free() for _ in range(n)]
+
+
+def _shape(nodes):
+    """Nodes as comparable tuples."""
+    return [("R", node.claimed, node.length) if type(node) is Run else ("B", node.bits, node.length)
+            for node in nodes]
 
 
 class TestAlloc:
@@ -138,6 +148,72 @@ class TestBatchRelease:
         state = UnrState(10_000)
         claim(state, 10_000)
         assert release_passes(state, range(1, 10_001, 2)) == 1
+
+    @pytest.mark.parametrize("ids", [[5, 6, 6], [5, 6, 4]])
+    def test_run_not_ascending_rejected_unchanged(self, ids):
+        state = UnrState(10)
+        claim(state, 10)
+        with pytest.raises(ValueError):
+            state.batch_release(ids)
+        assert dump(state) == "R:c:10"
+        assert state.population == 10
+
+    @pytest.mark.parametrize("hole", [None, 17])
+    def test_run_into_available_ids_rejected_unchanged(self, hole):
+        # The run 14..25 steps past the claimed run into available IDs, or
+        # into a hole inside a bitmap.
+        state = UnrState(100)
+        claim(state, 20)
+        if hole is not None:
+            state.free_one(hole)
+        before = dump(state)
+        with pytest.raises(NotClaimed):
+            state.batch_release(range(14, 26))
+        assert dump(state) == before
+        assert state.population == 20 - (hole is not None)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(600, 3000), st.data())
+    def test_runs_across_node_edges_match_one_at_a_time(self, total, data):
+        # Scattered holes make runs and bitmaps; each drawn run of IDs
+        # starts just before a node edge (the pool's end among them) and
+        # may span several nodes.
+        holes = sorted(set(data.draw(st.lists(st.integers(1, total), max_size=60))))
+        state, oracle = UnrState(total), UnrState(total)
+        for s in (state, oracle):
+            claim(s, total)
+            s.batch_release(holes)
+        claimed = claimed_ids(state)
+        edges = list(accumulate(node.length for node in state.nodes))
+        ids = set()
+        for _ in range(data.draw(st.integers(1, 6))):
+            start = max(1, data.draw(st.sampled_from(edges)) - data.draw(st.integers(0, 40)))
+            ids.update(range(start, start + data.draw(st.integers(1, 700))))
+        ids = sorted(ids & claimed)
+        state.batch_release(ids)
+        for ident in ids:
+            oracle.free_one(ident)
+        assert claimed_ids(state) == claimed_ids(oracle) == claimed - set(ids)
+        assert state.population == oracle.population
+        validate(state)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.booleans(), st.integers(1, 700)), max_size=8),
+        st.integers(1, 1200),
+    )
+    def test_builder_release_is_one_id_runs(self, prefix, length):
+        # A run of released IDs makes the nodes that one-ID runs make, so a
+        # batch release's node structure (and node memory) is as before.
+        builders = _Builder(), _Builder()
+        for builder in builders:
+            for claimed, run_len in prefix:
+                builder.run(claimed, run_len)
+        bulk, unit = builders
+        bulk.release(length)
+        for _ in range(length):
+            unit.run(False, 1)
+        assert _shape(bulk.finish()) == _shape(unit.finish())
 
     def test_structure_may_differ_membership_identical(self):
         batch = UnrState(4000)
