@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import islice
 from typing import Optional
 
 from .capability import (
@@ -159,7 +158,8 @@ def run_trace(
     index = -1
 
     try:
-        for index, (code, a, b, c) in enumerate(trace.ops):
+        for index, op in enumerate(trace.ops):
+            code, a, b, c = op
             # READ, WRITE and FREE end in the verdict tail below, with `legal`
             # the oracle's ruling and `outcome` the scheme's; every other op
             # records its own fault and continues.
@@ -247,7 +247,7 @@ def run_trace(
                 bound[a] = _SCRATCH_BINDING
                 continue
             else:
-                raise ConfigError(f"op {index}: {op_problem((code, a, b, c))}")
+                raise ConfigError(f"op {index}: {op_problem(op)}")
 
             if not legal:
                 violations += 1
@@ -260,12 +260,9 @@ def run_trace(
                 if legal and outcome is not FaultKind.SPATIAL_OUT_OF_BOUNDS:
                     false_positives += 1
     except (IndexError, TypeError, ValueError):
-        # Checked only on failure, so the loop pays nothing per op; one-shot
-        # ops cannot be re-read, and a well-formed op's failure propagates.
-        stream = trace.ops
-        problem = index >= 0 and iter(stream) is not stream and op_problem(
-            next(islice(stream, index, None))
-        )
+        # Checked only on failure, so the loop pays nothing per op; a
+        # well-formed op's failure propagates.
+        problem = index >= 0 and op_problem(op)
         if not problem:
             raise
         raise ConfigError(f"op {index}: {problem}") from None

@@ -11,18 +11,22 @@ because retraction already makes every stale capability fault.
 The shim is a `heap.HeapScheme`: heap, root capability, live map, counters
 and block carving come from the base; only the color lifecycle lives here.
 
-Colors stay out of rotation until a revocation sweep completes.  A sweep
-starts in one place, `m_malloc`'s threshold test: some color is retracted,
-none is in flight, and fewer colors are unclaimed than the threshold
-(`RunConfig.threshold_fraction` of the pool, at least 1, so an empty pool
-is below it).  The job takes the retracted set as its targets and a PVT
-snapshot, whose set bits are those targets, and logs the tagged capability
-stores made while it runs; `_advance` scans memory clearing matching tags
-(`TaggedMachine.sweep_scan` with the job's `doomed` selector), then
-re-visits the logged words and the registers, clears the snapshot's bits
-and batch releases the colors, both per run of colors.  Colors retracted
-after the snapshot wait for the next sweep; the snapshot doubles the PVT
-in the resident bytes while the sweep is in flight.
+Colors stay out of rotation until a revocation sweep completes.  The PVT
+is the only record of which colors are retracted; the shim keeps just their
+number, `pending`.  A sweep starts in one place, `m_malloc`'s threshold
+test: some color is pending, no sweep is in flight, and fewer colors are
+unclaimed than the threshold (`RunConfig.threshold_fraction` of the pool,
+at least 1, so an empty pool is below it).  The job snapshots the PVT,
+whose set bits are then exactly the pending colors and become its targets,
+expands the snapshot into a table of one byte per color for its `doomed`
+selector, and logs the tagged capability stores made while it runs;
+`_advance` scans memory clearing matching tags (`TaggedMachine.sweep_scan`),
+then re-visits the logged words and the registers, clears the snapshot's
+bits and batch releases the colors, the table's runs of target bytes, so a
+finished sweep costs O(runs), not O(targets).  Colors retracted after the
+snapshot wait for the next sweep.  The snapshot doubles the PVT in the
+modelled resident bytes while the sweep is in flight; the table, 8x the
+PVT, is host memory held only for as long.
 A sweep window (`RunConfig.sweep_window`) bounds the words scanned per
 allocation call; without one, a sweep runs to completion in the call that
 advances it.  The shim reads both settings from `machine.config`.
@@ -31,6 +35,7 @@ advances it.  The shim reads both settings from `machine.config`.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,28 +49,61 @@ class PoolExhausted(Exception):
     """Every color is claimed and no sweep can reclaim any."""
 
 
+#: _BIT[k] maps a PVT byte to its bit k, so `snapshot.translate(_BIT[k])`
+#: reads bit k of every byte: the target flags of colors k, k + 8, ...
+_BIT = [bytes(byte >> k & 1 for byte in range(256)) for k in range(8)]
+#: Runs of target bytes: `\x01+`, spelled with a literal first byte, which
+#: the regex engine scans for about 20x faster.
+_RUNS = re.compile(rb"\x01\x01*")
+
+
 @dataclass
 class RevocationJob:
-    """One in-flight sweep: the target colors, the PVT as it stood when the
-    sweep started (its set bits are the targets), a cursor over the tagged
-    addresses captured then, and the words given a tagged capability since
-    (`rewrites`, which the machine fills as `cap_writes`)."""
+    """One in-flight sweep: the PVT as it stood when the sweep started (its
+    set bits are the target colors), a cursor over the tagged addresses
+    captured then, the words given a tagged capability since (`rewrites`,
+    which the machine fills as `cap_writes`), and `targets`, the target set
+    as one byte per color, 1 for a target, expanded from the snapshot by
+    eight C-level translations with no step per color."""
 
-    targets: set[int]
     snapshot: bytes
     addresses: list[int]
     cursor: int = 0
     swept: int = 0
     rewrites: set[int] = field(default_factory=set)
+    targets: bytearray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.targets = targets = bytearray(8 * len(self.snapshot))
+        for k in range(8):
+            targets[k::8] = self.snapshot.translate(_BIT[k])
 
     @property
     def done(self) -> bool:
         return self.cursor >= len(self.addresses)
 
     def doomed(self, pairs) -> list[int]:
-        """Sweep selector: the keys whose capability's color is a target."""
+        """Sweep selector: the keys whose capability's color is a target.
+
+        Total over (key, capability) pairs in a list or a dict view: an
+        uncolored (None or 0) or negative otype is never a target, and a
+        sealed one lies past the table, whose IndexError sends the pairs
+        through the bounds-checked comprehension.
+        """
         targets = self.targets
-        return [key for key, cap in pairs if cap.otype in targets]
+        try:
+            return [
+                key
+                for key, cap in pairs
+                if (otype := cap.otype) and otype > 0 and targets[otype]
+            ]
+        except IndexError:
+            size = len(targets)
+            return [
+                key
+                for key, cap in pairs
+                if (otype := cap.otype) and 0 < otype < size and targets[otype]
+            ]
 
 
 class MallocRevocationShim(HeapScheme):
@@ -79,7 +117,7 @@ class MallocRevocationShim(HeapScheme):
         self.unr = UnrState(self.pool)
         self.threshold_count = math.ceil(config.threshold_fraction * self.pool)
         self.sweep_window = config.sweep_window
-        self.retracted_pending: set[int] = set()
+        self.pending = 0  # colors retracted since the last sweep started
         self.job: Optional[RevocationJob] = None
         self.pvt_bytes = config.pvt_bytes
         self._sample()
@@ -117,7 +155,7 @@ class MallocRevocationShim(HeapScheme):
             self._advance(self.sweep_window)
         unr = self.unr
         if self.pool - unr.population < self.threshold_count and (
-            self.job is None and self.retracted_pending
+            self.job is None and self.pending
         ):
             self._start_job()
             if self.sweep_window is None:
@@ -164,7 +202,7 @@ class MallocRevocationShim(HeapScheme):
             return FaultKind.MALFORMED_FREE
         size = record[0]
         self.machine.pvt_set(otype, retracted=True)
-        self.retracted_pending.add(otype)
+        self.pending += 1
         del self.live[cap.base]
         self.live_bytes -= size
         self.heap.free(cap.base, size)  # immediately reusable
@@ -174,14 +212,10 @@ class MallocRevocationShim(HeapScheme):
     # -- revocation ----------------------------------------------------------
 
     def _start_job(self) -> None:
-        # With no job in flight the PVT's set bits are the retracted set, so
+        # With no job in flight the PVT's set bits are the pending colors, so
         # the snapshot's are the targets; later retractions wait for the next.
-        self.job = job = RevocationJob(
-            targets=self.retracted_pending,
-            snapshot=bytes(self.machine.pvt),
-            addresses=sorted(self.machine.caps),
-        )
-        self.retracted_pending = set()
+        self.job = job = RevocationJob(bytes(self.machine.pvt), sorted(self.machine.caps))
+        self.pending = 0
         self.machine.cap_writes = job.rewrites
         self.revocations += 1
         self._sample()
@@ -212,7 +246,7 @@ class MallocRevocationShim(HeapScheme):
         self.machine.cap_writes = None
         job.swept += self.machine.sweep_scan(job.doomed, sorted(job.rewrites))
         self.machine.pvt_set_many(job.snapshot, retracted=False)
-        self.unr.batch_release(sorted(job.targets))
+        self.unr.batch_release(map(re.Match.span, _RUNS.finditer(job.targets)))
         self.swept_tags += job.swept
         self.job = None
         self._sample()

@@ -8,17 +8,20 @@ cheap.  Bitmaps are formed greedily wherever one would replace at least
 three runs - the point where it stops costing more memory than the runs -
 and are dissolved back into runs when they become uniform.
 
-Batch release takes a strictly ascending ID sequence and rewrites the node
-sequence in a single forward pass, each run of consecutive IDs one builder
-step, converting to a "first good bitmap" the moment a window of runs
-qualifies, with no lookahead for globally optimal packing.  The resulting
-claimed/available membership is identical to releasing the IDs one at a
-time; only the node structure may differ.
+Batch release takes ascending, disjoint runs of IDs, as (start, stop)
+pairs, and rewrites the node sequence in a single forward pass: a run is
+split at node edges, each piece inside a claimed run is one builder step and
+each piece inside a bitmap one mask test and one clear, so the pass costs
+O(nodes + runs) whatever the number of IDs.  The builder converts to a
+"first good bitmap" the moment a window of runs qualifies, with no lookahead
+for globally optimal packing.  The claimed/available membership is that of
+releasing the IDs one at a time; only the node structure may differ, and it
+is the one that emitting each released ID as its own builder step makes.
 """
 
 from __future__ import annotations
 
-from typing import Final, Iterable, Sequence
+from typing import Final, Iterable
 
 BITMAP_CAPACITY: Final = 512
 #: Accounting: every node costs one unit; a bitmap adds its bit payload.
@@ -247,67 +250,81 @@ class UnrState:
         """Release one claimed ID."""
         if not 1 <= ident <= self.total:
             raise ValueError(f"id {ident} outside [1, {self.total}]")
-        self.batch_release((ident,))
+        self.batch_release(((ident, ident + 1),))
 
-    def batch_release(self, ids: Sequence[int] | Iterable[int]) -> None:
-        """Release a strictly ascending sequence of claimed IDs in one
-        forward pass over the node sequence.
+    def batch_release(self, runs: Iterable[tuple[int, int]]) -> None:
+        """Release runs of claimed IDs, each the IDs start..stop-1 of one
+        (start, stop) pair, in one forward pass over the node sequence.
+        The runs must ascend and be disjoint; adjacent ones are allowed.
 
-        Atomic: if any ID is not claimed, nothing changes.  The claimed-set
-        result is identical to calling free_one for each ID in order.
+        A run is split where it crosses a node edge; each piece inside a
+        claimed run node is one builder step, and each piece inside a
+        bitmap one mask test and one clear, so the pass costs O(nodes +
+        runs), not O(IDs).  Atomic: if any ID is not claimed, nothing
+        changes.  The claimed set is that of calling free_one for each ID
+        in order, and the nodes are those of one builder step per ID.
         """
-        it = iter(ids)
-        nxt = next(it, None)
-        if nxt is None:
+        it = iter(runs)
+        run = next(it, None)
+        if run is None:
             return
-        if nxt < 1:
-            raise ValueError(f"id {nxt} outside [1, {self.total}]")
+        start, stop = run
+        if not 1 <= start < stop:
+            raise ValueError(f"run {run} is empty or starts below 1")
         builder = _Builder()
+        emit, release = builder.run, builder.release
         released = 0
-        offset = 0
-        last = 0
+        lo = 1  # the node covers IDs lo..hi-1
         for node in self.nodes:
-            length = node.length
-            end = offset + length
-            if nxt is None or nxt > end:
+            hi = lo + node.length
+            if start is None or start >= hi:
                 if type(node) is Run:
-                    builder.run(node.claimed, length)
+                    emit(node.claimed, node.length)
                 else:
-                    builder.bitmap(node.bits, length)
-                offset = end
+                    builder.bitmap(node.bits, node.length)
+                lo = hi
                 continue
-            if type(node) is Run:
+            # Release the runs, or their pieces, that start in this node.
+            is_run = type(node) is Run
+            if is_run:
                 if not node.claimed:
-                    raise NotClaimed(f"id {nxt} is not claimed")
-                last = offset  # the IDs so far all lie before this node
-                while nxt is not None and nxt <= end:
-                    if nxt <= last:
-                        raise ValueError("ids must be strictly ascending")
-                    builder.run(True, nxt - 1 - last)
-                    first = last = nxt
-                    nxt = next(it, None)
-                    while nxt == last + 1 and nxt <= end:  # one run of IDs
-                        last = nxt
-                        nxt = next(it, None)
-                    builder.release(last - first + 1)
-                    released += last - first + 1
-                builder.run(True, end - last)
+                    raise NotClaimed(f"id {start} is not claimed")
+                done = lo  # the IDs below `done` are emitted
             else:
                 bits = node.bits
-                while nxt is not None and nxt <= end:
-                    if nxt <= last:
-                        raise ValueError("ids must be strictly ascending")
-                    last = nxt
-                    pos = nxt - offset - 1
-                    if not (bits >> pos) & 1:
-                        raise NotClaimed(f"id {nxt} is not claimed")
-                    bits &= ~(1 << pos)
-                    released += 1
-                    nxt = next(it, None)
-                builder.bitmap(bits, length)
-            offset = end
-        if nxt is not None:
-            raise NotClaimed(f"id {nxt} outside the pool")
+            while True:
+                piece = stop if stop < hi else hi
+                if is_run:
+                    emit(True, start - done)
+                    release(piece - start)
+                    done = piece
+                else:
+                    mask = ((1 << (piece - start)) - 1) << (start - lo)
+                    missing = mask & ~bits
+                    if missing:
+                        first = lo + (missing & -missing).bit_length() - 1
+                        raise NotClaimed(f"id {first} is not claimed")
+                    bits ^= mask
+                released += piece - start
+                if stop > hi:  # the rest starts in the next node
+                    start = hi
+                    break
+                run = next(it, None)
+                if run is None:
+                    start = None
+                    break
+                prev, (start, stop) = stop, run
+                if not prev <= start < stop:
+                    raise ValueError(f"run {run} is empty or not past {prev - 1}")
+                if start >= hi:
+                    break
+            if is_run:
+                emit(True, hi - done)
+            else:
+                builder.bitmap(bits, node.length)
+            lo = hi
+        if start is not None:
+            raise NotClaimed(f"id {start} outside the pool")
         self._adopt(builder)
         self.population -= released
 

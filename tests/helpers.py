@@ -42,11 +42,22 @@ class CountingNodes(list):
         return super().__iter__()
 
 
-def release_passes(state, ids) -> int:
-    """Batch release `ids` from a `UnrState`; returns the number of passes
+def runs_of(ids) -> list[tuple[int, int]]:
+    """Ascending IDs as the maximal (start, stop) runs `batch_release` takes."""
+    runs = []
+    for ident in ids:
+        if runs and runs[-1][1] == ident:
+            runs[-1][1] += 1
+        else:
+            runs.append([ident, ident + 1])
+    return [tuple(run) for run in runs]
+
+
+def release_passes(state, runs) -> int:
+    """Batch release `runs` from a `UnrState`; returns the number of passes
     it made over the node list."""
     nodes = state.nodes = CountingNodes(state.nodes)
-    state.batch_release(ids)
+    state.batch_release(runs)
     return nodes.passes
 
 

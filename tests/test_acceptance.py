@@ -11,7 +11,7 @@ from colorcap.harness import RunConfig, run_corpus, run_trace
 from colorcap.trace import OP_COPY, OP_FREE, OP_MALLOC, OP_READ, Trace
 from colorcap.unr import UnrState
 from colorcap.workloads import SplitMix64, gen_churn, gen_corpus, gen_locality
-from helpers import claimed_ids, oracle_min_free, release_passes
+from helpers import claimed_ids, oracle_min_free, release_passes, runs_of
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -147,7 +147,7 @@ def test_criterion_3_unr_oracle_equivalence():
             elif claimed:
                 ids = sorted(claimed)
                 picks = sorted({ids[rng.below(len(ids))] for _ in range(rng.below(6) + 1)})
-                assert release_passes(state, picks) == 1, "batch not single-pass"
+                assert release_passes(state, runs_of(picks)) == 1, "batch not single-pass"
                 claimed.difference_update(picks)
         if claimed_ids(state) != claimed:
             mismatches += 1
@@ -155,7 +155,7 @@ def test_criterion_3_unr_oracle_equivalence():
     state = UnrState(100_000)
     for _ in range(100_000):
         state.alloc_first_free()
-    single_pass = release_passes(state, range(2, 100_001, 2)) == 1
+    single_pass = release_passes(state, [(i, i + 1) for i in range(2, 100_001, 2)]) == 1
     big_ok = claimed_ids(state) == set(range(1, 100_001, 2))
     ok = mismatches == 0 and big_ok and single_pass
     _report(

@@ -244,9 +244,19 @@ class TestMalformedOps:
         assert str(caught.value) == message
 
     def test_other_failures_propagate(self):
-        # A one-shot iterator cannot be re-read, so its failure stands.
-        with pytest.raises(IndexError):
+        # The loop binds the op it replays, so a one-shot iterator's
+        # malformed op is named too; a failure with a well-formed op at its
+        # index, here one the iterator raises itself, propagates.
+        with pytest.raises(ConfigError) as caught:
             run_trace(Trace(ops=iter([(OP_MALLOC, 40, 16, 0)])), "picasso")
+        assert str(caught.value) == "op 0: field a: register 40 not in [0, 32)"
+
+        def failing_ops():
+            yield (OP_MALLOC, 0, 16, 0)
+            raise IndexError("the source failed")
+
+        with pytest.raises(IndexError, match="the source failed"):
+            run_trace(Trace(ops=failing_ops()), "picasso")
         for op in [(OP_MALLOC, 31, 1, 0), (OP_COPY, 0, 31, 0), (OP_READ, 0, -1, -1)]:
             assert op_problem(op) is None
 

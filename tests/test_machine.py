@@ -311,8 +311,12 @@ class TestPvt:
 
 
 def colored(*colors):
-    """The sweep selector of a revocation that targets `colors`."""
-    return RevocationJob(set(colors), b"", []).doomed
+    """The sweep selector of a revocation that targets `colors`: a job whose
+    PVT snapshot, laid out as `machine()`'s table, has their bits set."""
+    snapshot = bytearray(small_config().pvt_bytes)
+    for color in colors:
+        snapshot[color >> 3] |= 1 << (color & 7)
+    return RevocationJob(bytes(snapshot), []).doomed
 
 
 class TestSweep:
@@ -360,6 +364,26 @@ class TestSweep:
         assert m.sweep_scan(colored(3), addresses=[first_word], include_registers=False) == 1
         assert first_word not in m.caps
         assert first_word + 16 in m.caps
+
+    def test_color_selector_is_total(self):
+        # Untagged, uncolored (None, and the reserved 0), sealed (otype at
+        # or past color_count) and negative-otype capabilities never raise
+        # and are never doomed; only the tagged one of target color 5 is.
+        # Color 1021 is a target too: a table read at -3 would doom otype -3.
+        m = machine()
+        auth = heap_cap(m)
+        sealed = m.config.color_count
+        odd = [heap_cap(m, otype=5, tag=False)] + [
+            heap_cap(m, otype=otype) for otype in (None, 0, sealed, sealed + 5, 1 << 40, -3)
+        ]
+        for i, cap in enumerate(odd + [heap_cap(m, otype=5)]):
+            m.store_cap(auth, 16 * i, cap)
+            m.regs[i] = cap
+        select = colored(5, 1021)
+        assert select([(i, cap) for i, cap in enumerate(odd[1:])]) == []
+        assert m.sweep_scan(select) == 2
+        assert sorted(m.caps) == [auth.base + 16 * i for i in range(1, len(odd))]
+        assert m.regs[: len(odd)] == odd and not m.regs[len(odd)].tag
 
     def test_quarantine_spares_empty_and_abutting_ranges(self):
         m = machine()
@@ -425,12 +449,14 @@ def _swept(base, length, otype=UNSEALED, tag=True):
 
 
 def swept_caps(tags=st.just(True)):
-    """Byte-granular ranges from below the first block to past the last."""
+    """Byte-granular ranges from below the first block to past the last,
+    uncolored, colored 1-3 or sealed (otype 1024 is `machine()`'s
+    color_count)."""
     return st.builds(
         _swept,
         st.integers(Q - 64, Q + 16 * 40),
         st.one_of(st.just(0), st.integers(0, 320)),
-        st.sampled_from((UNSEALED, 1, 2, 3)),
+        st.sampled_from((UNSEALED, 0, 1, 2, 3, 1024)),
         tags,
     )
 
@@ -467,7 +493,7 @@ class TestSelectorSweep:
     ):
         checks = (
             (quarantine_selector(blocks), overlaps_a_block(blocks)),
-            (RevocationJob(targets, b"", []).doomed, lambda cap: cap.otype in targets),
+            (colored(*targets), lambda cap: cap.otype in targets),
         )
         for select, doomed in checks:
             m, ref = machine(), machine()
@@ -603,7 +629,7 @@ memory_ops = st.lists(
         st.tuples(st.just("raw"), _offsets, _payloads),  # write_bytes
         st.tuples(
             st.just("sweep"),
-            st.frozensets(st.sampled_from((UNSEALED, 1, 2)), min_size=1),
+            st.frozensets(st.sampled_from((1, 2, 300)), min_size=1),
             st.one_of(st.none(), st.lists(st.integers(0, REGION_WORDS - 1), unique=True)),
         ),
         st.tuples(st.just("read"), _offsets, st.integers(0, REGION)),

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import tracemalloc
+
 import pytest
 
 from colorcap.capability import (
@@ -11,8 +15,8 @@ from colorcap.harness import RunConfig, run_trace
 from colorcap.heap import OutOfMemory
 from colorcap.machine import FaultKind, TaggedMachine
 from colorcap.mrs import MallocRevocationShim, PoolExhausted
-from colorcap.trace import parse_trace
-from colorcap.workloads import SplitMix64
+from colorcap.trace import OP_FREE, OP_MALLOC, OP_READ, OP_RELOAD, OP_SPILL, Trace, parse_trace
+from colorcap.workloads import SplitMix64, gen_churn
 from helpers import claimed_ids, validate
 
 
@@ -107,9 +111,9 @@ class TestFree:
     def test_failed_free_changes_nothing(self):
         _, mrs = make()
         cap = mrs.m_malloc(32)
-        before = (mrs.frees, mrs.live_bytes, len(mrs.retracted_pending))
+        before = (mrs.frees, mrs.live_bytes, mrs.pending)
         mrs.m_free(clear_tag(cap))
-        assert (mrs.frees, mrs.live_bytes, len(mrs.retracted_pending)) == before
+        assert (mrs.frees, mrs.live_bytes, mrs.pending) == before
 
 
 class TestThreshold:
@@ -166,7 +170,7 @@ class TestThreshold:
         caps = [mrs.m_malloc(16) for _ in range(mrs.pool - mrs.threshold_count)]
         machine.store_cap(scratch_cap(machine), 0, caps[0])  # one stale copy
         mrs.m_free(caps[0])
-        assert mrs.retracted_pending
+        assert mrs.pending == 1
         assert mrs.pool - mrs.unr.population == mrs.threshold_count
         mrs.m_malloc(16)  # not below the threshold: no sweep
         assert mrs.revocations == 0 and mrs.job is None
@@ -190,7 +194,8 @@ class TestThreshold:
         mrs.m_malloc(16)  # advances the sweep one word and starts no other
         assert mrs.job is job and not job.done
         assert mrs.revocations == 1
-        assert mrs.retracted_pending == {caps[1].otype}
+        assert mrs.pending == 1
+        assert machine.pvb_retracted(caps[1].otype) and not job.targets[caps[1].otype]
 
 
 class TestRevocation:
@@ -224,7 +229,7 @@ class TestRevocation:
         mrs._advance(None)
         assert mrs.job is None
         assert machine.pvb_retracted(late.otype)  # still invalidated
-        assert mrs.retracted_pending == {late.otype}
+        assert mrs.pending == 1
         claimed = claimed_ids(mrs.unr)
         assert early.otype not in claimed
         assert late.otype in claimed
@@ -320,6 +325,23 @@ class TestExhaustion:
         assert metrics.false_positives == 0
 
 
+class TestSweepMemory:
+    def test_a_sweep_holds_no_object_per_color(self):
+        # FIFO churn at 14 color bits: one sweep, whose 16,157 targets form
+        # one run.  Held as a set of int colors, they lifted the traced peak
+        # to 1,214,887 bytes; the PVT, its snapshot and a one-byte-per-color
+        # target table (16 KiB at 14 bits) stay far below the bound.
+        trace = gen_churn(16_500, 64)
+        tracemalloc.start()
+        try:
+            metrics = run_trace(trace, "picasso", RunConfig(color_bits=14)).metrics
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert metrics.revocations == 1
+        assert peak < 256 << 10
+
+
 class TestConservation:
     def test_claimed_equals_live_plus_pending_plus_targets(self):
         machine, mrs = make(color_bits=8, heap_size=0x8000, threshold=0.05, window=2)
@@ -332,15 +354,18 @@ class TestConservation:
                 assert mrs.m_free(cap) is None
             else:
                 live.append(mrs.m_malloc(16))
-            targets = mrs.job.targets if mrs.job else set()
-            assert mrs.unr.population == (
-                len(mrs.live) + len(mrs.retracted_pending) + len(targets)
-            )
-            # The PVT's set bits are the colors awaiting a sweep, and a
-            # job's snapshot holds exactly its targets.
-            assert set_bits(machine.pvt) == mrs.retracted_pending | targets
+            targets = mrs.job.targets.count(1) if mrs.job else 0
+            assert mrs.unr.population == len(mrs.live) + mrs.pending + targets
+            # The PVT is the only record of retracted colors: its set bits
+            # are the pending colors and a job's targets, and the job's
+            # snapshot, whose bits its byte table spells out, lies within it.
+            pvt = set_bits(machine.pvt)
+            assert len(pvt) == mrs.pending + targets
             if mrs.job:
-                assert set_bits(mrs.job.snapshot) == targets
+                snapshot = set_bits(mrs.job.snapshot)
+                assert snapshot <= pvt
+                assert snapshot == {c for c, flag in enumerate(mrs.job.targets) if flag}
+                assert len(mrs.job.targets) == machine.config.color_count
                 seen_job = True
         assert seen_job
         validate(mrs.unr)
@@ -351,9 +376,49 @@ class TestConservation:
         mrs.m_free(caps[0])
         with pytest.raises(OutOfMemory):
             mrs.m_malloc(128)
-        targets = len(mrs.job.targets) if mrs.job else 0
-        assert mrs.unr.population == (
-            len(mrs.live) + len(mrs.retracted_pending) + targets
-        )
+        targets = mrs.job.targets.count(1) if mrs.job else 0
+        assert mrs.unr.population == len(mrs.live) + mrs.pending + targets
         assert mrs.unr.population == 6
         validate(mrs.unr)
+
+
+def _random_churn(rng, live, pairs):
+    """Spilled random-victim churn: the live set fills slots 0..live-1, each
+    pair frees a random one and refills it, and one victim in twenty keeps
+    a stale copy in slot `live` that a later stale read may use."""
+    ops = []
+    for slot in range(live):
+        ops += [(OP_MALLOC, 0, 16 << rng.below(3), 0), (OP_SPILL, 0, slot, 0)]
+    for _ in range(pairs):
+        slot = rng.below(live)
+        ops.append((OP_RELOAD, 1, slot, 0))
+        if rng.chance(0.05):
+            ops.append((OP_SPILL, 1, live, 0))
+        ops += [(OP_FREE, 1, 0, 0), (OP_MALLOC, 0, 16 << rng.below(3), 0), (OP_SPILL, 0, slot, 0)]
+        if rng.chance(0.05):
+            ops += [(OP_RELOAD, 2, live, 0), (OP_READ, 2, 0, 8)]
+    return Trace(ops=ops, slots=live + 1)
+
+
+class TestPinnedSweeps:
+    def test_metrics_of_seeded_sweeping_runs(self):
+        # 60 seeded picasso runs at 11-14 color bits, windowed and not,
+        # with 124 sweeps over scattered targets between them.  The UNR node
+        # structure reaches the digest through `peak_unr_bytes` and
+        # `peak_resident_bytes`, which the bench digests do not pin.
+        rng = SplitMix64(2323)
+        rows = []
+        for _ in range(60):
+            bits = (11, 11, 11, 12, 12, 13, 14)[rng.below(7)]
+            pool = (1 << bits) - 1
+            live = pool * (70 + rng.below(21)) // 100
+            config = RunConfig(
+                color_bits=bits,
+                threshold_fraction=(0.01, 0.02, 0.04)[rng.below(3)],
+                sweep_window=(None, None, 1, 16, 256)[rng.below(5)],
+            )
+            trace = _random_churn(rng, live, (pool - live) * 2)
+            rows.append(run_trace(trace, "picasso", config).metrics.to_dict())
+        assert sum(row["revocations"] for row in rows) == 124
+        digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert digest == "50fe171ac55ca3bfe655e596cda5535216912f3ae7443d9443d5cfa8894b61a7"

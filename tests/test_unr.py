@@ -1,3 +1,4 @@
+import hashlib
 from itertools import accumulate
 
 import pytest
@@ -14,7 +15,7 @@ from colorcap.unr import (
     _Builder,
 )
 from colorcap.workloads import SplitMix64
-from helpers import claimed_ids, dump, oracle_min_free, release_passes, validate
+from helpers import claimed_ids, dump, oracle_min_free, release_passes, runs_of, validate
 
 
 def claim(state, n):
@@ -94,7 +95,7 @@ class TestBatchRelease:
     def test_full_release_restores_fresh(self):
         state = UnrState(500)
         claim(state, 500)
-        state.batch_release(range(1, 501))
+        state.batch_release([(1, 501)])
         assert dump(state) == "R:a:500"
         assert state.population == 0
 
@@ -105,7 +106,7 @@ class TestBatchRelease:
         oracle = UnrState(pool)
         claim(oracle, pool)
         evens = list(range(2, pool + 1, 2))
-        state.batch_release(evens)
+        state.batch_release((ident, ident + 1) for ident in evens)
         for ident in evens:
             oracle.free_one(ident)
         assert claimed_ids(state) == claimed_ids(oracle)
@@ -117,8 +118,8 @@ class TestBatchRelease:
         state.free_one(5)
         before_nodes = list(state.nodes)
         before_dump = dump(state)
-        with pytest.raises(NotClaimed):
-            state.batch_release([2, 5, 9])  # 5 is available
+        with pytest.raises(NotClaimed, match="id 5 is not claimed"):
+            state.batch_release([(2, 3), (5, 6), (9, 10)])  # 5 is available
         assert state.nodes is not before_nodes or dump(state) == before_dump
         assert dump(state) == before_dump
         assert state.population == 9
@@ -126,17 +127,37 @@ class TestBatchRelease:
     def test_beyond_pool_rejected(self):
         state = UnrState(10)
         claim(state, 10)
-        with pytest.raises(NotClaimed):
-            state.batch_release([9, 11])
-        assert state.population == 10
+        for runs in ([(9, 10), (11, 12)], [(9, 12)]):
+            with pytest.raises(NotClaimed, match="id 11 outside the pool"):
+                state.batch_release(runs)
+            assert state.population == 10
 
-    def test_not_ascending_rejected(self):
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [(5, 6), (5, 6)],
+            [(5, 6), (3, 4)],
+            [(5, 8), (7, 9)],
+            [(5, 5)],
+            [(2, 3), (6, 4)],
+            [(0, 2)],
+        ],
+    )
+    def test_not_ascending_disjoint_or_empty_rejected(self, runs):
         state = UnrState(10)
         claim(state, 10)
         with pytest.raises(ValueError):
-            state.batch_release([5, 5])
-        with pytest.raises(ValueError):
-            state.batch_release([5, 3])
+            state.batch_release(runs)
+        assert dump(state) == "R:c:10"
+        assert state.population == 10
+
+    def test_adjacent_runs_release_as_one(self):
+        split, whole = UnrState(600), UnrState(600)
+        for state in (split, whole):
+            claim(state, 40)
+        split.batch_release([(3, 5), (5, 6), (6, 9)])
+        whole.batch_release([(3, 9)])
+        assert dump(split) == dump(whole) and split.population == whole.population == 34
 
     def test_empty_release_is_noop(self):
         state = UnrState(10)
@@ -147,16 +168,7 @@ class TestBatchRelease:
     def test_single_forward_pass(self):
         state = UnrState(10_000)
         claim(state, 10_000)
-        assert release_passes(state, range(1, 10_001, 2)) == 1
-
-    @pytest.mark.parametrize("ids", [[5, 6, 6], [5, 6, 4]])
-    def test_run_not_ascending_rejected_unchanged(self, ids):
-        state = UnrState(10)
-        claim(state, 10)
-        with pytest.raises(ValueError):
-            state.batch_release(ids)
-        assert dump(state) == "R:c:10"
-        assert state.population == 10
+        assert release_passes(state, [(i, i + 1) for i in range(1, 10_001, 2)]) == 1
 
     @pytest.mark.parametrize("hole", [None, 17])
     def test_run_into_available_ids_rejected_unchanged(self, hole):
@@ -167,8 +179,8 @@ class TestBatchRelease:
         if hole is not None:
             state.free_one(hole)
         before = dump(state)
-        with pytest.raises(NotClaimed):
-            state.batch_release(range(14, 26))
+        with pytest.raises(NotClaimed, match=f"id {hole or 21} is not claimed"):
+            state.batch_release([(14, 26)])
         assert dump(state) == before
         assert state.population == 20 - (hole is not None)
 
@@ -179,10 +191,10 @@ class TestBatchRelease:
         # starts just before a node edge (the pool's end among them) and
         # may span several nodes.
         holes = sorted(set(data.draw(st.lists(st.integers(1, total), max_size=60))))
-        state, oracle = UnrState(total), UnrState(total)
-        for s in (state, oracle):
+        state, oracle, per_id = UnrState(total), UnrState(total), UnrState(total)
+        for s in (state, oracle, per_id):
             claim(s, total)
-            s.batch_release(holes)
+            s.batch_release(runs_of(holes))
         claimed = claimed_ids(state)
         edges = list(accumulate(node.length for node in state.nodes))
         ids = set()
@@ -190,11 +202,14 @@ class TestBatchRelease:
             start = max(1, data.draw(st.sampled_from(edges)) - data.draw(st.integers(0, 40)))
             ids.update(range(start, start + data.draw(st.integers(1, 700))))
         ids = sorted(ids & claimed)
-        state.batch_release(ids)
+        per_id.batch_release((ident, ident + 1) for ident in ids)
+        state.batch_release(runs_of(ids))
         for ident in ids:
             oracle.free_one(ident)
         assert claimed_ids(state) == claimed_ids(oracle) == claimed - set(ids)
         assert state.population == oracle.population
+        # A run makes the nodes that its IDs released one run each make.
+        assert _shape(state.nodes) == _shape(per_id.nodes)
         validate(state)
 
     @settings(max_examples=200, deadline=None)
@@ -221,7 +236,7 @@ class TestBatchRelease:
         seq = UnrState(4000)
         claim(seq, 3000)
         ids = list(range(3, 2800, 3))
-        batch.batch_release(ids)
+        batch.batch_release(runs_of(ids))
         for ident in ids:
             seq.free_one(ident)
         assert claimed_ids(batch) == claimed_ids(seq)
@@ -247,7 +262,7 @@ class TestNodeMemory:
         # 512 node units; the bitmap form must be strictly cheaper.
         state = UnrState(10_000)
         claim(state, 512)
-        state.batch_release(range(2, 513, 2))
+        state.batch_release((i, i + 1) for i in range(2, 513, 2))
         run_only_cost = (512 + 1) * NODE_UNIT_BYTES  # alternation + tail
         assert any(isinstance(n, BitmapNode) for n in state.nodes)
         assert state.node_memory() < run_only_cost
@@ -311,7 +326,7 @@ def _random_ops(state, claimed, rng, ops):
                 ids = sorted(claimed)
                 take = rng.below(len(ids)) + 1
                 picks = sorted({ids[rng.below(len(ids))] for _ in range(take)})
-                state.batch_release(picks)
+                state.batch_release(runs_of(picks))
                 claimed.difference_update(picks)
         assert state.node_memory() == _recounted_memory(state)
         validate(state)
@@ -342,9 +357,9 @@ class TestOracleEquivalence:
         seen = set()
         release = UnrState.batch_release
 
-        def counting_release(state, ids):
+        def counting_release(state, runs):
             before = _bitmap_nodes(state)
-            release(state, ids)
+            release(state, runs)
             after = _bitmap_nodes(state)
             if after != before:
                 seen.add("forms" if after > before else "dissolves")
@@ -356,3 +371,44 @@ class TestOracleEquivalence:
         for _ in range(30):
             _random_ops(state, claimed, rng, 20)
         assert seen == {"forms", "dissolves"}
+
+
+def _drawn_runs(rng, claimed, total):
+    """Ascending runs over up to 12 drawn ranges of 1-600 IDs, kept where
+    claimed; one consecutive pair in eight starts a new, adjacent run."""
+    picked = set()
+    for _ in range(1 + rng.below(12)):
+        start = 1 + rng.below(total)
+        picked.update(range(start, start + 1 + rng.below((1, 8, 600)[rng.below(3)])))
+    runs = []
+    for ident in sorted(picked & claimed):
+        if runs and runs[-1][1] == ident and rng.below(8):
+            runs[-1][1] += 1
+        else:
+            runs.append([ident, ident + 1])
+    return [tuple(run) for run in runs]
+
+
+class TestPinnedReleases:
+    def test_node_sequences_after_seeded_releases(self):
+        # The node structure, which `peak_unr_bytes` reads, after 384 seeded
+        # batch releases (17,566 runs) into pools of 100-4,099 IDs.  A
+        # rewrite of the release must keep it, not only the membership.
+        digest = hashlib.sha256()
+        rng = SplitMix64(4242)
+        for _ in range(24):
+            total = 100 + rng.below(4000)
+            state = UnrState(total)
+            claimed = set()
+            for _ in range(16):
+                for _ in range(rng.below(total - len(claimed) + 1)):
+                    claimed.add(state.alloc_first_free())
+                runs = _drawn_runs(rng, claimed, total)
+                state.batch_release(runs)
+                for start, stop in runs:
+                    claimed.difference_update(range(start, stop))
+                assert claimed_ids(state) == claimed
+                digest.update(repr(_shape(state.nodes)).encode())
+        assert digest.hexdigest() == (
+            "6df6a52a98748f3483f5f766b37cde65c7df5e506375cabae10ed114f2777689"
+        )
