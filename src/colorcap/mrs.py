@@ -85,25 +85,17 @@ class RevocationJob:
     def doomed(self, pairs) -> list[int]:
         """Sweep selector: the keys whose capability's color is a target.
 
-        Total over (key, capability) pairs in a list or a dict view: an
-        uncolored (None or 0) or negative otype is never a target, and a
-        sealed one lies past the table, whose IndexError sends the pairs
-        through the bounds-checked comprehension.
+        Total over any (key, capability) pairs, read once: an uncolored
+        (None or 0), negative or sealed (past the table) otype is never a
+        target.
         """
         targets = self.targets
-        try:
-            return [
-                key
-                for key, cap in pairs
-                if (otype := cap.otype) and otype > 0 and targets[otype]
-            ]
-        except IndexError:
-            size = len(targets)
-            return [
-                key
-                for key, cap in pairs
-                if (otype := cap.otype) and 0 < otype < size and targets[otype]
-            ]
+        size = len(targets)
+        return [
+            key
+            for key, cap in pairs
+            if (otype := cap.otype) and 0 < otype < size and targets[otype]
+        ]
 
 
 class MallocRevocationShim(HeapScheme):
