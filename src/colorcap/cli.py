@@ -8,9 +8,11 @@
 Exit codes: 0 on success (expectations matched; for `corpus`, the picasso
 row detected every bad case with no false positives), 1 on expectation or
 gate mismatch, 2 on configuration or parse errors, 3 when the run ran out
-of heap (OutOfMemory; a quarantining scheme first revokes its quarantine)
-or of colors (PoolExhausted, also when out of both; picasso first sweeps
-back any retracted color).
+of heap (OutOfMemory; a quarantining scheme first revokes its quarantine),
+of colors (PoolExhausted, also when out of both; picasso first sweeps
+back any retracted color) or of host memory (MemoryError, or
+OverflowError for a write payload longer than any bytes object: both come
+from a write wider than a huge spill region).
 
 Reports go to stdout in json, csv, or human form; --out (or the
 COLORCAP_OUTPUT_DIR environment variable) additionally writes them to a
@@ -46,6 +48,19 @@ CORPUS_FIELDS = ("case", "category", "variant", "scheme", "result")
 _DEFAULT_CORPUS_SCHEMES = "picasso,cornucopia,cornucopia-rof,versioning"
 
 
+#: `--gen` name -> (generator, spec key -> keyword argument).  A key the
+#: spec leaves out keeps the generator's own default; `--seed` supplies the
+#: default seed.
+_GENERATORS = {
+    "churn": (
+        gen_churn, dict(n="n_pairs", live="live_set", size="sizes", seed="seed", spill="spill")
+    ),
+    "locality": (
+        gen_locality, dict(allocs="n_allocs", rounds="rounds", size="size", width="width")
+    ),
+}
+
+
 def _parse_gen(spec: str, seed: int) -> Trace:
     name, _, rest = spec.partition(":")
     params: dict[str, int] = {}
@@ -58,30 +73,18 @@ def _parse_gen(spec: str, seed: int) -> Trace:
                 params[key] = int(value)
             except ValueError:
                 raise ConfigError(f"generator parameter {key} must be an integer") from None
-    if name == "churn":
-        return gen_churn(
-            n_pairs=params.pop("n", 1000),
-            live_set=params.pop("live", 10),
-            sizes=(params.pop("size", 32),),
-            seed=params.pop("seed", seed),
-            spill=bool(params.pop("spill", 1)),
-            **_reject_extra(params),
-        )
-    if name == "locality":
-        return gen_locality(
-            n_allocs=params.pop("allocs", 29),
-            rounds=params.pop("rounds", 40),
-            size=params.pop("size", 64),
-            width=params.pop("width", 8),
-            **_reject_extra(params),
-        )
-    raise ConfigError(f"unknown generator {name!r} (expected churn or locality)")
-
-
-def _reject_extra(params: dict) -> dict:
-    if params:
-        raise ConfigError(f"unknown generator parameters: {', '.join(params)}")
-    return {}
+    if name not in _GENERATORS:
+        expected = " or ".join(_GENERATORS)
+        raise ConfigError(f"unknown generator {name!r} (expected {expected})")
+    generator, keywords = _GENERATORS[name]
+    extra = [key for key in params if key not in keywords]
+    if extra:
+        raise ConfigError(f"unknown generator parameters: {', '.join(extra)}")
+    kwargs = {"seed": seed} if "seed" in keywords else {}
+    kwargs.update((keywords[key], value) for key, value in params.items())
+    if "sizes" in kwargs:
+        kwargs["sizes"] = (kwargs["sizes"],)
+    return generator(**kwargs)
 
 
 def _load_trace(args) -> Trace:
@@ -259,7 +262,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, ParseError, OSError, ValueError) as exc:
         print(f"colorcap: error: {exc}", file=sys.stderr)
         return 2
-    except (OutOfMemory, PoolExhausted) as exc:
+    except (OutOfMemory, PoolExhausted, MemoryError, OverflowError) as exc:
         print(f"colorcap: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -330,36 +330,22 @@ def run_corpus(cases, schemes, config: Optional[RunConfig] = None):
     df_detected, good_total, good_false_positives}.
     """
     rows = []
-    summary = {
-        scheme: {
-            "bad_total": 0,
-            "bad_detected": 0,
-            "uaf_total": 0,
-            "uaf_detected": 0,
-            "df_total": 0,
-            "df_detected": 0,
-            "good_total": 0,
-            "good_false_positives": 0,
-        }
-        for scheme in schemes
-    }
+    summary = {scheme: Counter() for scheme in schemes}
     for case in cases:
         for scheme in schemes:
             result = run_trace(case.trace, scheme, config)
             cell = classify_case(case.variant, result.metrics)
             rows.append((case.name, case.category, case.variant, scheme, cell))
-            tally = summary[scheme]
             if case.variant == "good":
-                tally["good_total"] += 1
-                if cell == "false-positive":
-                    tally["good_false_positives"] += 1
+                summary[scheme].update(
+                    good_total=1, good_false_positives=cell == "false-positive"
+                )
             else:
-                tally["bad_total"] += 1
-                key = "uaf" if case.category == "UAF" else "df"
-                tally[f"{key}_total"] += 1
-                if cell == "detected":
-                    tally["bad_detected"] += 1
-                    tally[f"{key}_detected"] += 1
+                key, detected = case.category.lower(), cell == "detected"
+                summary[scheme].update({
+                    "bad_total": 1, f"{key}_total": 1,
+                    "bad_detected": detected, f"{key}_detected": detected,
+                })
     rows.sort(key=lambda row: (row[0], row[3]))
     return rows, summary
 

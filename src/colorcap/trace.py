@@ -2,7 +2,8 @@
 
 Text format: one operation per line, `#` starts a comment, blank lines are
 skipped.  Registers are r0..r31; slots index the capability spill region
-set up at trace start.
+set up at trace start.  `OP_TABLE` gives each op's name and operand kinds
+once; parsing, formatting and `op_problem` all read it.
 
     malloc r0 64          # allocate 64 bytes into r0
     write r0 0 8          # store 8 bytes at offset 0
@@ -38,17 +39,21 @@ OP_RELOAD: Final = 6
 OP_DERIVE: Final = 7
 OP_SCRATCH: Final = 8
 
-_OP_NAMES: Final = (
-    "malloc",
-    "free",
-    "read",
-    "write",
-    "copy",
-    "spill",
-    "reload",
-    "derive",
-    "scratch",
+#: The one description of each op, indexed by opcode: its name and its
+#: operands' kinds, which fill fields a, b and c in order.  Kind "r" is a
+#: register; any other kind names a non-negative integer.
+OP_TABLE: Final = (
+    ("malloc", ("r", "a size")),
+    ("free", ("r",)),
+    ("read", ("r", "an offset", "a width")),
+    ("write", ("r", "an offset", "a width")),
+    ("copy", ("r", "r")),
+    ("spill", ("r", "a slot index")),
+    ("reload", ("r", "a slot index")),
+    ("derive", ("r", "r", "an offset")),
+    ("scratch", ("r",)),
 )
+_OPCODE_BY_NAME: Final = {name: code for code, (name, _) in enumerate(OP_TABLE)}
 
 TraceOp = tuple  # (opcode, a, b, c)
 
@@ -90,22 +95,20 @@ class Trace:
 _FAULT_BY_NAME: Final = {kind.value: kind for kind in FaultKind}
 
 
-def _parse_reg(token: str, line: int, col: int) -> int:
-    if not token.startswith("r") or not token[1:].isdigit():
-        raise ParseError(line, col, f"expected a register, got {token!r}")
-    reg = int(token[1:])
-    if reg >= NUM_REGISTERS:
-        raise ParseError(line, col, f"register r{reg} out of range (0..{NUM_REGISTERS - 1})")
-    return reg
-
-
-def _parse_int(token: str, line: int, col: int, what: str) -> int:
+def _parse_operand(token: str, kind: str, line: int, col: int) -> int:
+    if kind == "r":
+        if not token.startswith("r") or not token[1:].isdigit():
+            raise ParseError(line, col, f"expected a register, got {token!r}")
+        reg = int(token[1:])
+        if reg >= NUM_REGISTERS:
+            raise ParseError(line, col, f"register r{reg} out of range (0..{NUM_REGISTERS - 1})")
+        return reg
     try:
         value = int(token, 0)
     except ValueError:
-        raise ParseError(line, col, f"expected {what}, got {token!r}") from None
+        raise ParseError(line, col, f"expected {kind}, got {token!r}") from None
     if value < 0:
-        raise ParseError(line, col, f"{what} must be non-negative")
+        raise ParseError(line, col, f"{kind} must be non-negative")
     return value
 
 
@@ -148,49 +151,23 @@ def parse_trace(text: str, name: str = "") -> Trace:
         if tokens[-1].startswith("!"):
             expect_token = tokens.pop()
 
-        args = tokens[1:]
-
-        def need(n: int) -> None:
-            if len(args) != n:
-                raise ParseError(
-                    lineno, col(0), f"{head} takes {n} argument(s), got {len(args)}"
-                )
-
-        def reg(i: int) -> int:
-            return _parse_reg(args[i], lineno, col(i + 1))
-
-        def num(i: int, what: str) -> int:
-            return _parse_int(args[i], lineno, col(i + 1), what)
-
-        if head == "malloc":
-            need(2)
-            dst, size = reg(0), num(1, "a size")
-            if size == 0:
-                raise ParseError(lineno, col(2), "a size must be positive")
-            ops.append((OP_MALLOC, dst, size, 0))
-        elif head == "free":
-            need(1)
-            ops.append((OP_FREE, reg(0), 0, 0))
-        elif head in ("read", "write"):
-            need(3)
-            code = OP_READ if head == "read" else OP_WRITE
-            ops.append((code, reg(0), num(1, "an offset"), num(2, "a width")))
-        elif head == "copy":
-            need(2)
-            ops.append((OP_COPY, reg(0), reg(1), 0))
-        elif head in ("spill", "reload"):
-            need(2)
-            dst, slot = reg(0), num(1, "a slot index")
-            max_slot = max(max_slot, slot)
-            ops.append((OP_SPILL if head == "spill" else OP_RELOAD, dst, slot, 0))
-        elif head == "derive":
-            need(3)
-            ops.append((OP_DERIVE, reg(0), reg(1), num(2, "an offset")))
-        elif head == "scratch":
-            need(1)
-            ops.append((OP_SCRATCH, reg(0), 0, 0))
-        else:
+        code = _OPCODE_BY_NAME.get(head)
+        if code is None:
             raise ParseError(lineno, col(0), f"unknown op {head!r}")
+        kinds = OP_TABLE[code][1]
+        if len(tokens) - 1 != len(kinds):
+            raise ParseError(
+                lineno, col(0), f"{head} takes {len(kinds)} argument(s), got {len(tokens) - 1}"
+            )
+        fields = [
+            _parse_operand(token, kind, lineno, col(i))
+            for i, (token, kind) in enumerate(zip(tokens[1:], kinds), start=1)
+        ]
+        if code == OP_MALLOC and fields[1] == 0:
+            raise ParseError(lineno, col(2), "a size must be positive")
+        if code in (OP_SPILL, OP_RELOAD):
+            max_slot = max(max_slot, fields[1])
+        ops.append((code, *fields) + (0, 0, 0)[len(fields) :])
 
         if expect_token is not None:
             expects[len(ops) - 1] = _parse_expect(expect_token, lineno, col(len(tokens)))
@@ -201,37 +178,29 @@ def parse_trace(text: str, name: str = "") -> Trace:
 def op_problem(op) -> Optional[str]:
     """Why an op built through the API is malformed, naming the field, or
     None.  An op is a 4-tuple of ints (opcode, a, b, c): a known opcode,
-    registers (a; b of copy and derive) in [0, NUM_REGISTERS), malloc size b >= 1."""
+    registers where `OP_TABLE` puts them in [0, NUM_REGISTERS), malloc size
+    b >= 1."""
     if type(op) is not tuple or len(op) != 4:
         return f"expected a 4-tuple (opcode, a, b, c), got {op!r}"
     for name, value in zip(("opcode", "a", "b", "c"), op):
         if type(value) is not int:
             return f"field {name} must be an int, got {value!r}"
-    code, a, b, _ = op
-    if not 0 <= code < len(_OP_NAMES):
+    code, _, b, _ = op
+    if not 0 <= code < len(OP_TABLE):
         return f"field opcode: unknown opcode {code}"
-    for name, reg in zip("ab", (a, b) if code in (OP_COPY, OP_DERIVE) else (a,)):
-        if not 0 <= reg < NUM_REGISTERS:
-            return f"field {name}: register {reg} not in [0, {NUM_REGISTERS})"
+    for name, kind, value in zip("abc", OP_TABLE[code][1], op[1:]):
+        if kind == "r" and not 0 <= value < NUM_REGISTERS:
+            return f"field {name}: register {value} not in [0, {NUM_REGISTERS})"
     if code == OP_MALLOC and b < 1:
         return f"field b: malloc size {b} is not positive"
     return None
 
 
 def format_op(op: TraceOp) -> str:
-    code, a, b, c = op
-    head = _OP_NAMES[code]
-    if code == OP_MALLOC:
-        return f"malloc r{a} {b}"
-    if code in (OP_FREE, OP_SCRATCH):
-        return f"{head} r{a}"
-    if code in (OP_READ, OP_WRITE):
-        return f"{head} r{a} {b} {c}"
-    if code == OP_COPY:
-        return f"copy r{a} r{b}"
-    if code in (OP_SPILL, OP_RELOAD):
-        return f"{head} r{a} {b}"
-    return f"derive r{a} r{b} {c}"
+    code, *fields = op
+    name, kinds = OP_TABLE[code]
+    operands = (f"r{value}" if kind == "r" else str(value) for kind, value in zip(kinds, fields))
+    return " ".join((name, *operands))
 
 
 def format_trace(trace: Trace) -> str:

@@ -1,11 +1,19 @@
 import csv
 import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorcap.cli import CORPUS_FIELDS, main
-from colorcap.harness import METRIC_FIELDS
+from colorcap.harness import METRIC_FIELDS, RunConfig, run_trace
+from colorcap.machine import NUM_REGISTERS
+from colorcap.schemes import SCHEME_NAMES
+from colorcap.trace import OP_TABLE
+from colorcap.workloads import gen_churn
 
 
 def run_cli(capsys, *argv):
@@ -227,3 +235,148 @@ class TestCorpus:
     def test_gate_fails_without_picasso(self, capsys):
         code, _, _ = run_cli(capsys, "corpus", "--schemes", "cornucopia")
         assert code == 1
+
+
+class TestSweepAndBufferFlags:
+    def test_windowed_sweep_matches_run_trace(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "run", "--gen", "churn:n=1500,live=40,seed=11",
+            "--color-bits", "8", "--sweep", "windowed:7",
+        )
+        assert code == 0
+        config = RunConfig(color_bits=8, sweep_window=7)
+        expected = run_trace(gen_churn(1500, 40, seed=11), "picasso", config).metrics
+        assert expected.revocations > 0
+        assert json.loads(out) == expected.to_dict()
+
+    def test_pvt_buffer_off(self, capsys):
+        hits = {}
+        for flag in ("on", "off"):
+            code, out, _ = run_cli(
+                capsys, "run", "--gen", "locality:allocs=8,rounds=2", "--pvt-buffer", flag
+            )
+            assert code == 0
+            hits[flag] = json.loads(out)["pvt_hits"]
+        assert hits["on"] > 0
+        assert hits["off"] == 0
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ("windowed:x", "sweep window must be an integer"),
+            ("windowed:0", "sweep window must be >= 1"),
+            ("bogus", "--sweep must be `sync` or `windowed:<N>`"),
+        ],
+    )
+    def test_bad_sweep_exits_two(self, capsys, sweep, message):
+        code, out, err = run_cli(capsys, "run", "--gen", "churn", "--sweep", sweep)
+        assert code == 2
+        assert out == ""
+        assert err == f"colorcap: error: {message}\n"
+
+
+class TestHostLimits:
+    @pytest.mark.parametrize(
+        "slot, exception",
+        [
+            # A spill to slot 2**40 makes the scratch capability 16 * (2**40 + 1)
+            # bytes long, and a write wider than that builds one byte more.
+            (2**40, "MemoryError"),
+            # Past 2**59 slots that payload is longer than any bytes object.
+            (2**60, "OverflowError"),
+        ],
+    )
+    def test_payload_beyond_host_memory_exits_three(self, capsys, tmp_path, slot, exception):
+        trace = tmp_path / "huge.trace"
+        trace.write_text(
+            f"scratch r0\nmalloc r1 16\nspill r1 {slot}\nwrite r0 0 99999999999999999999\n"
+        )
+        code, out, err = run_cli(capsys, "run", "--scheme", "none", "--trace", str(trace))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"colorcap: error: {exception}")
+        assert err.count("\n") == 1
+
+
+def _operand(kind):
+    if kind == "r":
+        return st.integers(0, NUM_REGISTERS - 1).map("r{}".format)
+    # A read as wide as a huge spill region walks it word by word, so widths
+    # stay small; every other integer may exceed any host limit.
+    top = 4096 if kind == "a width" else 10**30
+    return st.integers(0, top).map(str)
+
+
+_OP_LINE = st.sampled_from(OP_TABLE).flatmap(
+    lambda row: st.tuples(st.just(row[0]), *map(_operand, row[1])).map(" ".join)
+)
+
+# Every count that sets the amount of work is bounded, and locality always
+# names its rounds, so no drawn spec runs long.
+_SPEC_VALUES = {
+    "churn": {
+        "n": st.integers(1, 2000),
+        "live": st.integers(1, 64),
+        "size": st.integers(0, 1 << 20),
+        "seed": st.integers(-(10**30), 10**30),
+        "spill": st.integers(0, 1),
+    },
+    "locality": {
+        "allocs": st.integers(1, 31),
+        "size": st.integers(0, 128),
+        "width": st.integers(0, 4096),
+    },
+}
+
+_VALID_FLAGS = st.fixed_dictionaries({
+    "--scheme": st.sampled_from(SCHEME_NAMES),
+    "--color-bits": st.integers(4, 24).map(str),
+    "--heap-size": st.sampled_from([16, 4096, 1 << 16, 1 << 20, 1 << 32]).map(str),
+    "--sweep": st.one_of(st.just("sync"), st.integers(1, 10**30).map("windowed:{}".format)),
+})
+_BAD_FLAGS = [
+    ("--scheme", "bogus"), ("--color-bits", "3"), ("--color-bits", "25"),
+    ("--color-bits", "x"), ("--heap-size", "0"), ("--heap-size", "17"),
+    ("--heap-size", str(1 << 33)), ("--sweep", "windowed:0"), ("--sweep", "windowed:x"),
+    ("--sweep", "windowed:"), ("--sweep", "bogus"),
+]
+
+
+@st.composite
+def _input(draw):
+    """One `--trace` text or `--gen` spec; each may hold one malformed part."""
+    if draw(st.booleans()):
+        lines = draw(st.lists(_OP_LINE, max_size=12))
+        odd = ["!ok", "!fault=DoubleFree", "bogus r0", "free r0 1", "malloc r0 0"]
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(odd)))
+        return "--trace", "\n".join(lines)
+    name = draw(st.sampled_from(["churn", "locality", "chaos"]))
+    values = _SPEC_VALUES.get(name, _SPEC_VALUES["churn"])
+    keys = draw(st.lists(st.sampled_from(sorted(values)), max_size=4))
+    parts = [f"{key}={draw(values[key])}" for key in keys]
+    if name == "locality":
+        parts.append(f"rounds={draw(st.integers(0, 4))}")
+    odd = ["", "n", "n=x", "seed=1", "bogus=1", "rounds=-1"]
+    if draw(st.booleans()):
+        parts.append(draw(st.sampled_from(odd)))
+    return "--gen", f"{name}:{','.join(parts)}" if parts else name
+
+
+class TestFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(source=_input(), flags=_VALID_FLAGS, bad=st.none() | st.sampled_from(_BAD_FLAGS))
+    def test_every_input_ends_in_an_exit_code(self, source, flags, bad):
+        if bad is not None:
+            flags = {**flags, bad[0]: bad[1]}
+        argv = ["run", *(item for flag in flags.items() for item in flag)]
+        flag, value = source
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+            if flag == "--trace":
+                path = os.path.join(tmp, "fuzz.trace")
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write(value)
+                value = path
+            code = main([*argv, flag, value])
+        assert code in (0, 1, 2, 3), (argv, source, err.getvalue())

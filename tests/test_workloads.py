@@ -62,6 +62,19 @@ class TestChurn:
         metrics = run_trace(trace, "picasso").metrics
         assert metrics.allocations == 40
 
+    @pytest.mark.parametrize(
+        "option, value", [("touch_rate", 1.0), ("inject", "uaf"), ("inject_rate", 1.0)]
+    )
+    def test_register_only_mode_rejects_what_it_would_ignore(self, option, value):
+        # Register-only churn has no touch or injection step, so these
+        # options would silently change nothing.
+        with pytest.raises(ValueError, match=f"does not support {option}$"):
+            gen_churn(40, 8, spill=False, **{option: value})
+        assert gen_churn(40, 8, spill=True, **{option: value}).slots == 8
+
+    def test_defaults(self):
+        assert gen_churn().name == "churn:n=1000,live=10,seed=0"
+
     def test_injection_produces_violations(self):
         trace = gen_churn(400, 10, (32,), seed=9, inject="mixed", inject_rate=0.2)
         metrics = run_trace(trace, "picasso").metrics
@@ -179,12 +192,15 @@ class TestCorpus:
             assert extra >= 1
             # The bad variant differs only by an inserted block whose last
             # op is the offending one.
-            start = case.offending_index - extra + 1
+            (offending,) = case.trace.expects
+            start = offending - extra + 1
             removed = bad_ops[:start] + bad_ops[start + extra :]
             assert removed == good_ops
 
     def test_expected_faults_cover_the_three_kinds(self):
-        kinds = {c.expected_fault for c in gen_corpus() if c.variant == "bad"}
+        kinds = {
+            fault for c in gen_corpus() if c.variant == "bad" for fault in c.trace.expects.values()
+        }
         assert kinds == {
             FaultKind.PROVENANCE_RETRACTED,
             FaultKind.DOUBLE_FREE,
@@ -206,4 +222,5 @@ class TestCorpus:
             if case.variant == "bad":
                 result = run_trace(case.trace, "picasso", collect_outcomes=True)
                 assert result.metrics.expect_mismatches == 0, case.name
-                assert result.outcomes[case.offending_index] is case.expected_fault
+                ((offending, expected),) = case.trace.expects.items()
+                assert result.outcomes[offending] is expected
