@@ -97,7 +97,7 @@ _FAULT_BY_NAME: Final = {kind.value: kind for kind in FaultKind}
 
 def _parse_operand(token: str, kind: str, line: int, col: int) -> int:
     if kind == "r":
-        if not token.startswith("r") or not token[1:].isdigit():
+        if not token.startswith("r") or not token[1:].isdecimal():
             raise ParseError(line, col, f"expected a register, got {token!r}")
         reg = int(token[1:])
         if reg >= NUM_REGISTERS:

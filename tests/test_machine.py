@@ -13,12 +13,8 @@ from colorcap.capability import (
     Capability,
     ColorOutOfRange,
     RunConfig,
-    clear_tag,
-    pack,
-    unpack,
 )
 from colorcap.machine import (
-    NUM_REGISTERS,
     PVB_SETS,
     PVB_WAYS,
     FaultKind,
@@ -28,6 +24,7 @@ from colorcap.machine import (
 from colorcap.mrs import RevocationJob
 from colorcap.schemes import quarantine_selector
 from helpers import load_data, store_data
+from reference import ListClearingPvtBuffer, ReferenceMachine, per_capability_sweep
 
 
 def small_config(**kw):
@@ -395,147 +392,6 @@ class TestSweep:
         assert sorted(m.caps) == [0x40, 0x50]
 
 
-def per_capability_sweep(m, doomed, addresses=None, include_registers=True) -> int:
-    """The sweep before selectors, kept as the reference: one `doomed(cap)`
-    call per tagged word in ascending address order (or per given address),
-    then one per tagged register."""
-    cleared = 0
-    caps = m.caps
-    for addr in sorted(caps) if addresses is None else addresses:
-        cap = caps.get(addr)
-        if cap is not None and doomed(cap):
-            del caps[addr]
-            m.words[addr] = pack(cap)
-            cleared += 1
-    if include_registers:
-        for i, cap in enumerate(m.regs):
-            if cap is not None and cap.tag and doomed(cap):
-                m.regs[i] = clear_tag(cap)
-                cleared += 1
-    return cleared
-
-
-def overlaps_a_block(blocks):
-    """Reference quarantine predicate: a non-empty range that overlaps some
-    block, tested against every block."""
-
-    def doomed(cap):
-        top = cap.base + cap.length
-        return top > cap.base and any(base < top and cap.base < end for base, end in blocks)
-
-    return doomed
-
-
-Q = 0x1000  # where the quarantine of the differential sweep starts
-SWEPT_WORDS = 24
-
-
-@st.composite
-def quarantines(draw):
-    """Disjoint (base, top) blocks sorted by base, some of them adjacent."""
-    blocks = []
-    at = Q + 16 * draw(st.integers(0, 4))
-    for gap, size in draw(
-        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4)), min_size=1, max_size=5)
-    ):
-        at += 16 * gap
-        blocks.append((at, at + 16 * size))
-        at += 16 * size
-    return blocks
-
-
-def _swept(base, length, otype=UNSEALED, tag=True):
-    return Capability(base, base, length, PERMS_APP, otype, tag)
-
-
-def swept_caps(tags=st.just(True)):
-    """Byte-granular ranges from below the first block to past the last,
-    uncolored, colored 1-3 or sealed (otype 1024 is `machine()`'s
-    color_count)."""
-    return st.builds(
-        _swept,
-        st.integers(Q - 64, Q + 16 * 40),
-        st.one_of(st.just(0), st.integers(0, 320)),
-        st.sampled_from((UNSEALED, 0, 1, 2, 3, 1024)),
-        tags,
-    )
-
-
-_NO_EXTRAS = dict(data={}, regs={}, include_registers=True, targets=frozenset({1}))
-
-
-class TestSelectorSweep:
-    """The quarantine and color selectors clear exactly what a per-capability
-    sweep with the matching predicate clears."""
-
-    @example(blocks=[(Q, Q + 32)], mem={0: _swept(Q, 0)}, addresses=None, **_NO_EXTRAS)
-    @example(blocks=[(Q + 64, Q + 96)], mem={0: _swept(Q + 32, 32)}, addresses=None, **_NO_EXTRAS)
-    @example(blocks=[(Q, Q + 32)], mem={0: _swept(Q, 16, 1)}, addresses=[0, 0], **_NO_EXTRAS)
-    @settings(max_examples=300, deadline=None)
-    @given(
-        blocks=quarantines(),
-        mem=st.dictionaries(st.integers(0, SWEPT_WORDS - 1), swept_caps(), max_size=16),
-        data=st.dictionaries(
-            st.integers(0, SWEPT_WORDS - 1), st.binary(min_size=16, max_size=16), max_size=6
-        ),
-        regs=st.dictionaries(
-            st.integers(0, NUM_REGISTERS - 1),
-            st.one_of(st.none(), swept_caps(st.booleans())),
-            max_size=8,
-        ),
-        # Untagged, absent and repeated words all appear in a window.
-        addresses=st.one_of(st.none(), st.lists(st.integers(0, SWEPT_WORDS + 2))),
-        include_registers=st.booleans(),
-        targets=st.frozensets(st.sampled_from((1, 2, 3))),
-    )
-    def test_matches_per_capability_sweep(
-        self, blocks, mem, data, regs, addresses, include_registers, targets
-    ):
-        checks = (
-            (quarantine_selector(blocks), overlaps_a_block(blocks)),
-            (colored(*targets), lambda cap: cap.otype in targets),
-        )
-        for select, doomed in checks:
-            m, ref = machine(), machine()
-            word = m.config.heap_base
-            for t in (m, ref):
-                t.words.update({word + 16 * w: image for w, image in data.items() if w not in mem})
-                t.caps.update({word + 16 * w: cap for w, cap in mem.items()})
-                for i, cap in regs.items():
-                    t.regs[i] = cap
-            addrs = None if addresses is None else [word + 16 * w for w in addresses]
-            cleared = m.sweep_scan(select, addrs, include_registers)
-            assert cleared == per_capability_sweep(ref, doomed, addrs, include_registers)
-            assert (m.caps, m.words, m.regs) == (ref.caps, ref.words, ref.regs)
-
-
-class ListClearingPvtBuffer:
-    """Reference PVT buffer whose flush empties every set at once."""
-
-    def __init__(self) -> None:
-        self.lines = [[] for _ in range(PVB_SETS)]
-        self.rr = [0] * PVB_SETS
-        self.hits = self.misses = self.invalidations = 0
-
-    def lookup(self, word: int) -> None:
-        idx = word % PVB_SETS
-        ways = self.lines[idx]
-        if word in ways:
-            self.hits += 1
-            return
-        self.misses += 1
-        if len(ways) < PVB_WAYS:
-            ways.append(word)
-        else:
-            ways[self.rr[idx]] = word
-            self.rr[idx] = (self.rr[idx] + 1) % PVB_WAYS
-
-    def invalidate_all(self) -> None:
-        for ways in self.lines:
-            ways.clear()
-        self.invalidations += 1
-
-
 PVT_WORDS = PVB_SETS * (PVB_WAYS + 1)  # five words per set overflow its ways
 
 
@@ -564,132 +420,57 @@ class TestPvtBufferEpochs:
             )
 
 
-class EagerPackMemory:
-    """Reference memory that packs every capability store at once and
-    handles data byte by byte."""
-
-    def __init__(self) -> None:
-        self.words: dict[int, bytes] = {}
-        self.caps: dict[int, Capability] = {}
-
-    def store_cap(self, addr: int, value: Capability) -> None:
-        self.words[addr] = pack(value)
-        if value.tag:
-            self.caps[addr] = value
-        else:
-            self.caps.pop(addr, None)
-
-    def write(self, addr: int, data: bytes) -> None:
-        for i, byte in enumerate(data):
-            w = (addr + i) & ~15
-            self.caps.pop(w, None)
-            image = bytearray(self.words.get(w, bytes(16)))
-            image[(addr + i) & 15] = byte
-            self.words[w] = bytes(image)
-
-    def read(self, addr: int, width: int) -> bytes:
-        return bytes(self.words.get(a & ~15, bytes(16))[a & 15] for a in range(addr, addr + width))
-
-    def sweep(self, select, addresses) -> int:
-        visited = sorted(self.caps) if addresses is None else addresses
-        doomed = select([(addr, self.caps[addr]) for addr in visited if addr in self.caps])
-        for addr in doomed:
-            del self.caps[addr]
-        return len(doomed)
-
-    def load_cap(self, addr: int) -> Capability:
-        cap = self.caps.get(addr)
-        return cap if cap is not None else unpack(self.words.get(addr, bytes(16)))
-
-
 REGION_WORDS = 6
 REGION = 16 * REGION_WORDS
 
 
-@st.composite
-def stored_caps(draw):
-    base = draw(st.integers(0, 1 << 20)) * 16
-    length = draw(st.integers(0, 1 << 26))
-    return Capability(
-        base + draw(st.integers(0, length)),
-        base,
-        length,
-        draw(st.integers(0, 31)),
-        draw(st.sampled_from((UNSEALED, 1, 2, 300))),
-        draw(st.booleans()),
-    )
+def _saturating(base, length, offset, perms, otype, tag):
+    return Capability(base + offset % (length + 1), base, length, perms, otype, tag)
 
 
-_offsets = st.integers(0, REGION - 1)
-_payloads = st.binary(min_size=1, max_size=40)
-memory_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("cap"), st.integers(0, REGION_WORDS - 1), stored_caps()),
-        st.tuples(st.just("data"), _offsets, _payloads),  # checked store_data
-        st.tuples(st.just("raw"), _offsets, _payloads),  # write_bytes
-        st.tuples(
-            st.just("sweep"),
-            st.frozensets(st.sampled_from((1, 2, 300)), min_size=1),
-            st.one_of(st.none(), st.lists(st.integers(0, REGION_WORDS - 1), unique=True)),
-        ),
-        st.tuples(st.just("read"), _offsets, st.integers(0, REGION)),
-    ),
-    min_size=8,
-    max_size=40,
-)
-
-_TAGGED_3 = Capability(0x2040, 0x2000, 0x80, PERMS_APP, 3, True)
+# Capabilities whose packed image saturates: a length or an address offset
+# of 2**24 or more, or a color past the image's low byte.
+saturating_caps = st.builds(
+    _saturating, st.integers(0, 1 << 20).map(lambda granule: 16 * granule),
+    st.integers((1 << 24) - 1, 1 << 26), st.integers(0, 1 << 26), st.integers(0, 31),
+    st.sampled_from((UNSEALED, 1, 300)), st.booleans())
+memory_ops = st.lists(st.one_of(
+    st.tuples(st.just("cap"), st.integers(0, REGION_WORDS - 1), saturating_caps),
+    st.tuples(st.just("data"), st.integers(0, REGION - 1), st.binary(min_size=1, max_size=40)),
+    st.tuples(st.just("sweep"), st.frozensets(st.sampled_from((1, 300)), min_size=1),
+              st.one_of(st.none(), st.lists(st.integers(0, REGION_WORDS - 1), unique=True))),
+), min_size=8, max_size=40)
 
 
 class TestLazyPack:
     """A tagged word keeps only its capability; data reads and loads see the
-    same bytes and capabilities as memory that packs on every store."""
+    same bytes and capabilities as the reference model's memory, which
+    packs on every store.  Drawn traces check this for the capabilities a
+    run makes; these draws add the ones whose image saturates."""
 
-    @staticmethod
-    def _check_all(m, auth, ref):
-        base = auth.base
-        for w in range(REGION_WORDS):
-            addr = base + 16 * w
-            assert m.read_bytes(addr, 16) == ref.read(addr, 16)
-            assert m.read_bytes(addr + 3, 7) == ref.read(addr + 3, 7)
-            assert m.load_cap(auth, 16 * w) == ref.load_cap(addr)
-        for addr, width in ((base, REGION), (base + 9, 14), (base + 17, 40)):
-            assert m.read_bytes(addr, width) == ref.read(addr, width)
-
-    # A tagged word swept, then read as bytes and through load_cap.
-    @example([("cap", 1, _TAGGED_3), ("sweep", frozenset({3}), None), ("read", 16, 16)])
-    # Writes inside one tagged word, then a read (and `_check_all`'s
-    # load_cap): unaligned ones of 1 and 15 bytes, and an aligned 16-byte one.
-    @example([("cap", 1, _TAGGED_3), ("data", 19, b"\xaa\xbb\xcc\xdd"), ("read", 16, 16)])
-    @example([("cap", 1, _TAGGED_3), ("raw", 17, b"\x5a"), ("read", 16, 16)])
-    @example([("cap", 2, _TAGGED_3), ("raw", 33, bytes(range(1, 16))), ("read", 32, 16)])
-    @example([("cap", 2, _TAGGED_3), ("data", 32, bytes(range(16))), ("read", 30, 20)])
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(memory_ops)
     def test_matches_eager_pack(self, ops):
         m = machine()
         auth = heap_cap(m, length=REGION)
         base = auth.base
-        ref = EagerPackMemory()
-        for op in ops:
-            kind = op[0]
+        ref = ReferenceMachine(small_config())
+        memory = ref.memory
+        for kind, at, value in ops:
             if kind == "cap":
-                assert m.store_cap(auth, 16 * op[1], op[2]) is None
-                ref.store_cap(base + 16 * op[1], op[2])
-            elif kind in ("data", "raw"):
-                data = op[2][: REGION - op[1]]
-                if kind == "data":
-                    assert store_data(m, auth, op[1], data) is None
-                else:
-                    m.write_bytes(base + op[1], data)
-                ref.write(base + op[1], data)
-            elif kind == "sweep":
-                doomed = colored(*op[1])
-                addrs = None if op[2] is None else [base + 16 * w for w in op[2]]
-                cleared = m.sweep_scan(doomed, addrs, include_registers=False)
-                assert cleared == ref.sweep(doomed, addrs)
+                assert m.store_cap(auth, 16 * at, value) is None
+                memory.store_cap(base + 16 * at, value)
+            elif kind == "data":
+                data = value[: REGION - at]
+                assert store_data(m, auth, at, data) is None
+                memory.write(base + at, data)
             else:
-                width = min(op[2], REGION - op[1])
-                assert m.read_bytes(base + op[1], width) == ref.read(base + op[1], width)
-            assert set(m.caps) == set(ref.caps)
-            self._check_all(m, auth, ref)
+                addrs = None if value is None else [base + 16 * w for w in value]
+                cleared = m.sweep_scan(colored(*at), addrs, include_registers=False)
+                assert cleared == per_capability_sweep(
+                    ref, lambda cap: cap.otype in at, addrs, registers=False)
+            assert set(m.caps) == set(memory.caps)
+            for w in range(REGION_WORDS):
+                assert m.read_bytes(base + 16 * w + 3, 7) == memory.read(base + 16 * w + 3, 7)
+                assert m.load_cap(auth, 16 * w) == memory.load_cap(base + 16 * w)
+            assert m.read_bytes(base, REGION) == memory.read(base, REGION)

@@ -2,8 +2,8 @@
 
 Hypothesis generates traces whose accesses start inside each register's
 allocation (the generator tracks every register's size) and end up to 16
-bytes past it, and whose scratch writes overwrite spilled capabilities and
-end up to 16 bytes past the scratch region.  The lifetime oracle judges
+bytes past it, and whose scratch reads and writes cover spilled capabilities
+and end up to 16 bytes past the scratch region.  The lifetime oracle judges
 lifetimes, not bounds, so a spatial fault is never a false positive, and
 the oracle is the only judge of temporal legality.  On each trace, at 7
 color bits:
@@ -64,9 +64,10 @@ def traces(draw):
     """20 to 120 ops over 3 registers and 4 spill slots, after binding a
     fourth register to scratch; reads and writes start inside the
     register's current allocation, whether or not it is still live, and end
-    up to 16 bytes past it, and scratch writes overwrite spilled slots and
-    end up to 16 bytes past the scratch region.  At most 120 mallocs never
-    outgrow the 127 colors, so every trace runs to the end."""
+    up to 16 bytes past it, and scratch reads and writes cover the spilled
+    slots, packed images included, and end up to 16 bytes past the scratch
+    region.  At most 120 mallocs never outgrow the 127 colors, so every
+    trace runs to the end."""
     size = [0] * REGS  # bytes reachable through each register's capability
     slot_size = [0] * SLOTS
     ops = [(OP_SCRATCH, SCRATCH_REG, 0, 0)]
@@ -74,7 +75,7 @@ def traces(draw):
         reg = draw(st.integers(0, REGS - 1))
         kind = draw(st.sampled_from(("malloc", "malloc", "free", "free", "access", "access",
                                      "copy", "spill", "spill", "reload", "reload", "derive",
-                                     "overwrite")))
+                                     "overwrite", "peek")))
         if kind == "malloc":
             size[reg] = draw(st.integers(1, 64))
             ops.append((OP_MALLOC, reg, size[reg], 0))
@@ -101,24 +102,24 @@ def traces(draw):
             offset = draw(st.integers(0, size[src]))
             size[reg] = size[src] - offset
             ops.append((OP_DERIVE, reg, src, offset))
-        elif kind == "overwrite":
+        elif kind in ("overwrite", "peek"):
             offset = draw(st.integers(0, 16 * SLOTS - 1))
             width = draw(st.integers(0, 16 * SLOTS - offset + 16))
-            ops.append((OP_WRITE, SCRATCH_REG, offset, width))
+            ops.append((OP_WRITE if kind == "overwrite" else OP_READ, SCRATCH_REG, offset, width))
     return Trace(ops=ops, slots=SLOTS, name="property")
 
 
 @contextmanager
 def validated_sweeps():
     """Check the color allocator after every completed picasso sweep."""
-    finalize = MallocRevocationShim.revocation_finalize
+    advance = MallocRevocationShim._advance
 
-    def checked(shim):
-        reclaimed = finalize(shim)
-        validate(shim.unr)
-        return reclaimed
+    def checked(shim, window):
+        advance(shim, window)
+        if shim.job is None:
+            validate(shim.unr)
 
-    with mock.patch.object(MallocRevocationShim, "revocation_finalize", checked):
+    with mock.patch.object(MallocRevocationShim, "_advance", checked):
         yield
 
 

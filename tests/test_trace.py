@@ -35,6 +35,10 @@ class TestParse:
         assert exc.value.line == 1
         assert "r99" in exc.value.reason
 
+    def test_register_digits_that_int_rejects(self):
+        with pytest.raises(ParseError, match="line 1, column 6: expected a register, got 'r²'"):
+            parse_trace("free r²")
+
     def test_comments_and_blanks(self):
         text = "# header\n\nmalloc r1 16  # trailing\n   \nfree r1\n"
         trace = parse_trace(text)
