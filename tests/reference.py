@@ -25,6 +25,7 @@ things with the simulator, none of them a policy under test:
 """
 
 import math
+from bisect import bisect_left
 from contextlib import contextmanager
 from unittest import mock
 
@@ -45,23 +46,26 @@ class FlatHeap:
         self.free_blocks = [[base, size]]
 
     def alloc(self, size: int) -> int:
-        for i, (base, have) in enumerate(self.free_blocks):
-            if have >= size:
-                if have == size:
-                    del self.free_blocks[i]
+        for block in self.free_blocks:
+            if block[1] >= size:
+                base = block[0]
+                if block[1] == size:
+                    self.free_blocks.remove(block)
                 else:
-                    self.free_blocks[i] = [base + size, have - size]
+                    block[:] = base + size, block[1] - size
                 return base
         raise OutOfMemory(f"no free block of {size} bytes")
 
     def free(self, base: int, size: int) -> None:
-        merged = []
-        for block in sorted(self.free_blocks + [[base, size]]):
-            if merged and merged[-1][0] + merged[-1][1] == block[0]:
-                merged[-1][1] += block[1]
-            else:
-                merged.append(block)
-        self.free_blocks = merged
+        """Insert the block in base order, merged with the free blocks it touches."""
+        blocks = self.free_blocks
+        i = bisect_left(blocks, [base, 0])
+        if i < len(blocks) and blocks[i][0] == base + size:
+            size += blocks.pop(i)[1]
+        if i and blocks[i - 1][0] + blocks[i - 1][1] == base:
+            blocks[i - 1][1] += size
+        else:
+            blocks.insert(i, [base, size])
 
 
 class ListClearingPvtBuffer:

@@ -448,7 +448,7 @@ class TestLazyPack:
     packs on every store.  Drawn traces check this for the capabilities a
     run makes; these draws add the ones whose image saturates."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(memory_ops)
     def test_matches_eager_pack(self, ops):
         m = machine()

@@ -4,11 +4,14 @@ One property replays each drawn trace under all five schemes, on the
 simulator and on the model, and demands equal `Metrics` and outcomes, or
 the same `OutOfMemory` or `PoolExhausted` when a run ends early.  Pinned
 examples reach what short drawn traces rarely do, and known mutants of the
-simulator must fail the comparison.
+simulator must fail the comparison.  Every heap op of the simulator is
+checked against a flat free list as it happens, and so is the heap's index.
 """
 
+import random
+import re
 from bisect import bisect_right
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import pytest
@@ -18,10 +21,10 @@ from hypothesis import strategies as st
 import reference
 from colorcap import harness, heap, schemes
 from colorcap.harness import RunConfig, run_trace
-from colorcap.heap import BUCKET_SPLIT, OutOfMemory
+from colorcap.heap import BUCKET_SPLIT, GRANULE, FreeListHeap, OutOfMemory
 from colorcap.machine import FaultKind
 from colorcap.mrs import MallocRevocationShim, PoolExhausted
-from colorcap.schemes import SCHEME_NAMES
+from colorcap.schemes import MIN_QUARANTINE_BYTES, SCHEME_NAMES
 from colorcap.trace import Trace, parse_trace
 from colorcap.unr import _Builder
 from test_properties import traces
@@ -38,9 +41,52 @@ def whole_run(trace, scheme, config, model=False):
     return result.metrics.to_dict(), result.outcomes
 
 
-def pinned(lines, heap_size, color_bits=8, **kw):
+def check_index(free_list: FreeListHeap) -> None:
+    assert all(free_list.bases), "no bucket is empty"
+    assert list(map(len, free_list.bases)) == list(map(len, free_list.sizes))
+    assert all(len(bases) <= 2 * heap.BUCKET_SPLIT for bases in free_list.bases)
+    assert free_list.firsts == [bases[0] for bases in free_list.bases]
+    assert free_list.maxes == list(map(max, free_list.sizes))
+
+
+def _checked(op):
+    """`FreeListHeap.alloc` or `.free`, run on a `FlatHeap` holding the same
+    free list too: same result or `OutOfMemory`, same free list after, and
+    the index intact."""
+
+    def run(free_list, *args):
+        flat = reference.FlatHeap(0, 0)
+        flat.free_blocks = free_list.free_blocks
+        try:
+            result = op(free_list, *args)
+        except OutOfMemory as exc:
+            with pytest.raises(OutOfMemory, match=f"^{re.escape(str(exc))}$"):
+                flat.alloc(*args)
+            raise
+        assert result == getattr(flat, op.__name__)(*args)
+        assert free_list.free_blocks == flat.free_blocks
+        check_index(free_list)
+        return result
+
+    return run
+
+
+@contextmanager
+def patched(split, floor):
+    """Bucket splits at `split` blocks and a quarantine floor of `floor`
+    bytes, in the simulator and the model, and every heap op checked."""
+    with mock.patch.object(heap, "BUCKET_SPLIT", split), mock.patch.object(
+        schemes, "MIN_QUARANTINE_BYTES", floor
+    ), mock.patch.object(reference, "MIN_QUARANTINE_BYTES", floor), mock.patch.multiple(
+        FreeListHeap, alloc=_checked(FreeListHeap.alloc), free=_checked(FreeListHeap.free)
+    ):
+        yield
+
+
+def pinned(lines, heap_size, color_bits=8, floor=MIN_QUARANTINE_BYTES, **kw):
     config = RunConfig(color_bits=color_bits, heap_size=heap_size, **kw)
-    return {"trace": parse_trace("\n".join(lines)), "config": config, "split": BUCKET_SPLIT}
+    return {"trace": parse_trace("\n".join(lines)), "config": config, "split": BUCKET_SPLIT,
+            "floor": floor}
 
 
 # Versioning, each case with its heap.  _WRAP: the 16th free of granule 0
@@ -51,13 +97,17 @@ _WRAP = ["malloc r0 32", "free r0"] + ["malloc r1 16", "free r1"] * 15 + [
 # The 16th free of a 4 KiB block wraps it; with the fallback the quarantine
 # reaches the sweep floor, and the sweep revokes r0.
 _SWEEP = ["malloc r0 4096", "free r0"] * 16 + ["read r0 0 16", "malloc r1 16"]
+# Under a 16-byte floor, the share rule holds the first wrapped granule back
+# (16 < 0.25 * 80) and sweeps at the second (32 >= 0.25 * 96), revoking r0.
+_SHARE = ["malloc r1 64"] + ["malloc r0 16", "free r0"] * 32 + ["read r0 0 16"]
 # Granules 0..2 reach versions 3, 2 and 1, then coalesce into one block.
 _COALESCE = ["malloc r0 16", "malloc r1 16", "malloc r2 16", "free r1", "malloc r3 16", "free r0",
              "malloc r4 16", "free r4", "malloc r5 16", "free r5", "free r3", "free r2",
              "malloc r6 48", "read r6 0 48", "read r3 0 16", "read r2 0 16"]
-# ROADMAP item 3a: the stale r2 reads the coalesced block without a fault.
-_ITEM_3A = ["malloc r0 16", "malloc r1 16", "free r1", "malloc r2 16", "free r2", "free r0",
-            "malloc r4 32", "read r2 0 8"]
+# ROADMAP item 3a: malloc gives the coalesced block granule 0's version (1),
+# which the stale r3 also carries, so its read goes through.
+_ITEM_3A = ["malloc r0 16", "malloc r1 16", "free r1", "malloc r2 16", "copy r3 r2", "free r2",
+            "free r0", "malloc r4 32", "read r3 0 8"]
 # An empty capability at the heap top reads version 0 off the table, and
 # granule 0 is at 1, so freeing it is a malformed free.
 _HEAP_TOP = ["malloc r0 16", "malloc r1 16", "free r0", "derive r2 r1 16", "free r2", "read r2 0 0"]
@@ -86,6 +136,7 @@ configs = st.builds(
     color_bits=st.integers(4, 8),
     threshold_fraction=st.sampled_from((0.01, 0.5, 0.97)),  # high ones sweep short traces
     heap_size=st.integers(6, 256).map(lambda granules: 16 * granules),
+    quarantine_fraction=st.sampled_from((0.05, 0.25, 0.75)),
     pvt_buffer=st.booleans(),
     sweep_window=st.one_of(st.none(), st.integers(1, 8)),
     versioning_fallback=st.booleans(),
@@ -93,10 +144,14 @@ configs = st.builds(
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(trace=traces(), config=configs, split=st.sampled_from((1, 2, BUCKET_SPLIT)))
+# Floors below MIN_QUARANTINE_BYTES let the quarantine's share of the
+# resident bytes start sweeps in these small heaps.
+@given(trace=traces(), config=configs, split=st.sampled_from((1, 2, BUCKET_SPLIT)),
+       floor=st.sampled_from((16, 256, MIN_QUARANTINE_BYTES)))
 @example(**pinned(_WRAP, 32, versioning_fallback=False))
 @example(**pinned(_WRAP, 32))
 @example(**pinned(_SWEEP, 8192))
+@example(**pinned(_SHARE, 128, floor=16))
 @example(**pinned(_COALESCE, 48))
 @example(**pinned(_ITEM_3A, 1024))
 @example(**pinned(_HEAP_TOP, 32))
@@ -104,8 +159,8 @@ configs = st.builds(
 @example(**pinned(_CHECKERBOARD + _BRIDGE + _PLACED, 32 * _FREED))
 @example(**pinned(_LONE_BUCKET, 80))
 @example(**pinned(_WIDE_RELEASE, 1 << 14, color_bits=10, threshold_fraction=0.5))
-def test_every_scheme_matches_the_reference(trace, config, split):
-    with mock.patch.object(heap, "BUCKET_SPLIT", split):
+def test_every_scheme_matches_the_reference(trace, config, split, floor):
+    with patched(split, floor):
         for scheme in SCHEME_NAMES:
             model = whole_run(trace, scheme, config, True)
             assert whole_run(trace, scheme, config) == model, scheme
@@ -126,6 +181,10 @@ def test_pinned_examples_reach_their_case():
     assert wrapped.wraps == 1 and outcomes[-4:] == [FaultKind.PROVENANCE_RETRACTED] * 2 + [None] * 2
     swept, outcomes = simulated(pinned(_SWEEP, 8192), "versioning")
     assert swept.revocations == 1 and outcomes[-2] is FaultKind.UNTAGGED_OPERAND
+    with mock.patch.object(schemes, "MIN_QUARANTINE_BYTES", 16):
+        assert simulated(pinned(_SHARE, 128), "versioning", 33)[0].revocations == 0
+        swept, outcomes = simulated(pinned(_SHARE, 128), "versioning")
+    assert swept.revocations == 1 and outcomes[-1] is FaultKind.UNTAGGED_OPERAND
     assert simulated(pinned(_COALESCE, 48), "versioning")[0].machine.regs[6].otype == 3
     assert simulated(pinned(_HEAP_TOP, 32), "versioning")[1][4] is FaultKind.MALFORMED_FREE
     split = simulated(pinned(_CHECKERBOARD, 32 * _FREED), "none")[0].heap
@@ -134,6 +193,37 @@ def test_pinned_examples_reach_their_case():
     assert list(map(len, bridged.bases)) == [BUCKET_SPLIT, _FREED - BUCKET_SPLIT - 1]
     assert bridged.sizes[0][-1] == 48  # the bridge: two free granules and the freed one
     assert simulated(pinned(_LONE_BUCKET, 80), "none", 6)[0].heap.bases == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3a")
+def test_stale_read_of_coalesced_block_faults():
+    outcomes = simulated(pinned(_ITEM_3A, 1024), "versioning")[1]
+    assert outcomes[-1] is FaultKind.PROVENANCE_RETRACTED
+
+
+def test_matches_flat_free_list_at_bench_scale():
+    """Random-victim churn at the bench's fragmentation: 8,000 live blocks
+    of 1-256 granules, then 16,000 free/alloc pairs, leave a few thousand
+    free blocks in dozens of buckets, which drawn traces never reach.  Every
+    base must match a `FlatHeap`'s; the free list and the index are checked
+    every 1,000 pairs, the last at the end."""
+    rng = random.Random(1)
+    flat, free_list = reference.FlatHeap(0, 64 << 20), FreeListHeap(0, 64 << 20)
+    live, peak_buckets = [], 0
+    for pair in range(-8000, 16000):
+        if pair >= 0:
+            victim = rng.randrange(len(live))
+            live[victim], live[-1] = live[-1], live[victim]
+            flat.free(*live[-1])
+            free_list.free(*live.pop())
+        size = rng.randint(1, 256) * GRANULE
+        live.append((free_list.alloc(size), size))
+        assert live[-1][0] == flat.alloc(size)
+        peak_buckets = max(peak_buckets, len(free_list.firsts))
+        if pair % 1000 == 999:
+            assert free_list.free_blocks == flat.free_blocks
+            check_index(free_list)
+    assert peak_buckets >= 80
 
 
 def _unlogged_sweep(start=MallocRevocationShim._start_job):
