@@ -10,9 +10,9 @@ row detected every bad case with no false positives), 1 on expectation or
 gate mismatch, 2 on configuration or parse errors, 3 when the run ran out
 of heap (OutOfMemory; a quarantining scheme first revokes its quarantine),
 of colors (PoolExhausted, also when out of both; picasso first sweeps
-back any retracted color) or of host memory (MemoryError, or
-OverflowError for a write payload longer than any bytes object: both come
-from a write wider than a huge spill region).
+back any retracted color) or of host memory (MemoryError or OverflowError:
+a write wider than a block of a multi-GiB heap builds a payload one byte
+longer than the block).
 
 Reports go to stdout in json, csv, or human form; --out (or the
 COLORCAP_OUTPUT_DIR environment variable) additionally writes them to a

@@ -36,6 +36,7 @@ from .capability import (
 from .machine import NUM_REGISTERS, FaultKind, TaggedMachine
 from .schemes import make_scheme
 from .trace import (
+    MAX_SLOTS,
     OP_COPY,
     OP_DERIVE,
     OP_FREE,
@@ -134,6 +135,8 @@ def run_trace(
 ) -> RunResult:
     """Replay a trace under one scheme on a fresh machine, which validates
     `config`."""
+    if trace.slots > MAX_SLOTS:
+        raise ConfigError(f"trace has {trace.slots} spill slots, more than {MAX_SLOTS}")
     config = config if config is not None else RunConfig()
     machine = TaggedMachine(config)
     adapter = make_scheme(scheme, machine)

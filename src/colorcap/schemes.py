@@ -18,10 +18,10 @@ quarantine fraction, versioning fallback) from `machine.config`:
 * versioning      - 4-bit granule versions carried in the capability otype;
                     frees recolor the granules; version wrap optionally
                     falls back to quarantine plus sweeping.  The versions
-                    are a byte table, one byte per heap granule (4 MiB for
-                    a 64 MiB heap), read and written with C-level bytes
-                    operations rather than a Python loop per granule; an
-                    address off the heap reads as version 0.
+                    are a byte table, one byte per granule up to the
+                    highest block ever carved, read and written with
+                    C-level bytes operations rather than a Python loop per
+                    granule; an address past the table reads as version 0.
 * none            - spatial/tag checks only; no temporal protection.
 """
 
@@ -182,12 +182,13 @@ class VersioningScheme(_QuarantineScheme):
     the fallback enabled, wrapping blocks are quarantined and swept the
     Cornucopia way instead of being reused.
 
-    The versions live in `versions`, one byte per heap granule at index
-    `(addr - heap_base) >> 4` (4 MiB for a 64 MiB heap).  Malloc, free and
-    the access check each touch a block's granules with one bytes operation
-    (a slice fill from `_FILL`, a `translate` through `_BUMP`, a `count`),
-    so no Python loop runs per granule.  An address off the heap reads as
-    version 0.
+    The versions live in `versions`, one byte per granule at index
+    `(addr - heap_base) >> 4`, from empty up to the end of the highest block
+    malloc carved: first fit carves upward, so the table follows the heap's
+    high-water mark, not its size.  Malloc, free and the access check each
+    touch a block's granules with one bytes operation (a slice fill from
+    `_FILL`, a `translate` through `_BUMP`, a `count`, and a zero `extend`
+    past the table's end), so no Python loop runs per granule.
     """
 
     name = "versioning"
@@ -196,19 +197,20 @@ class VersioningScheme(_QuarantineScheme):
         super().__init__(machine)
         self.exhaustion_fallback = machine.config.versioning_fallback
         self.heap_base = machine.config.heap_base
-        self.versions = bytearray(machine.config.heap_size >> 4)
-        self.wraps = 0
+        self.versions = bytearray()
 
     def malloc(self, size: int) -> Capability:
         base, block = self._carve(size)
         versions = self.versions
         lo = (base - self.heap_base) >> 4
-        n = block >> 4
+        hi = lo + (n := block >> 4)
+        if hi > len(versions):  # never-carved granules are at version 0
+            versions.extend(bytes(hi - len(versions)))
         version = versions[lo]
         # A coalesced block can span granules with divergent histories;
         # the allocation must present one version, so propagate the first.
-        versions[lo : lo + n] = _FILL[version] * n
-        self.live[base] = (block, version)
+        versions[lo:hi] = _FILL[version] * n
+        self.live[base] = block
         # The version rides in the otype directly; version 0 is legitimate
         # here, so the color-assignment path (which reserves 0) is bypassed.
         return Capability(base, base, block, PERMS_APP, version, True)
@@ -221,17 +223,16 @@ class VersioningScheme(_QuarantineScheme):
         version = cap.otype & VERSION_MASK
         versions = self.versions
         lo = (cap.base - self.heap_base) >> 4
-        record = self.live.get(cap.base)
-        if record is None:
+        size = self.live.get(cap.base)
+        if size is None:
             # Not an allocation start: a matching granule version means a
             # live block's interior; a mismatch means the block moved on.
-            # A zero-length capability at the heap top indexes one past
-            # the table and reads as version 0.
+            # A zero-length capability at the top of the highest carved
+            # block indexes the table's end and reads as version 0.
             if (versions[lo] if 0 <= lo < len(versions) else 0) == version:
                 return FaultKind.MALFORMED_FREE
             return FaultKind.DOUBLE_FREE
-        size, current = record
-        if current != version:
+        if versions[lo] != version:  # only this free changes malloc's fill
             return FaultKind.DOUBLE_FREE
         hi = lo + (size >> 4)
         bumped = versions[lo:hi].translate(_BUMP)
@@ -240,8 +241,6 @@ class VersioningScheme(_QuarantineScheme):
         del self.live[cap.base]
         self.live_bytes -= size
         self.frees += 1
-        if wrapped:
-            self.wraps += 1
         if wrapped and self.exhaustion_fallback:
             self._quarantine(cap.base, size)
         else:

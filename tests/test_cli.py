@@ -12,7 +12,7 @@ from colorcap.cli import CORPUS_FIELDS, main
 from colorcap.harness import METRIC_FIELDS, RunConfig, run_trace
 from colorcap.machine import NUM_REGISTERS
 from colorcap.schemes import SCHEME_NAMES
-from colorcap.trace import OP_TABLE
+from colorcap.trace import MAX_SLOTS, OP_TABLE
 from colorcap.workloads import gen_churn
 
 
@@ -276,34 +276,30 @@ class TestSweepAndBufferFlags:
 
 
 class TestHostLimits:
-    @pytest.mark.parametrize(
-        "slot, exception",
-        [
-            # A spill to slot 2**40 makes the scratch capability 16 * (2**40 + 1)
-            # bytes long, and a write wider than that builds one byte more.
-            (2**40, "MemoryError"),
-            # Past 2**59 slots that payload is longer than any bytes object.
-            (2**60, "OverflowError"),
-        ],
-    )
-    def test_payload_beyond_host_memory_exits_three(self, capsys, tmp_path, slot, exception):
+    @pytest.mark.parametrize("slot", [MAX_SLOTS, 2**40, 2**63])
+    def test_spill_slot_past_the_bound_exits_two(self, capsys, tmp_path, slot):
+        # Without the bound, a spill to slot 2**63 makes the scratch
+        # capability 2**67 bytes long, and the read walks it word by word.
         trace = tmp_path / "huge.trace"
         trace.write_text(
-            f"scratch r0\nmalloc r1 16\nspill r1 {slot}\nwrite r0 0 99999999999999999999\n"
+            f"scratch r31\nmalloc r0 16\nspill r0 {slot}\nread r31 0 {2**64}\n"
         )
         code, out, err = run_cli(capsys, "run", "--scheme", "none", "--trace", str(trace))
-        assert code == 3
+        assert code == 2
         assert out == ""
-        assert err.startswith(f"colorcap: error: {exception}")
-        assert err.count("\n") == 1
+        assert err == (
+            f"colorcap: error: line 3, column 10: slot index {slot} out of range"
+            f" (0..{MAX_SLOTS - 1})\n"
+        )
 
 
 def _operand(kind):
     if kind == "r":
         return st.integers(0, NUM_REGISTERS - 1).map("r{}".format)
-    # A read as wide as a huge spill region walks it word by word, so widths
-    # stay small; every other integer may exceed any host limit.
-    top = 4096 if kind == "a width" else 10**30
+    # A read or write as wide as a multi-GiB heap block walks or builds it
+    # whole, so widths stop one granule past the widest spill region; every
+    # other integer may exceed any host limit.
+    top = 16 * MAX_SLOTS + 16 if kind == "a width" else 10**30
     return st.integers(0, top).map(str)
 
 

@@ -1,0 +1,195 @@
+"""Cost per op, counted in bytecodes: the roadmap's aim that an op's cost
+must not grow with the live set, the heap or the color pool.
+
+Each run replays random-victim churn.  A warm-up fills `live` spill slots
+with fresh blocks and may run some pairs; each pair reloads a random slot,
+frees its block, mallocs a new one and spills it there.  When the warm-up
+ends, the op generator switches on `sys.settrace` with `f_trace_opcodes`,
+in `run_trace`'s frame too, and every opcode CPython runs in the next
+PAIRS pairs is counted, except the generator's own and those of sweeps.
+Sweeps are the one exception to the aim, because they are O(tagged memory)
+in the modelled system too: a frame that starts one (`_SWEEP_CODES`) runs
+untraced, with everything it calls, and is only counted.
+
+A count of opcodes is exact and repeatable, so a change that makes an op's
+cost grow with the state cannot hide in timing noise.  Absolute counts
+differ across CPython versions and move with every feature, so none is
+pinned: the tests print them instead (`pytest -s`).  The count cannot see
+C-level work: a `max` over a heap bucket, the PVT's big-int steps,
+`bytes.translate` or a slice fill stay with the bench and timeit.
+"""
+
+import random
+import sys
+from itertools import islice
+from unittest import mock
+
+import pytest
+
+from colorcap.harness import RunConfig, run_trace
+from colorcap.heap import FreeListHeap, HeapScheme
+from colorcap.machine import TaggedMachine
+from colorcap.mrs import MallocRevocationShim
+from colorcap.schemes import SCHEME_NAMES, _QuarantineScheme
+from colorcap.trace import OP_FREE, OP_MALLOC, OP_RELOAD, OP_SPILL, Trace
+
+PAIRS = 200
+#: Frames that start a sweep: they and every frame they call run untraced,
+#: so a sweep costs no trace events, and each one is counted.
+_SWEEP_CODES = {
+    TaggedMachine.sweep_scan.__code__,
+    _QuarantineScheme.revoke.__code__,
+    MallocRevocationShim._start_job.__code__,
+    MallocRevocationShim._advance.__code__,
+}
+
+
+class Tally:
+    """Opcodes counted outside sweeps, and the sweeps started."""
+
+    def __init__(self) -> None:
+        self.ops = 0
+        self.sweeps = 0
+        self.sweeping = False
+
+    def count(self, frame, event, arg):
+        if event == "opcode":
+            self.ops += 1
+        return self.count
+
+    def sweep_ends(self, frame, event, arg):
+        if event == "return":
+            self.sweeping = False
+
+    def enter(self, frame, event, arg):
+        """The global trace function: picks each new frame's local one."""
+        if self.sweeping or frame.f_code is _churn.__code__:
+            return None
+        if frame.f_code in _SWEEP_CODES:
+            self.sweeping = True
+            self.sweeps += 1
+            frame.f_trace_lines = False
+            return self.sweep_ends
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return self.count
+
+
+def _churn(live, sizes, seed, tally, warm_pairs):
+    """The ops of `live` warm-up mallocs, `warm_pairs` untraced pairs and
+    PAIRS counted ones.  Every draw is made up front, so no `random` frame
+    runs while counting."""
+    rng = random.Random(seed)
+    drawn = [rng.choice(sizes) for _ in range(live + warm_pairs + PAIRS)]
+    victims = [rng.randrange(live) for _ in range(warm_pairs + PAIRS)]
+    pairs = zip(victims, drawn[live:])
+    for slot in range(live):
+        yield (OP_MALLOC, 0, drawn[slot], 0)
+        yield (OP_SPILL, 0, slot, 0)
+    for slot, size in islice(pairs, warm_pairs):
+        yield (OP_RELOAD, 1, slot, 0)
+        yield (OP_FREE, 1, 0, 0)
+        yield (OP_MALLOC, 0, size, 0)
+        yield (OP_SPILL, 0, slot, 0)
+    caller = sys._getframe(1)  # run_trace's frame, already running
+    caller.f_trace_lines = False
+    caller.f_trace_opcodes = True
+    caller.f_trace = tally.count
+    sys.settrace(tally.enter)
+    for slot, size in pairs:
+        yield (OP_RELOAD, 1, slot, 0)
+        yield (OP_FREE, 1, 0, 0)
+        yield (OP_MALLOC, 0, size, 0)
+        yield (OP_SPILL, 0, slot, 0)
+    sys.settrace(None)  # before run_trace builds its Metrics
+
+
+def per_pair(scheme, live=1000, sizes=(16,), heap_size=1 << 20, color_bits=16, warm_pairs=0,
+             seed=1):
+    """Opcodes per counted pair outside sweeps, and the sweeps among them."""
+    tally = Tally()
+    trace = Trace(ops=_churn(live, sizes, seed, tally, warm_pairs), slots=live)
+    config = RunConfig(color_bits=color_bits, heap_size=heap_size)
+    try:
+        metrics = run_trace(trace, scheme, config).metrics
+    finally:
+        sys.settrace(None)  # a run that fails stops counting too
+    assert metrics.faults_total == 0 and metrics.ops == 2 * live + 4 * (warm_pairs + PAIRS)
+    return tally.ops / PAIRS, tally.sweeps
+
+
+#: One axis at a time, each from the base shape: 1k live, a 1 MiB heap and
+#: 16 color bits.
+AXES = {
+    "live 16k": dict(live=16_000),
+    "heap 1 GiB": dict(heap_size=1 << 30),
+    "24 bits": dict(color_bits=24),
+}
+
+
+def check_flat(scheme):
+    base = per_pair(scheme)
+    counts = {"base": base, **{axis: per_pair(scheme, **kw) for axis, kw in AXES.items()}}
+    print(f"\n{scheme}: " + ", ".join(
+        f"{axis} {ops:.1f} ({sweeps} sweeps)" for axis, (ops, sweeps) in counts.items()))
+    for axis, (ops, _) in counts.items():
+        assert ops == base[0], (scheme, axis, ops, base[0])
+
+
+#: Sizes from 16 B to 4 KiB leave free blocks that first fit scans.
+MIXED = dict(sizes=tuple(range(16, 4097, 16)), heap_size=64 << 20)
+
+
+def check_mixed(scheme, warm_pairs=lambda live: 200):
+    """Opcodes per pair rise by at most 10% over a 16x live set, after the
+    same number of warm-up pairs at each size."""
+    small, large = (per_pair(scheme, live=live, warm_pairs=warm_pairs(live), **MIXED)[0]
+                    for live in (500, 8000))
+    print(f"\n{scheme} mixed sizes: {small:.1f} at 500 live, {large:.1f} at 8k")
+    assert large <= 1.1 * small, (scheme, small, large)
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_fixed_size_pair_cost_is_flat(scheme):
+    check_flat(scheme)
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_mixed_size_pair_cost_grows_little(scheme):
+    check_mixed(scheme)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: first fit's bucket scan")
+def test_mixed_size_pair_cost_at_bench_fragmentation():
+    # As many warm-up pairs as live blocks leave about as many free blocks
+    # as the bench's random churn, and `FreeListHeap.alloc` walks `maxes`
+    # in Python, one step per bucket: `none` rises about 29%.
+    check_mixed("none", warm_pairs=lambda live: live)
+
+
+def _flattening_alloc(alloc=FreeListHeap.alloc):
+    def alloc_reading_every_block(heap, size):
+        len(heap.free_blocks)
+        return alloc(heap, size)
+
+    return mock.patch.object(FreeListHeap, "alloc", alloc_reading_every_block)
+
+
+def _summing_sample(sample=HeapScheme._sample):
+    def sample_summing_live(scheme):
+        if sys.gettrace() is not None:  # only while counting: the warm-up stays fast
+            sum(1 for _ in scheme.live)
+        sample(scheme)
+
+    return mock.patch.object(HeapScheme, "_sample", sample_summing_live)
+
+
+@pytest.mark.parametrize("mutant, check", [
+    (_flattening_alloc, check_mixed),
+    (_summing_sample, check_flat),
+], ids=["alloc_reads_free_blocks", "sample_sums_live"])
+def test_mutants_fail(mutant, check):
+    # Twenty pairs show the growth, and keep the traced O(live) work short.
+    with mutant(), mock.patch.object(sys.modules[__name__], "PAIRS", 20):
+        with pytest.raises(AssertionError):
+            check("none")

@@ -19,6 +19,7 @@ from colorcap import cli
 from colorcap.machine import FaultKind, TaggedMachine
 from colorcap.schemes import SCHEME_NAMES, make_scheme
 from colorcap.trace import (
+    MAX_SLOTS,
     OP_COPY,
     OP_FREE,
     OP_MALLOC,
@@ -242,6 +243,14 @@ class TestMalformedOps:
         with pytest.raises(ConfigError) as caught:
             run_trace(Trace(ops=[op]), "picasso")
         assert str(caught.value) == message
+
+    def test_too_many_slots_rejected_before_the_first_op(self):
+        def ops():
+            raise AssertionError("an op was drawn")
+            yield
+
+        with pytest.raises(ConfigError, match=f"^trace has {MAX_SLOTS + 1} spill slots"):
+            run_trace(Trace(ops=ops(), slots=MAX_SLOTS + 1), "none")
 
     def test_other_failures_propagate(self):
         # The loop binds the op it replays, so a one-shot iterator's

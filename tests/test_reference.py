@@ -111,6 +111,14 @@ _ITEM_3A = ["malloc r0 16", "malloc r1 16", "free r1", "malloc r2 16", "copy r3 
 # An empty capability at the heap top reads version 0 off the table, and
 # granule 0 is at 1, so freeing it is a malformed free.
 _HEAP_TOP = ["malloc r0 16", "malloc r1 16", "free r0", "derive r2 r1 16", "free r2", "read r2 0 0"]
+# The same at the top of the highest carved block, where the table ends:
+# r1 is at version 1, so freeing r2 is a double free.
+_CARVED_TOP = ["malloc r0 16", "malloc r1 16", "free r1", "malloc r1 16", "derive r2 r1 16",
+               "free r2", "read r2 0 0"]
+# Freed granules 0..2 coalesce with the never-carved rest, and r2's block
+# runs one granule past the table's end; all four take granule 0's version.
+_PAST_THE_END = ["malloc r0 16", "malloc r1 32", "free r0", "free r1", "malloc r2 64",
+                 "read r2 0 64", "read r1 0 16", "free r2", "read r2 0 8"]
 # First fit.  2 * _FREED one-granule blocks fill the heap, one spill slot
 # each; freeing every other one leaves more than 2 * BUCKET_SPLIT free
 # blocks, so a bucket splits.  The live block between the first bucket's
@@ -155,6 +163,8 @@ configs = st.builds(
 @example(**pinned(_COALESCE, 48))
 @example(**pinned(_ITEM_3A, 1024))
 @example(**pinned(_HEAP_TOP, 32))
+@example(**pinned(_CARVED_TOP, 1024))
+@example(**pinned(_PAST_THE_END, 1024))
 @example(**pinned(_CHECKERBOARD + _PLACED, 32 * _FREED))
 @example(**pinned(_CHECKERBOARD + _BRIDGE + _PLACED, 32 * _FREED))
 @example(**pinned(_LONE_BUCKET, 80))
@@ -178,7 +188,9 @@ def simulated(case, scheme, ops=None):
 
 def test_pinned_examples_reach_their_case():
     wrapped, outcomes = simulated(pinned(_WRAP, 32, versioning_fallback=False), "versioning")
-    assert wrapped.wraps == 1 and outcomes[-4:] == [FaultKind.PROVENANCE_RETRACTED] * 2 + [None] * 2
+    assert outcomes[-4:] == [FaultKind.PROVENANCE_RETRACTED] * 2 + [None] * 2
+    # The wrapped granule went back to the heap: r2 took it with no sweep.
+    assert not wrapped.quarantine and wrapped.revocations == 0
     swept, outcomes = simulated(pinned(_SWEEP, 8192), "versioning")
     assert swept.revocations == 1 and outcomes[-2] is FaultKind.UNTAGGED_OPERAND
     with mock.patch.object(schemes, "MIN_QUARANTINE_BYTES", 16):
@@ -187,6 +199,12 @@ def test_pinned_examples_reach_their_case():
     assert swept.revocations == 1 and outcomes[-1] is FaultKind.UNTAGGED_OPERAND
     assert simulated(pinned(_COALESCE, 48), "versioning")[0].machine.regs[6].otype == 3
     assert simulated(pinned(_HEAP_TOP, 32), "versioning")[1][4] is FaultKind.MALFORMED_FREE
+    top, outcomes = simulated(pinned(_CARVED_TOP, 1024), "versioning")
+    assert (top.machine.regs[2].base - top.heap_base) >> 4 == len(top.versions) == 2
+    assert outcomes[5] is FaultKind.DOUBLE_FREE
+    past, outcomes = simulated(pinned(_PAST_THE_END, 1024), "versioning")
+    assert past.machine.regs[2].otype == 1 and len(past.versions) == 4
+    assert outcomes[-3:] == [FaultKind.PROVENANCE_RETRACTED, None, FaultKind.PROVENANCE_RETRACTED]
     split = simulated(pinned(_CHECKERBOARD, 32 * _FREED), "none")[0].heap
     assert list(map(len, split.bases)) == [BUCKET_SPLIT, _FREED - BUCKET_SPLIT]
     bridged = simulated(pinned(_CHECKERBOARD + _BRIDGE, 32 * _FREED), "none")[0].heap

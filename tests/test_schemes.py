@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -238,7 +239,7 @@ class TestVersioning:
         assert collided.base == stale.base
         assert collided.otype == stale.otype == 0
         assert isinstance(ver.load(stale, 0, 8), bytes)  # undetected UAF
-        assert ver.wraps == 1
+        assert not ver.quarantine  # the wrapped block went back to the heap
 
     def test_detection_below_wrap_threshold(self):
         ver = VersioningScheme(machine(versioning_fallback=False))
@@ -258,7 +259,6 @@ class TestVersioning:
             fresh = ver.malloc(32)
             assert fresh.base == cap.base
             ver.free(fresh)  # the 16th recoloring wraps
-        assert ver.wraps == 1
         assert ver.quarantine_bytes == 32
         assert ver.quarantine == [(cap.base, cap.base + 32)]
         assert ver.malloc(32).base != cap.base  # block held back
@@ -279,6 +279,21 @@ class TestVersioning:
         # check fires the Cornucopia-style sweep.
         assert ver.revocations == 1
         assert m.regs[0].tag is False
+
+    def test_host_memory_follows_the_carved_heap(self):
+        # The version table stops at the highest block carved, so a 1 GiB
+        # heap costs the host no more than a 1 MiB one.
+        trace = gen_churn(200, 20, (16, 256), seed=3)
+        metrics, peaks = [], []
+        for heap_size in (1 << 20, 1 << 30):
+            tracemalloc.start()
+            try:
+                metrics.append(run_trace(trace, "versioning", RunConfig(heap_size=heap_size)).metrics)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert metrics[0] == metrics[1]
+        assert abs(peaks[0] - peaks[1]) < 1_000_000, peaks
 
 
 class TestOutOfMemory:

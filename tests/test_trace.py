@@ -2,6 +2,7 @@ import pytest
 
 from colorcap.machine import FaultKind
 from colorcap.trace import (
+    MAX_SLOTS,
     OP_FREE,
     OP_MALLOC,
     OP_READ,
@@ -96,6 +97,14 @@ class TestParse:
             parse_trace("malloc r0 0")
         assert (exc.value.line, exc.value.column) == (1, 11)  # the size token
         assert "positive" in exc.value.reason
+
+    @pytest.mark.parametrize("op", ["spill", "reload"])
+    def test_slot_index_bounded(self, op):
+        assert parse_trace(f"{op} r0 {MAX_SLOTS - 1}").slots == MAX_SLOTS
+        with pytest.raises(ParseError) as exc:
+            parse_trace(f"scratch r0\n{op} r0 {MAX_SLOTS}")
+        assert (exc.value.line, exc.value.column) == (2, len(op) + 5)  # the slot token
+        assert exc.value.reason == f"slot index {MAX_SLOTS} out of range (0..{MAX_SLOTS - 1})"
 
     def test_hex_literals_accepted(self):
         trace = parse_trace("malloc r0 0x40")
