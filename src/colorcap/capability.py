@@ -10,11 +10,13 @@ exceeds its parent's bounds or permissions - and no operation in this module
 can turn an untagged capability back into a tagged one.
 
 The object type partitions into three interpretations against a threshold
-(OTYPETH): the UNSEALED sentinel means an ordinary capability, values
-strictly between 0 and the threshold are colors (provenance identifiers),
-and values at or above the threshold are sealed.  otype 0 is reserved and
+(OTYPETH): UNSEALED (-1) means an ordinary capability, values strictly
+between 0 and the threshold are colors (provenance identifiers), and
+values at or above the threshold are sealed.  otype 0 is reserved and
 reads as unsealed; it is never handed out as a color, so the usable color
-pool is 1 .. 2**color_bits - 1.
+pool is 1 .. 2**color_bits - 1.  The otype is always an int, and "no
+capability" is always NULL_CAP, the untagged all-zero capability, never
+None.
 
 The module also holds the run config, `RunConfig`: every setting of a run
 and its default, written once, and the geometry derived from them.
@@ -29,10 +31,8 @@ COLOR_BITS_DEFAULT: Final = 21
 CAPABILITY_WIDTH: Final = 16  # bytes occupied by one capability record
 
 #: Distinguished otype for capabilities that carry no color and are not
-#: sealed.  Serializes as an all-ones byte in the packed record.
-UNSEALED: Final = None
-
-Otype = Optional[int]
+#: sealed.  Its low byte, the packed record's otype byte, is all ones.
+UNSEALED: Final = -1
 
 
 class CapabilityError(Exception):
@@ -88,7 +88,7 @@ class Capability:
     base: int
     length: int
     perms: int = PERMS_NONE  # a mask of PERM_* bits
-    otype: Otype = UNSEALED
+    otype: int = UNSEALED
     tag: bool = False
 
     def __init__(
@@ -97,7 +97,7 @@ class Capability:
         base: int,
         length: int,
         perms: int = PERMS_NONE,
-        otype: Otype = UNSEALED,
+        otype: int = UNSEALED,
         tag: bool = False,
     ) -> None:
         # The generated __init__ of a frozen class stores each field with
@@ -138,7 +138,7 @@ def derive(
     if not parent.tag:
         raise UntaggedOperand("cannot derive from an untagged capability")
     otype = parent.otype
-    if otype is not None and otype >= otypeth:
+    if otype >= otypeth:
         raise SealedOperand("cannot derive from a sealed capability")
     base = parent.base
     top = base + parent.length
@@ -154,7 +154,7 @@ def derive(
             raise PermissionDenied("authorizing capability lacks sw_vmem")
         if not 0 < color < otypeth:
             raise ColorOutOfRange(f"color {color} not in (0, {otypeth})")
-        if otype is not None:
+        if otype != UNSEALED:
             raise SealedOperand("capability already carries an otype")
         otype = color
     return Capability(new_base, new_base, new_length, new_perms, otype, True)
@@ -183,12 +183,11 @@ def pack(cap: Capability) -> bytes:
     if off > _OFF_MAX:
         off = _OFF_MAX
     length = cap.length if cap.length <= _OFF_MAX else _OFF_MAX
-    ot = 0xFF if cap.otype is None else cap.otype & 0xFF
     return (
         (cap.address & 0xFFFF_FFFF_FFFF_FFFF).to_bytes(8, "little")
         + off.to_bytes(3, "little")
         + length.to_bytes(3, "little")
-        + bytes((cap.perms, ot))
+        + bytes((cap.perms, cap.otype & 0xFF))
     )
 
 
@@ -203,13 +202,12 @@ def unpack(data: bytes, tag: bool = False) -> Capability:
     address = int.from_bytes(data[0:8], "little")
     off = int.from_bytes(data[8:11], "little")
     length = int.from_bytes(data[11:14], "little")
-    ot: Otype = UNSEALED if data[15] == 0xFF else data[15]
     return Capability(
         address=address,
         base=address - off,
         length=length,
         perms=data[14],
-        otype=ot,
+        otype=UNSEALED if data[15] == 0xFF else data[15],
         tag=tag,
     )
 

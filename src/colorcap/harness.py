@@ -97,22 +97,21 @@ _FILL_SALT = 0x9E
 _RAMP = bytes(range(256)) * 2  # any 256 consecutive byte values are one slice
 
 
-def _fill_bytes(index: int, width: int, cap: Optional[Capability]) -> bytes:
+def _fill_bytes(index: int, width: int, cap: Capability) -> bytes:
     """Deterministic write payload counting up mod 256; a pure function of
     op index and width so every scheme writes identical data.
 
     A write wider than its capability's length fails the bounds check at
     any width, and every check before that one ignores the width.  So past
-    256 bytes at most `cap.length + 1` bytes are built, and none without a
-    capability: the write faults exactly as it would with the full payload.
+    256 bytes at most `cap.length + 1` bytes are built, one for an empty
+    register's NULL_CAP, whose write faults UntaggedOperand before it touches
+    memory: the write faults exactly as it would with the full payload.
     A negative width builds `cap.length + 1` bytes too, so the write fails
     the bounds check as a read of that width does.
     """
     start = (index * _FILL_SALT + 0x35) & 0xFF
     if 0 <= width <= 256:
         return _RAMP[start : start + width]
-    if cap is None:
-        return b""
     if not 0 <= width <= cap.length:
         width = cap.length + 1
     return (_RAMP[start : start + 256] * (width // 256 + 1))[:width]
@@ -209,7 +208,7 @@ def run_trace(
                 if legal:
                     live.discard(binding >> 1)
             elif code == OP_SPILL:
-                outcome = store_cap(scratch_auth, b * 16, regs[a] or NULL_CAP)
+                outcome = store_cap(scratch_auth, b * 16, regs[a])
                 if outcome is not None:
                     faults[index] = outcome
                 slots[b] = bound[a]
@@ -218,7 +217,7 @@ def run_trace(
                 result = load_cap(scratch_auth, b * 16)
                 if type(result) is FaultKind:
                     faults[index] = result
-                    result = None
+                    result = NULL_CAP
                 regs[a] = result
                 bound[a] = slots.get(b)
                 continue
@@ -229,17 +228,15 @@ def run_trace(
             elif code == OP_DERIVE:
                 parent = regs[b]
                 try:
-                    if parent is None:
-                        raise UntaggedOperand
                     regs[a] = derive(
                         parent, parent.base + c, parent.length - c, parent.perms, otypeth
                     )
                 except UntaggedOperand:
                     faults[index] = FaultKind.UNTAGGED_OPERAND
-                    regs[a] = None
+                    regs[a] = NULL_CAP
                 except CapabilityError:
                     faults[index] = FaultKind.SPATIAL_OUT_OF_BOUNDS
-                    regs[a] = None
+                    regs[a] = NULL_CAP
                 binding = bound[b]
                 if binding is not None and binding != _SCRATCH_BINDING and c > 0:
                     binding |= 1  # interior: freeing it is malformed

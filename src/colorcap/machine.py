@@ -32,6 +32,7 @@ from typing import Callable, Final, Iterable, Optional
 
 from .capability import (
     CAPABILITY_WIDTH,
+    NULL_CAP,
     PERM_LOAD_CAP,
     PERM_STORE_CAP,
     Capability,
@@ -106,7 +107,8 @@ class PvtBuffer:
 
 class TaggedMachine:
     """Tagged memory, 32 capability registers, the PVT, and its buffer,
-    built from a `RunConfig` that it validates."""
+    built from a `RunConfig` that it validates.  Every register holds
+    NULL_CAP at reset, as a CHERI register file does."""
 
     __slots__ = (
         "config",
@@ -127,7 +129,7 @@ class TaggedMachine:
         # Tagged words: the exact capability, in place of a packed image
         # in `words`.  tag(addr) == (addr in caps).
         self.caps: dict[int, Capability] = {}
-        self.regs: list[Optional[Capability]] = [None] * NUM_REGISTERS
+        self.regs: list[Capability] = [NULL_CAP] * NUM_REGISTERS
         self.pvt = bytearray(config.pvt_bytes)
         self.pvt_buffer = PvtBuffer() if config.pvt_buffer else None
         self.pvt_lookups = 0
@@ -182,7 +184,7 @@ class TaggedMachine:
 
     def check_access(
         self,
-        cap: Optional[Capability],
+        cap: Capability,
         offset: int,
         width: int,
         need: int,
@@ -194,16 +196,15 @@ class TaggedMachine:
         provenance retracted.
 
         The inline provenance-validity check runs only for colors, 0 < otype
-        < color_count: one implicit lookup, `PvtBuffer.lookup` for the hit
-        or miss, then the table bit.
+        < color_count, so UNSEALED (-1) and the reserved 0 skip it: one
+        implicit lookup, `PvtBuffer.lookup` for the hit or miss, then the
+        table bit.
         It precedes any memory effect, so a retracted store mutates nothing.
         """
-        if cap is None or not cap.tag:
+        if not cap.tag:
             return FaultKind.UNTAGGED_OPERAND
         otype = cap.otype
-        if otype is None:
-            otype = 0
-        elif otype >= self._color_count:
+        if otype >= self._color_count:
             return FaultKind.SEALED_DEREFERENCE
         if not cap.perms & need:
             return FaultKind.PERMISSION_DENIED
@@ -229,7 +230,7 @@ class TaggedMachine:
         is permitted: retraction gates dereference, not propagation.  Only
         the authorizing capability's own validity is checked.
         """
-        target = auth.address + offset if auth is not None else offset
+        target = auth.address + offset
         if target & 15:  # alignment folded into spatial faults
             return FaultKind.SPATIAL_OUT_OF_BOUNDS
         fault = self.check_access(auth, offset, CAPABILITY_WIDTH, PERM_STORE_CAP)
@@ -247,16 +248,13 @@ class TaggedMachine:
 
     def load_cap(self, auth, offset: int):
         """Load a capability; its tag comes from the word's tag bit."""
-        target = auth.address + offset if auth is not None else offset
+        target = auth.address + offset
         if target & 15:
             return FaultKind.SPATIAL_OUT_OF_BOUNDS
         fault = self.check_access(auth, offset, CAPABILITY_WIDTH, PERM_LOAD_CAP)
         if fault is not None:
             return fault
-        cap = self.caps.get(target)
-        if cap is not None:
-            return cap
-        return unpack(self.words.get(target, _ZERO_WORD), tag=False)
+        return self.caps.get(target) or unpack(self.words.get(target, _ZERO_WORD))
 
     # -- raw word memory (no checks) ----------------------------------
 
@@ -268,11 +266,8 @@ class TaggedMachine:
         w = addr & ~15
         if w == (end - 1) & ~15:
             data = words.get(w)
-            if data is None:
-                cap = self.caps.get(w)
-                if cap is None:
-                    return b"\x00" * width
-                data = pack(cap)
+            if data is None:  # absent or tagged: a tagged word is only in caps
+                data = pack(self.caps[w]) if w in self.caps else _ZERO_WORD
             lo = addr - w
             return data[lo : lo + width]
         parts = []
@@ -280,8 +275,7 @@ class TaggedMachine:
             w = addr & ~15
             data = words.get(w)
             if data is None:
-                cap = self.caps.get(w)
-                data = _ZERO_WORD if cap is None else pack(cap)
+                data = pack(self.caps[w]) if w in self.caps else _ZERO_WORD
             lo = addr - w
             hi = min(end - w, 16)
             parts.append(data[lo:hi])
@@ -302,17 +296,16 @@ class TaggedMachine:
         if w == (end - 1) & ~15:
             old = words.get(w)
             if old is None:  # absent or tagged: a tagged word is only in caps
-                cap = caps.pop(w, None)
-                old = _ZERO_WORD if cap is None else pack(cap)
+                old = pack(caps.pop(w)) if w in caps else _ZERO_WORD
             lo = addr - w
             words[w] = old[:lo] + data + old[lo + width :]
             return
         pos = 0
         while w < end:
-            cap = caps.pop(w, None)  # any data write clears the word's tag
             lo = max(addr, w) - w
             hi = min(end, w + 16) - w
-            old = words.get(w, _ZERO_WORD) if cap is None else pack(cap)
+            # Any data write clears the word's tag.
+            old = pack(caps.pop(w)) if w in caps else words.get(w, _ZERO_WORD)
             words[w] = old[:lo] + data[pos : pos + hi - lo] + old[hi:]
             pos += hi - lo
             w += 16
@@ -338,7 +331,7 @@ class TaggedMachine:
         cleared = len(doomed)
         if include_registers:
             regs = self.regs
-            tagged = [(i, cap) for i, cap in enumerate(regs) if cap is not None and cap.tag]
+            tagged = [(i, cap) for i, cap in enumerate(regs) if cap.tag]
             for i in select(tagged):
                 regs[i] = clear_tag(regs[i])
                 cleared += 1

@@ -86,15 +86,15 @@ class RevocationJob:
         """Sweep selector: the keys whose capability's color is a target.
 
         Total over any (key, capability) pairs, read once: an uncolored
-        (None or 0), negative or sealed (past the table) otype is never a
-        target.
+        (UNSEALED or 0), negative or sealed (past the table) otype is never
+        a target.
         """
         targets = self.targets
         size = len(targets)
         return [
             key
             for key, cap in pairs
-            if (otype := cap.otype) and 0 < otype < size and targets[otype]
+            if 0 < (otype := cap.otype) < size and targets[otype]
         ]
 
 
@@ -172,17 +172,17 @@ class MallocRevocationShim(HeapScheme):
 
     # -- free --------------------------------------------------------------
 
-    def m_free(self, cap: Optional[Capability]):
+    def m_free(self, cap: Capability):
         """Validate and free; returns None or a MalformedFree/DoubleFree fault.
 
         Total over hostile input: untagged, uncolored, interior, and
         non-heap capabilities are malformed; a retracted color means the
         allocation was already freed.
         """
-        if cap is None or not cap.tag:
+        if not cap.tag:
             return FaultKind.MALFORMED_FREE
         otype = cap.otype
-        if otype is None or not 0 < otype < self._color_count:
+        if not 0 < otype < self._color_count:
             return FaultKind.MALFORMED_FREE
         record = self.live.get(cap.base)
         if record is None or record[1] != otype:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .capability import PERM_LOAD, PERM_STORE, PERMS_APP, Capability, ConfigError
+from .capability import PERM_LOAD, PERM_STORE, PERMS_APP, UNSEALED, Capability, ConfigError
 from .heap import HeapScheme
 from .machine import FaultKind, TaggedMachine
 from .mrs import MallocRevocationShim
@@ -134,7 +134,7 @@ class CornucopiaScheme(_QuarantineScheme):
     name = "cornucopia"
 
     def free(self, cap):
-        if cap is None or not cap.tag:
+        if not cap.tag:
             return FaultKind.MALFORMED_FREE
         base = cap.base
         size = self.live.pop(base, None)
@@ -161,7 +161,7 @@ class NoneScheme(HeapScheme):
     name = "none"
 
     def free(self, cap):
-        if cap is None or not cap.tag:
+        if not cap.tag:
             return None
         size = self.live.pop(cap.base, None)
         if size is None:
@@ -216,9 +216,9 @@ class VersioningScheme(_QuarantineScheme):
         return Capability(base, base, block, PERMS_APP, version, True)
 
     def free(self, cap):
-        if cap is None or not cap.tag:
+        if not cap.tag:
             return FaultKind.MALFORMED_FREE
-        if cap.otype is None:
+        if cap.otype == UNSEALED:
             return FaultKind.MALFORMED_FREE  # no version carried
         version = cap.otype & VERSION_MASK
         versions = self.versions
@@ -251,7 +251,7 @@ class VersioningScheme(_QuarantineScheme):
         fault = self.machine.check_access(cap, offset, width, need, provenance=False)
         if fault is not None:
             return fault
-        if cap.otype is None:
+        if cap.otype == UNSEALED:
             return None
         version = cap.otype & VERSION_MASK
         # A capability with an otype lies inside the block malloc gave out,

@@ -30,8 +30,9 @@ from contextlib import contextmanager
 from unittest import mock
 
 from colorcap import harness
-from colorcap.capability import (CAPABILITY_WIDTH, PERM_LOAD, PERM_LOAD_CAP, PERM_STORE,
-                                 PERM_STORE_CAP, PERMS_APP, Capability, clear_tag, pack, unpack)
+from colorcap.capability import (CAPABILITY_WIDTH, NULL_CAP, PERM_LOAD, PERM_LOAD_CAP,
+                                 PERM_STORE, PERM_STORE_CAP, PERMS_APP, UNSEALED, Capability,
+                                 clear_tag, pack, unpack)
 from colorcap.heap import GRANULE, OutOfMemory
 from colorcap.machine import NUM_REGISTERS, PVB_SETS, PVB_WAYS, FaultKind
 from colorcap.mrs import PoolExhausted
@@ -137,7 +138,7 @@ class ReferenceMachine:
         config.validate()
         self.config = config
         self.memory = EagerPackMemory()
-        self.regs = [None] * NUM_REGISTERS
+        self.regs = [NULL_CAP] * NUM_REGISTERS
         self.retracted: set[int] = set()
         self.pvt_buffer = ListClearingPvtBuffer() if config.pvt_buffer else None
         self.pvt_lookups = 0
@@ -260,7 +261,7 @@ class FlatScheme:
     def malloc(self, size: int) -> Capability:
         base, block = self.carve(size)
         self.live[base] = block
-        return Capability(base, base, block, PERMS_APP, None, True)
+        return Capability(base, base, block, PERMS_APP, UNSEALED, True)
 
     def free(self, cap):
         if cap is not None and cap.tag and cap.base in self.live:
@@ -348,7 +349,7 @@ class DictVersioning(ListQuarantine):
         return Capability(base, base, block, PERMS_APP, version, True)
 
     def free(self, cap):
-        if cap is None or not cap.tag or cap.otype is None:
+        if cap is None or not cap.tag or cap.otype == UNSEALED:
             return FaultKind.MALFORMED_FREE
         version = cap.otype & VERSION_MASK
         size, current = self.live.get(cap.base, (0, None))
@@ -373,7 +374,7 @@ class DictVersioning(ListQuarantine):
 
     def check(self, cap, offset, width, need):
         fault = self.machine.check_access(cap, offset, width, need, provenance=False)
-        if fault is not None or cap.otype is None:
+        if fault is not None or cap.otype == UNSEALED:
             return fault
         start = cap.address + offset
         for granule in range(start & ~15, start + width, GRANULE):
@@ -441,7 +442,7 @@ class SetColors(FlatScheme):
         return Capability(base, base, block, PERMS_APP, color, True)
 
     def free(self, cap):
-        if cap is None or not cap.tag or cap.otype is None or not 0 < cap.otype <= self.pool:
+        if cap is None or not cap.tag or cap.otype == UNSEALED or not 0 < cap.otype <= self.pool:
             return FaultKind.MALFORMED_FREE
         size, color = self.live.get(cap.base, (0, None))
         if color != cap.otype:

@@ -2,8 +2,9 @@
 line.  Criterion 2 runs a pool-scaled variant by default; set
 COLORCAP_DESK=1 for the full-size run."""
 
-import math
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,14 @@ from colorcap.trace import OP_COPY, OP_FREE, OP_MALLOC, OP_READ, Trace
 from colorcap.unr import UnrState
 from colorcap.workloads import SplitMix64, gen_churn, gen_corpus, gen_locality
 from helpers import claimed_ids, oracle_min_free, release_passes, runs_of
+
+BENCH = str(Path(__file__).resolve().parent.parent / "bench")
+if BENCH not in sys.path:
+    sys.path.insert(0, BENCH)
+
+# Picasso's revocation count on FIFO churn, from counter arithmetic alone:
+# the bench checks its replays against the same oracle.
+from run import predicted_revocations  # noqa: E402
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -48,28 +57,6 @@ def test_criterion_1_corpus_detection():
 
 
 # -- criterion 2: revocation frequency -------------------------------------
-
-
-def predicted_revocations(n_pairs, live_target, pool, threshold_fraction):
-    """Independent counter oracle mirroring the churn structure: warmup
-    claims, then free-oldest/claim pairs with the threshold checked before
-    every claim.  Pure arithmetic; shares no code with the shim."""
-    threshold = math.ceil(threshold_fraction * pool)
-    claimed = pending = revocations = 0
-    for _ in range(live_target):
-        if pool - claimed < threshold and pending:
-            revocations += 1
-            claimed -= pending
-            pending = 0
-        claimed += 1
-    for _ in range(n_pairs - live_target):
-        pending += 1
-        if pool - claimed < threshold and pending:
-            revocations += 1
-            claimed -= pending
-            pending = 0
-        claimed += 1
-    return revocations
 
 
 def _churn_revocations(n_pairs, live, color_bits, scheme):
@@ -156,7 +143,7 @@ def test_criterion_3_unr_oracle_equivalence():
     for _ in range(100_000):
         state.alloc_first_free()
     single_pass = release_passes(state, [(i, i + 1) for i in range(2, 100_001, 2)]) == 1
-    big_ok = claimed_ids(state) == set(range(1, 100_001, 2))
+    big_ok = claimed_ids(state) == set(range(1, 100_001, 2)) and state.population == 50_000
     ok = mismatches == 0 and big_ok and single_pass
     _report(
         3,
@@ -179,10 +166,12 @@ def test_criterion_4_buffer_transparency_and_hit_rate():
         on = run_trace(trace, "picasso", RunConfig(pvt_buffer=True), collect_outcomes=True)
         off = run_trace(trace, "picasso", RunConfig(pvt_buffer=False), collect_outcomes=True)
         if (
-            on.outcomes is None
+            len(on.outcomes) != on.metrics.ops  # one outcome per op
             or on.outcomes != off.outcomes
             or on.metrics.data_digest != off.metrics.data_digest
             or on.metrics.faults_total != off.metrics.faults_total
+            or on.metrics.pvt_lookups != off.metrics.pvt_lookups
+            or off.metrics.pvt_hits or off.metrics.pvt_misses
         ):
             transparent = False
             break

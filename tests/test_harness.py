@@ -3,7 +3,7 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorcap.capability import Capability
+from colorcap.capability import NULL_CAP, Capability
 from colorcap.harness import (
     _FILL_SALT,
     ConfigError,
@@ -286,20 +286,6 @@ class TestNoReferenceCycles:
             gc.enable()
 
 
-class TestBufferTransparency:
-    def test_fault_sequences_identical(self):
-        trace = gen_churn(500, 16, (32,), seed=5, touch_rate=0.5,
-                          inject="mixed", inject_rate=0.1)
-        on = run_trace(trace, "picasso", RunConfig(pvt_buffer=True), collect_outcomes=True)
-        off = run_trace(trace, "picasso", RunConfig(pvt_buffer=False), collect_outcomes=True)
-        assert len(on.outcomes) == on.metrics.ops  # one entry per streamed op
-        assert on.outcomes == off.outcomes
-        assert on.metrics.data_digest == off.metrics.data_digest
-        assert on.metrics.faults_total == off.metrics.faults_total
-        assert on.metrics.pvt_lookups == off.metrics.pvt_lookups
-        assert off.metrics.pvt_hits == off.metrics.pvt_misses == 0
-
-
 class TestFillBytes:
     @pytest.mark.parametrize("index", [0, 1, 5, 255, 69_999])
     def test_equals_per_byte_generator(self, index):
@@ -315,8 +301,9 @@ class TestFillBytes:
         whole = _fill_bytes(3, 301, Capability(0, 0, 301))
         assert len(whole) == 301
         assert _fill_bytes(3, 2**50, Capability(0, 0, 300)) == whole
-        assert _fill_bytes(3, 2**50, None) == b""
-        assert _fill_bytes(3, 200, None) == _fill_bytes(3, 200, Capability(0, 0, 16))
+        # An empty register's NULL_CAP gets one byte, which faults untagged.
+        assert _fill_bytes(3, 2**50, NULL_CAP) == whole[:1]
+        assert _fill_bytes(3, 200, NULL_CAP) == _fill_bytes(3, 200, Capability(0, 0, 16))
 
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     @pytest.mark.parametrize(

@@ -363,7 +363,7 @@ class TestSweep:
         assert first_word + 16 in m.caps
 
     def test_color_selector_is_total(self):
-        # Untagged, uncolored (None, and the reserved 0), sealed (otype at
+        # Untagged, uncolored (UNSEALED, and the reserved 0), sealed (otype at
         # or past color_count) and negative-otype capabilities never raise
         # and are never doomed; only the tagged one of target color 5 is.
         # Color 1021 is a target too: a table read at -3 would doom otype -3.
@@ -371,7 +371,7 @@ class TestSweep:
         auth = heap_cap(m)
         sealed = m.config.color_count
         odd = [heap_cap(m, otype=5, tag=False)] + [
-            heap_cap(m, otype=otype) for otype in (None, 0, sealed, sealed + 5, 1 << 40, -3)
+            heap_cap(m, otype=otype) for otype in (UNSEALED, 0, sealed, sealed + 5, 1 << 40, -3)
         ]
         for i, cap in enumerate(odd + [heap_cap(m, otype=5)]):
             m.store_cap(auth, 16 * i, cap)

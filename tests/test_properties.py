@@ -31,7 +31,7 @@ from unittest import mock
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from colorcap.capability import PERMS_APP, Capability
+from colorcap.capability import PERMS_APP, UNSEALED, Capability
 from colorcap.harness import RunConfig, run_trace
 from colorcap.machine import NUM_REGISTERS, TaggedMachine
 from colorcap.mrs import MallocRevocationShim, PoolExhausted
@@ -232,7 +232,7 @@ def test_quarantine_sweep_clears_exactly_the_caps_touching_quarantined_words(dat
     def planted():
         base = data.draw(st.integers(heap_base, min(extent, heap_top)))
         length = data.draw(st.one_of(st.just(0), st.integers(0, heap_top - base)))
-        return Capability(base, base, length, PERMS_APP, None, True)
+        return Capability(base, base, length, PERMS_APP, UNSEALED, True)
 
     def touches(cap):
         # Some 16-byte word of [base, top) is quarantined; an empty range
@@ -243,14 +243,15 @@ def test_quarantine_sweep_clears_exactly_the_caps_touching_quarantined_words(dat
     slots = data.draw(st.lists(st.integers(0, 63), unique=True, max_size=12))
     for slot in slots:
         m.caps[m.config.scratch_base + 16 * slot] = planted()
-    for reg in data.draw(st.lists(st.integers(0, NUM_REGISTERS - 1), unique=True,
-                                  max_size=NUM_REGISTERS)):
+    regs = data.draw(st.lists(st.integers(0, NUM_REGISTERS - 1), unique=True,
+                              max_size=NUM_REGISTERS))
+    for reg in regs:
         m.regs[reg] = planted()
     expected = {("mem", addr) for addr, cap in m.caps.items() if touches(cap)}
-    expected |= {("reg", i) for i, cap in enumerate(m.regs) if cap is not None and touches(cap)}
+    expected |= {("reg", i) for i in regs if touches(m.regs[i])}
     corn.revoke()
     cleared = {("mem", m.config.scratch_base + 16 * slot) for slot in slots}
     cleared -= {("mem", addr) for addr in m.caps}
-    cleared |= {("reg", i) for i, cap in enumerate(m.regs) if cap is not None and not cap.tag}
+    cleared |= {("reg", i) for i in regs if not m.regs[i].tag}
     assert cleared == expected
     assert corn.swept_tags == len(expected)

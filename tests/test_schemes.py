@@ -112,11 +112,11 @@ class TestCornucopia:
         m = machine()
         corn = CornucopiaScheme(m)
         cap = corn.malloc(64)
-        from colorcap.capability import Capability
+        from colorcap.capability import UNSEALED, Capability
 
-        interior = Capability(cap.base + 16, cap.base + 16, 16, cap.perms, None, True)
+        interior = Capability(cap.base + 16, cap.base + 16, 16, cap.perms, UNSEALED, True)
         assert corn.free(interior) is FaultKind.MALFORMED_FREE
-        untagged = Capability(cap.base, cap.base, 64, cap.perms, None, False)
+        untagged = Capability(cap.base, cap.base, 64, cap.perms, UNSEALED, False)
         assert corn.free(untagged) is FaultKind.MALFORMED_FREE
 
     def test_interior_free_of_quarantined_block_is_double_free(self):

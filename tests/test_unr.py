@@ -99,19 +99,6 @@ class TestBatchRelease:
         assert dump(state) == "R:a:500"
         assert state.population == 0
 
-    def test_membership_matches_sequential_oracle(self):
-        pool = 100_000
-        state = UnrState(pool)
-        claim(state, pool)
-        oracle = UnrState(pool)
-        claim(oracle, pool)
-        evens = list(range(2, pool + 1, 2))
-        state.batch_release((ident, ident + 1) for ident in evens)
-        for ident in evens:
-            oracle.free_one(ident)
-        assert claimed_ids(state) == claimed_ids(oracle)
-        assert state.population == oracle.population == pool // 2
-
     def test_atomic_on_unclaimed_id(self):
         state = UnrState(100)
         claim(state, 10)
