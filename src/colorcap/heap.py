@@ -232,7 +232,7 @@ class HeapScheme:
         self.live[base] = block
         return derive(self.root, base, block, PERMS_APP, self._color_count)
 
-    def free(self, cap: Optional[Capability]) -> Optional[FaultKind]:
+    def free(self, cap: Capability) -> Optional[FaultKind]:
         raise NotImplementedError
 
     # The provenance check inside check_access runs only for picasso's colors.

@@ -147,7 +147,7 @@ class TaggedMachine:
         """
         return (self.pvt[color >> 3] >> (color & 7)) & 1 == 1
 
-    # The per-malloc/free path; pvt_set_many would turn the whole table into an int.
+    # One bit; pvt_set_many would turn the whole table into an int.
     def pvt_set(self, color: int, retracted: bool) -> None:
         """Write one provenance-validity bit.
 

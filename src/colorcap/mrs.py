@@ -9,11 +9,12 @@ and returns the block to the free list immediately; no quarantine is needed
 because retraction already makes every stale capability fault.
 
 The shim is a `heap.HeapScheme`: heap, root capability, live map, counters
-and block carving come from the base; only the color lifecycle lives here.
+and block carving come from the base; its own `malloc` and `free` hold the
+color lifecycle (`m_malloc` and `m_free` alias them for the bench's spans).
 
 Colors stay out of rotation until a revocation sweep completes.  The PVT
 is the only record of which colors are retracted; the shim keeps just their
-number, `pending`.  A sweep starts in one place, `m_malloc`'s threshold
+number, `pending`.  A sweep starts in one place, `malloc`'s threshold
 test: some color is pending, no sweep is in flight, and fewer colors are
 unclaimed than the threshold (`RunConfig.threshold_fraction` of the pool,
 at least 1, so an empty pool is below it).  The job snapshots the PVT,
@@ -119,10 +120,8 @@ class MallocRevocationShim(HeapScheme):
     def _sample(self) -> None:
         """Peak accounting: live heap bytes plus the PVT (doubled while a
         sweep holds its snapshot) plus the ID-allocator node memory."""
-        unr_bytes = self.unr.node_memory()
-        pvt = self.pvt_bytes
-        if self.job is not None:
-            pvt *= 2
+        unr_bytes = self.unr.node_bytes
+        pvt = self.pvt_bytes if self.job is None else 2 * self.pvt_bytes
         resident = self.live_bytes + pvt + unr_bytes
         if resident > self.peak_resident_bytes:
             self.peak_resident_bytes = resident
@@ -133,7 +132,7 @@ class MallocRevocationShim(HeapScheme):
 
     # -- allocation ------------------------------------------------------
 
-    def m_malloc(self, size: int) -> Capability:
+    def malloc(self, size: int) -> Capability:
         """Allocate >= size bytes and return a freshly colored capability.
 
         Advances the sweep in flight, if any; below the threshold, starts
@@ -172,7 +171,7 @@ class MallocRevocationShim(HeapScheme):
 
     # -- free --------------------------------------------------------------
 
-    def m_free(self, cap: Capability):
+    def free(self, cap: Capability):
         """Validate and free; returns None or a MalformedFree/DoubleFree fault.
 
         Total over hostile input: untagged, uncolored, interior, and
@@ -182,18 +181,18 @@ class MallocRevocationShim(HeapScheme):
         if not cap.tag:
             return FaultKind.MALFORMED_FREE
         otype = cap.otype
-        if not 0 < otype < self._color_count:
-            return FaultKind.MALFORMED_FREE
         record = self.live.get(cap.base)
         if record is None or record[1] != otype:
-            # A live block's color is never retracted (a color is claimed
-            # again only after a sweep clears its bit), so the table is
-            # read only here, to tell a double free from a malformed one.
-            if self.machine.pvb_retracted(otype):
+            # A live block's color is in range and its bit is clear (it is
+            # claimed again only after a sweep clears it): the retraction
+            # below always changes the table, which is read only here.
+            if 0 < otype < self._color_count and self.machine.pvb_retracted(otype):
                 return FaultKind.DOUBLE_FREE
             return FaultKind.MALFORMED_FREE
         size = record[0]
-        self.machine.pvt_set(otype, retracted=True)
+        self.machine.pvt[otype >> 3] |= 1 << (otype & 7)
+        if self.machine.pvt_buffer is not None:
+            self.machine.pvt_buffer.invalidations += 1
         self.pending += 1
         del self.live[cap.base]
         self.live_bytes -= size
@@ -242,3 +241,5 @@ class MallocRevocationShim(HeapScheme):
         self.swept_tags += job.swept
         self.job = None
         self._sample()
+
+    m_malloc, m_free = malloc, free  # the names bench/layers.py wraps

@@ -66,16 +66,10 @@ def quarantine_selector(blocks: list[tuple[int, int]]):
 
 
 class PicassoScheme(MallocRevocationShim):
-    """The malloc revocation shim driven as a scheme.  Retraction replaces
-    quarantine, so nothing is ever quarantined."""
+    """The malloc revocation shim driven as a scheme, with its own `malloc`
+    and `free`.  Retraction replaces quarantine: nothing is quarantined."""
 
     name = "picasso"
-
-    def malloc(self, size: int) -> Capability:
-        return self.m_malloc(size)
-
-    def free(self, cap):
-        return self.m_free(cap)
 
 
 class _QuarantineScheme(HeapScheme):

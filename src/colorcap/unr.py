@@ -184,23 +184,24 @@ class _Builder:
 
 
 class UnrState:
-    """Claimed/available state of the ID pool 1..total."""
+    """Claimed/available state of the ID pool 1..total.  `node_bytes` is
+    `node_memory()`, recounted by `_adopt` and kept by `alloc_first_free`."""
 
-    __slots__ = ("total", "nodes", "bitmaps", "population")
+    __slots__ = ("total", "nodes", "node_bytes", "population")
 
     def __init__(self, total: int) -> None:
         if total < 1:
             raise ValueError("pool must hold at least one ID")
         self.total = total
         self.nodes: list = [Run(False, total)]
-        self.bitmaps = 0  # BitmapNodes in `nodes`, recounted wherever one can appear
+        self.node_bytes = NODE_UNIT_BYTES
         self.population = 0
 
     # -- queries ---------------------------------------------------------
 
     def node_memory(self) -> int:
         """Bytes consumed by the node representation, in O(1)."""
-        return NODE_UNIT_BYTES * len(self.nodes) + BITMAP_PAYLOAD_BYTES * self.bitmaps
+        return self.node_bytes
 
     # -- mutations ---------------------------------------------------------
 
@@ -227,14 +228,17 @@ class UnrState:
             if prev is None:
                 prev = Run(True, 0)
                 nodes.insert(0, prev)
+                self.node_bytes += NODE_UNIT_BYTES
             prev.length += 1
             node.length -= 1
             if not node.length:
                 if len(nodes) > 2 and type(nodes[2]) is Run:  # claimed: merge it
                     prev.length += nodes[2].length
                     del nodes[1:3]
+                    self.node_bytes -= 2 * NODE_UNIT_BYTES
                 else:
                     del nodes[1]
+                    self.node_bytes -= NODE_UNIT_BYTES
             self.population += 1
             return offset + 1
         full = (1 << node.length) - 1
@@ -338,5 +342,6 @@ class UnrState:
         self._adopt(builder)
 
     def _adopt(self, builder: _Builder) -> None:
-        self.nodes = builder.finish()
-        self.bitmaps = sum(type(node) is BitmapNode for node in self.nodes)
+        self.nodes = nodes = builder.finish()
+        bitmaps = sum(type(node) is BitmapNode for node in nodes)
+        self.node_bytes = NODE_UNIT_BYTES * len(nodes) + BITMAP_PAYLOAD_BYTES * bitmaps

@@ -11,12 +11,18 @@ Sweeps are the one exception to the aim, because they are O(tagged memory)
 in the modelled system too: a frame that starts one (`_SWEEP_CODES`) runs
 untraced, with everything it calls, and is only counted.
 
+Python calls are counted beside the opcodes, as the frames that start
+outside a sweep (`call` events), so a call the modelled system does not
+make shows up as one.
+
 A count of opcodes is exact and repeatable, so a change that makes an op's
-cost grow with the state cannot hide in timing noise.  Absolute counts
-differ across CPython versions and move with every feature, so none is
-pinned: the tests print them instead (`pytest -s`).  The count cannot see
-C-level work: a `max` over a heap bucket, the PVT's big-int steps,
-`bytes.translate` or a slice fill stay with the bench and timeit.
+cost grow with the state cannot hide in timing noise.  Absolute opcode
+counts differ across CPython versions and move with every feature, so none
+is pinned: the tests print them instead (`pytest -s`).  Call counts follow
+the code's structure, so one difference between schemes is pinned.  The
+counts cannot see C-level work: a `max` over a heap bucket, the PVT's
+big-int steps, `bytes.translate` or a slice fill stay with the bench and
+timeit.
 """
 
 import random
@@ -45,10 +51,11 @@ _SWEEP_CODES = {
 
 
 class Tally:
-    """Opcodes counted outside sweeps, and the sweeps started."""
+    """Opcodes and calls counted outside sweeps, and the sweeps started."""
 
     def __init__(self) -> None:
         self.ops = 0
+        self.calls = 0
         self.sweeps = 0
         self.sweeping = False
 
@@ -70,6 +77,7 @@ class Tally:
             self.sweeps += 1
             frame.f_trace_lines = False
             return self.sweep_ends
+        self.calls += 1
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
         return self.count
@@ -106,7 +114,8 @@ def _churn(live, sizes, seed, tally, warm_pairs):
 
 def per_pair(scheme, live=1000, sizes=(16,), heap_size=1 << 20, color_bits=16, warm_pairs=0,
              seed=1):
-    """Opcodes per counted pair outside sweeps, and the sweeps among them."""
+    """Opcodes and calls per counted pair outside sweeps, and the sweeps
+    among them."""
     tally = Tally()
     trace = Trace(ops=_churn(live, sizes, seed, tally, warm_pairs), slots=live)
     config = RunConfig(color_bits=color_bits, heap_size=heap_size)
@@ -115,7 +124,7 @@ def per_pair(scheme, live=1000, sizes=(16,), heap_size=1 << 20, color_bits=16, w
     finally:
         sys.settrace(None)  # a run that fails stops counting too
     assert metrics.faults_total == 0 and metrics.ops == 2 * live + 4 * (warm_pairs + PAIRS)
-    return tally.ops / PAIRS, tally.sweeps
+    return tally.ops / PAIRS, tally.calls / PAIRS, tally.sweeps
 
 
 #: One axis at a time, each from the base shape: 1k live, a 1 MiB heap and
@@ -131,9 +140,10 @@ def check_flat(scheme):
     base = per_pair(scheme)
     counts = {"base": base, **{axis: per_pair(scheme, **kw) for axis, kw in AXES.items()}}
     print(f"\n{scheme}: " + ", ".join(
-        f"{axis} {ops:.1f} ({sweeps} sweeps)" for axis, (ops, sweeps) in counts.items()))
-    for axis, (ops, _) in counts.items():
-        assert ops == base[0], (scheme, axis, ops, base[0])
+        f"{axis} {ops:.1f} ops {calls:.1f} calls ({sweeps} sweeps)"
+        for axis, (ops, calls, sweeps) in counts.items()))
+    for axis, count in counts.items():
+        assert count[:2] == base[:2], (scheme, axis, count, base)
 
 
 #: Sizes from 16 B to 4 KiB leave free blocks that first fit scans.
@@ -143,9 +153,10 @@ MIXED = dict(sizes=tuple(range(16, 4097, 16)), heap_size=64 << 20)
 def check_mixed(scheme, warm_pairs=lambda live: 200):
     """Opcodes per pair rise by at most 10% over a 16x live set, after the
     same number of warm-up pairs at each size."""
-    small, large = (per_pair(scheme, live=live, warm_pairs=warm_pairs(live), **MIXED)[0]
-                    for live in (500, 8000))
-    print(f"\n{scheme} mixed sizes: {small:.1f} at 500 live, {large:.1f} at 8k")
+    (small, small_calls, _), (large, large_calls, _) = (
+        per_pair(scheme, live=live, warm_pairs=warm_pairs(live), **MIXED) for live in (500, 8000))
+    print(f"\n{scheme} mixed sizes: {small:.1f} ops {small_calls:.1f} calls at 500 live, "
+          f"{large:.1f} ops {large_calls:.1f} calls at 8k")
     assert large <= 1.1 * small, (scheme, small, large)
 
 
@@ -157,6 +168,16 @@ def test_fixed_size_pair_cost_is_flat(scheme):
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
 def test_mixed_size_pair_cost_grows_little(scheme):
     check_mixed(scheme)
+
+
+def test_picasso_pair_makes_one_call_more_than_none():
+    # The paper's pair is one color claim and one retraction over the plain
+    # heap's: the claim is `UnrState.alloc_first_free`, and the retraction
+    # is written inline in the shim's `free`.
+    (ops, calls, _), (none_ops, none_calls, _) = per_pair("picasso"), per_pair("none")
+    print(f"\npicasso/none: {ops:.1f}/{none_ops:.1f} ops ({ops / none_ops:.3f}), "
+          f"{calls:.1f}/{none_calls:.1f} calls")
+    assert calls == none_calls + 1, (calls, none_calls)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 12: first fit's bucket scan")

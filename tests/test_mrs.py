@@ -15,14 +15,16 @@ from colorcap.harness import RunConfig, run_trace
 from colorcap.heap import OutOfMemory
 from colorcap.machine import FaultKind, TaggedMachine
 from colorcap.mrs import MallocRevocationShim, PoolExhausted
+from colorcap.schemes import PicassoScheme
 from colorcap.trace import OP_FREE, OP_MALLOC, OP_READ, OP_RELOAD, OP_SPILL, Trace, parse_trace
 from colorcap.workloads import SplitMix64, gen_churn
 from helpers import claimed_ids, validate
 
 
-def make(color_bits=10, heap_size=0x4000, threshold=0.01, window=None):
+def make(color_bits=10, heap_size=0x4000, threshold=0.01, window=None, pvt_buffer=True):
     machine = TaggedMachine(RunConfig(color_bits=color_bits, heap_size=heap_size,
-                                      threshold_fraction=threshold, sweep_window=window))
+                                      threshold_fraction=threshold, sweep_window=window,
+                                      pvt_buffer=pvt_buffer))
     return machine, MallocRevocationShim(machine)
 
 
@@ -41,7 +43,7 @@ def scratch_cap(machine):
 class TestMalloc:
     def test_first_allocation(self):
         _, mrs = make()
-        cap = mrs.m_malloc(32)
+        cap = mrs.malloc(32)
         assert cap.otype == 1  # lowest color
         assert cap.length == 32
         assert cap.base == mrs.machine.config.heap_base
@@ -50,70 +52,118 @@ class TestMalloc:
 
     def test_size_rounds_to_granule(self):
         _, mrs = make()
-        assert mrs.m_malloc(20).length == 32
-        assert mrs.m_malloc(1).length == 16
+        assert mrs.malloc(20).length == 32
+        assert mrs.malloc(1).length == 16
 
     def test_live_allocations_get_distinct_colors(self):
         _, mrs = make()
-        colors = {mrs.m_malloc(16).otype for _ in range(20)}
+        colors = {mrs.malloc(16).otype for _ in range(20)}
         assert len(colors) == 20
 
     def test_rejects_nonpositive_size(self):
         _, mrs = make()
         with pytest.raises(ValueError):
-            mrs.m_malloc(0)
+            mrs.malloc(0)
 
 
 class TestFree:
     def test_free_then_immediate_reuse_new_color(self):
         _, mrs = make()
-        cap = mrs.m_malloc(32)
-        assert mrs.m_free(cap) is None
-        again = mrs.m_malloc(32)
+        cap = mrs.malloc(32)
+        assert mrs.free(cap) is None
+        again = mrs.malloc(32)
         assert again.base == cap.base  # no quarantine: byte range reusable now
         assert again.otype != cap.otype
 
     def test_double_free_via_copy(self):
         _, mrs = make()
-        cap = mrs.m_malloc(32)
+        cap = mrs.malloc(32)
         copy = Capability(
             cap.address, cap.base, cap.length, cap.perms, cap.otype, cap.tag
         )
-        assert mrs.m_free(cap) is None
-        assert mrs.m_free(copy) is FaultKind.DOUBLE_FREE
+        assert mrs.free(cap) is None
+        assert mrs.free(copy) is FaultKind.DOUBLE_FREE
 
     def test_free_uncolored_is_malformed(self):
         machine, mrs = make()
-        assert mrs.m_free(scratch_cap(machine)) is FaultKind.MALFORMED_FREE
+        assert mrs.free(scratch_cap(machine)) is FaultKind.MALFORMED_FREE
 
     def test_free_untagged_is_malformed(self):
         _, mrs = make()
-        cap = mrs.m_malloc(32)
-        assert mrs.m_free(clear_tag(cap)) is FaultKind.MALFORMED_FREE
+        cap = mrs.malloc(32)
+        assert mrs.free(clear_tag(cap)) is FaultKind.MALFORMED_FREE
 
     def test_free_interior_is_malformed(self):
         _, mrs = make()
-        cap = mrs.m_malloc(64)
+        cap = mrs.malloc(64)
         interior = Capability(
             cap.base + 16, cap.base + 16, 16, cap.perms, cap.otype, True
         )
-        assert mrs.m_free(interior) is FaultKind.MALFORMED_FREE
+        assert mrs.free(interior) is FaultKind.MALFORMED_FREE
 
     def test_stale_free_after_reuse_is_double_free(self):
         _, mrs = make()
-        cap = mrs.m_malloc(32)
-        mrs.m_free(cap)
-        fresh = mrs.m_malloc(32)
+        cap = mrs.malloc(32)
+        mrs.free(cap)
+        fresh = mrs.malloc(32)
         assert fresh.base == cap.base
-        assert mrs.m_free(cap) is FaultKind.DOUBLE_FREE
-        assert mrs.m_free(fresh) is None  # the new owner is unharmed
+        assert mrs.free(cap) is FaultKind.DOUBLE_FREE
+        assert mrs.free(fresh) is None  # the new owner is unharmed
 
     def test_failed_free_changes_nothing(self):
         _, mrs = make()
-        cap = mrs.m_malloc(32)
+        cap = mrs.malloc(32)
         before = (mrs.frees, mrs.live_bytes, mrs.pending)
-        mrs.m_free(clear_tag(cap))
+        mrs.free(clear_tag(cap))
         assert (mrs.frees, mrs.live_bytes, mrs.pending) == before
+
+
+class TestRetraction:
+    """`free` sets the color's PVT bit and bumps the buffer's counter
+    itself; `m_malloc` and `m_free` are the same functions, under the names
+    the bench wraps."""
+
+    def test_bench_names_are_the_scheme_functions(self):
+        assert PicassoScheme.malloc is MallocRevocationShim.m_malloc
+        assert PicassoScheme.free is MallocRevocationShim.m_free
+
+    def test_free_sets_exactly_its_bit_and_invalidates_once(self):
+        machine, mrs = make()
+        caps = [mrs.malloc(16) for _ in range(3)]
+        before = machine.pvt_buffer.invalidations
+        assert mrs.free(caps[1]) is None
+        assert set_bits(machine.pvt) == {caps[1].otype}
+        assert machine.pvt_buffer.invalidations == before + 1
+
+    def test_free_without_a_buffer(self):
+        machine, mrs = make(pvt_buffer=False)
+        cap = mrs.malloc(16)
+        assert mrs.free(cap) is None
+        assert machine.pvt_buffer is None
+        assert set_bits(machine.pvt) == {cap.otype}
+        assert mrs.pending == 1
+
+    def test_double_free_writes_nothing(self):
+        machine, mrs = make()
+        cap = mrs.malloc(16)
+        mrs.free(cap)
+        before = (bytes(machine.pvt), machine.pvt_buffer.invalidations)
+        assert mrs.free(cap) is FaultKind.DOUBLE_FREE
+        assert (bytes(machine.pvt), machine.pvt_buffer.invalidations) == before
+
+    def test_malformed_free_at_a_live_base_writes_nothing(self):
+        machine, mrs = make()
+        cap = mrs.malloc(16)
+        count = machine.config.color_count
+        # With the last color retracted, a table read at otype -1 (the last
+        # byte's top bit, as Python indexes it) would see a set bit.
+        machine.pvt_set(count - 1, retracted=True)
+        before = (bytes(machine.pvt), machine.pvt_buffer.invalidations)
+        for otype in (UNSEALED, 0, count):
+            forged = Capability(cap.address, cap.base, cap.length, cap.perms, otype, True)
+            assert mrs.free(forged) is FaultKind.MALFORMED_FREE, otype
+        assert (bytes(machine.pvt), machine.pvt_buffer.invalidations) == before
+        assert mrs.free(cap) is None  # the block is still live
 
 
 class TestThreshold:
@@ -122,7 +172,7 @@ class TestThreshold:
         # retracted a sweep would reclaim nothing, so none starts.
         _, mrs = make(color_bits=4, threshold=0.99)
         for _ in range(5):
-            mrs.m_malloc(16)
+            mrs.malloc(16)
         assert mrs.revocations == 0 and mrs.job is None
 
     def test_scaled_pool_example(self):
@@ -132,20 +182,20 @@ class TestThreshold:
         assert mrs.threshold_count == 11
         # With nothing retracted, claims below the threshold start no sweep:
         # at 1014 claimed, unclaimed = 9 < 11.
-        caps = [mrs.m_malloc(16) for _ in range(1014)]
+        caps = [mrs.malloc(16) for _ in range(1014)]
         assert mrs.revocations == 0
-        mrs.m_free(caps[4])  # color 5: something to reclaim
+        mrs.free(caps[4])  # color 5: something to reclaim
         assert mrs.pool - mrs.unr.population == 9
-        mrs.m_malloc(16)
+        mrs.malloc(16)
         assert mrs.revocations == 1
 
     def test_no_trigger_at_threshold_boundary(self):
         _, mrs = make()
-        caps = [mrs.m_malloc(16) for _ in range(mrs.pool - mrs.threshold_count)]
-        mrs.m_free(caps[4])  # color 5: something to reclaim
-        mrs.m_malloc(16)  # at the threshold, not below it: strict less-than
+        caps = [mrs.malloc(16) for _ in range(mrs.pool - mrs.threshold_count)]
+        mrs.free(caps[4])  # color 5: something to reclaim
+        mrs.malloc(16)  # at the threshold, not below it: strict less-than
         assert mrs.revocations == 0
-        mrs.m_malloc(16)  # one claim past it
+        mrs.malloc(16)  # one claim past it
         assert mrs.revocations == 1
 
     def test_no_sweep_without_a_retracted_color(self):
@@ -167,14 +217,14 @@ class TestThreshold:
     def test_m_malloc_sweeps_one_claim_past_the_boundary(self, window):
         machine, mrs = make(color_bits=6, threshold=0.1, window=window)
         assert mrs.threshold_count == 7
-        caps = [mrs.m_malloc(16) for _ in range(mrs.pool - mrs.threshold_count)]
+        caps = [mrs.malloc(16) for _ in range(mrs.pool - mrs.threshold_count)]
         machine.store_cap(scratch_cap(machine), 0, caps[0])  # one stale copy
-        mrs.m_free(caps[0])
+        mrs.free(caps[0])
         assert mrs.pending == 1
         assert mrs.pool - mrs.unr.population == mrs.threshold_count
-        mrs.m_malloc(16)  # not below the threshold: no sweep
+        mrs.malloc(16)  # not below the threshold: no sweep
         assert mrs.revocations == 0 and mrs.job is None
-        cap = mrs.m_malloc(16)
+        cap = mrs.malloc(16)
         assert mrs.revocations == 1
         if window is None:  # the sweep finished inside the malloc
             assert mrs.job is None and mrs.swept_tags == 1
@@ -184,14 +234,14 @@ class TestThreshold:
 
     def test_single_outstanding_job(self):
         machine, mrs = make(color_bits=4, threshold=0.99, window=1)
-        caps = [mrs.m_malloc(16) for _ in range(4)]
+        caps = [mrs.malloc(16) for _ in range(4)]
         for i, cap in enumerate(caps[1:]):
             machine.store_cap(scratch_cap(machine), i * 16, cap)
-        mrs.m_free(caps[0])
-        mrs.m_malloc(16)  # starts a sweep over three words
+        mrs.free(caps[0])
+        mrs.malloc(16)  # starts a sweep over three words
         job = mrs.job
-        mrs.m_free(caps[1])  # retracted while the sweep is in flight
-        mrs.m_malloc(16)  # advances the sweep one word and starts no other
+        mrs.free(caps[1])  # retracted while the sweep is in flight
+        mrs.malloc(16)  # advances the sweep one word and starts no other
         assert mrs.job is job and not job.done
         assert mrs.revocations == 1
         assert mrs.pending == 1
@@ -199,7 +249,7 @@ class TestThreshold:
 
 
 class TestRevocation:
-    """Sweeps driven through `m_malloc`: at 4 color bits and a 0.99
+    """Sweeps driven through `malloc`: at 4 color bits and a 0.99
     threshold, every claim after the first is below the threshold, so the
     malloc after a free starts a sweep."""
 
@@ -208,10 +258,10 @@ class TestRevocation:
         # it: it completes, stops logging stores, and its color is claimed
         # again, lowest first.
         machine, mrs = make(color_bits=4, threshold=0.99)
-        cap = mrs.m_malloc(32)
+        cap = mrs.malloc(32)
         machine.store_cap(scratch_cap(machine), 0, cap)  # one stale copy
-        mrs.m_free(cap)
-        again = mrs.m_malloc(16)
+        mrs.free(cap)
+        again = mrs.malloc(16)
         assert mrs.revocations == 1 and mrs.job is None
         assert machine.cap_writes is None
         assert not machine.pvb_retracted(cap.otype)
@@ -221,11 +271,11 @@ class TestRevocation:
 
     def test_colors_retracted_after_snapshot_stay_pending(self):
         machine, mrs = make(color_bits=4, threshold=0.99, window=1)
-        early = mrs.m_malloc(16)
-        late = mrs.m_malloc(16)
-        mrs.m_free(early)
-        mrs.m_malloc(16)  # starts the sweep: its targets freeze
-        mrs.m_free(late)  # after the snapshot
+        early = mrs.malloc(16)
+        late = mrs.malloc(16)
+        mrs.free(early)
+        mrs.malloc(16)  # starts the sweep: its targets freeze
+        mrs.free(late)  # after the snapshot
         mrs._advance(None)
         assert mrs.job is None
         assert machine.pvb_retracted(late.otype)  # still invalidated
@@ -236,36 +286,36 @@ class TestRevocation:
 
     def test_windowed_job_revisits_mid_sweep_stores(self):
         machine, mrs = make(color_bits=4, threshold=0.99, window=1)
-        stale = mrs.m_malloc(16)
-        keep = [mrs.m_malloc(16) for _ in range(4)]
+        stale = mrs.malloc(16)
+        keep = [mrs.malloc(16) for _ in range(4)]
         scratch = scratch_cap(machine)
         for i, cap in enumerate(keep):
             machine.store_cap(scratch, i * 16, cap)
-        mrs.m_free(stale)
-        mrs.m_malloc(16)  # starts the sweep over the four slots
-        mrs.m_malloc(16)  # the next malloc scans slot 0
+        mrs.free(stale)
+        mrs.malloc(16)  # starts the sweep over the four slots
+        mrs.malloc(16)  # the next malloc scans slot 0
         assert mrs.job.cursor == 1
         # Stash a stale copy behind the cursor; the finalize pass must
         # still revoke it even though its word was already visited.
         machine.store_cap(scratch, 0, stale)
         while mrs.job is not None:
-            mrs.m_malloc(16)
+            mrs.malloc(16)
         assert machine.load_cap(scratch, 0).tag is False
 
     def test_cap_writes_logs_tagged_stores_while_a_job_runs(self):
         machine, mrs = make(color_bits=4, threshold=0.99, window=1)
         scratch = scratch_cap(machine)
-        stale, keep = mrs.m_malloc(16), mrs.m_malloc(16)
+        stale, keep = mrs.malloc(16), mrs.malloc(16)
         machine.store_cap(scratch, 0, stale)
         assert machine.cap_writes is None
-        mrs.m_free(stale)
-        mrs.m_malloc(16)  # starts the sweep
+        mrs.free(stale)
+        mrs.malloc(16)  # starts the sweep
         job = mrs.job
         machine.store_cap(scratch, 16, keep)
         machine.store_cap(scratch, 32, clear_tag(keep))
         assert job.rewrites == {scratch.address + 16}
         while mrs.job is not None:
-            mrs.m_malloc(16)
+            mrs.malloc(16)
         assert machine.cap_writes is None
 
 
@@ -273,20 +323,20 @@ class TestExhaustion:
     def test_exhausted_pool_with_nothing_pending(self):
         _, mrs = make(color_bits=4, heap_size=0x4000)
         for _ in range(15):
-            mrs.m_malloc(16)
+            mrs.malloc(16)
         with pytest.raises(PoolExhausted):
-            mrs.m_malloc(16)
+            mrs.malloc(16)
 
     def test_exhausted_pool_reclaims_pending(self):
         _, mrs = make(color_bits=4, heap_size=0x4000)
-        caps = [mrs.m_malloc(16) for _ in range(15)]
+        caps = [mrs.malloc(16) for _ in range(15)]
         for cap in caps[:10]:
-            mrs.m_free(cap)
+            mrs.free(cap)
         # The pool is fully claimed.  At 1% of 15 the threshold rounds up
         # to 1 color, so this malloc's threshold check (0 unclaimed < 1)
         # starts the sweep that reclaims the 10 retracted colors; the
         # exhausted-pool path never runs.
-        cap = mrs.m_malloc(16)
+        cap = mrs.malloc(16)
         assert cap.otype in range(1, 16)
         assert mrs.revocations == 1
 
@@ -294,20 +344,20 @@ class TestExhaustion:
         # An empty pool is below any threshold, so the malloc that finds it
         # empty starts the sweep, then finishes it at once to claim a color.
         machine, mrs = make(color_bits=4, window=1)
-        caps = [mrs.m_malloc(16) for _ in range(15)]
+        caps = [mrs.malloc(16) for _ in range(15)]
         for i in range(3):
             machine.store_cap(scratch_cap(machine), i * 16, caps[i])
-        mrs.m_free(caps[0])
-        cap = mrs.m_malloc(16)
+        mrs.free(caps[0])
+        cap = mrs.malloc(16)
         assert cap.otype == caps[0].otype
         assert mrs.revocations == 1 and mrs.job is None
         assert machine.load_cap(scratch_cap(machine), 0).tag is False
 
     def test_heap_exhaustion_propagates(self):
         _, mrs = make(heap_size=0x20)
-        mrs.m_malloc(32)
+        mrs.malloc(32)
         with pytest.raises(OutOfMemory):
-            mrs.m_malloc(32)
+            mrs.malloc(32)
 
     def test_windowed_sweep_reclaims_colors_retracted_after_it_started(self):
         # r0..r2 are retracted once the pool is half claimed; the sweep over
@@ -351,9 +401,9 @@ class TestConservation:
         for step in range(2000):
             if live and rng.below(2):
                 cap = live.pop(rng.below(len(live)))
-                assert mrs.m_free(cap) is None
+                assert mrs.free(cap) is None
             else:
-                live.append(mrs.m_malloc(16))
+                live.append(mrs.malloc(16))
             targets = mrs.job.targets.count(1) if mrs.job else 0
             assert mrs.unr.population == len(mrs.live) + mrs.pending + targets
             # The PVT is the only record of retracted colors: its set bits
@@ -372,10 +422,10 @@ class TestConservation:
 
     def test_failed_malloc_hands_its_color_back(self):
         _, mrs = make(color_bits=8, heap_size=0x100, window=2)
-        caps = [mrs.m_malloc(32) for _ in range(6)]
-        mrs.m_free(caps[0])
+        caps = [mrs.malloc(32) for _ in range(6)]
+        mrs.free(caps[0])
         with pytest.raises(OutOfMemory):
-            mrs.m_malloc(128)
+            mrs.malloc(128)
         targets = mrs.job.targets.count(1) if mrs.job else 0
         assert mrs.unr.population == len(mrs.live) + mrs.pending + targets
         assert mrs.unr.population == 6
