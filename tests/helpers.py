@@ -1,8 +1,14 @@
 """Decoders of simulator state that tests use as oracles, the naive
-lowest-free-ID oracle, a node list that counts the passes over it, and
-checked data access straight on a machine."""
+lowest-free-ID oracle, a node list that counts the passes over it, checked
+data access straight on a machine, and the reissue invariant."""
+
+from contextlib import contextmanager
+from unittest import mock
 
 from colorcap.capability import PERM_LOAD, PERM_STORE
+from colorcap.heap import HeapScheme
+from colorcap.mrs import MallocRevocationShim
+from colorcap.schemes import CornucopiaScheme
 from colorcap.unr import BITMAP_CAPACITY, Run
 
 
@@ -116,3 +122,39 @@ def store_data(machine, cap, offset: int, data: bytes):
         return fault
     machine.write_bytes(cap.address + offset, data)
     return None
+
+
+def _tagged(machine):
+    """Every tagged capability of `machine`: its tagged words, then its
+    tagged registers."""
+    return [*machine.caps.values(), *(cap for cap in machine.regs if cap.tag)]
+
+
+@contextmanager
+def reissue_checked():
+    """Check the reissue invariant, the guarantee a sweep exists for, at
+    every reissue.  Picasso hands out a color only once no tagged word and
+    no tagged register holds it; cornucopia and cornucopia-rof carve a
+    block only once no tagged non-empty capability overlaps it.  Versioning
+    reuses blocks without a sweep by design, and `none` has no temporal
+    check, so neither is checked."""
+    malloc, carve = MallocRevocationShim.malloc, HeapScheme._carve
+
+    def checked_malloc(shim, size):
+        cap = malloc(shim, size)
+        stale = [held for held in _tagged(shim.machine) if held.otype == cap.otype]
+        assert not stale, f"color {cap.otype} reissued while {stale} survive"
+        return cap
+
+    def checked_carve(scheme, size):
+        base, block = carve(scheme, size)
+        if isinstance(scheme, CornucopiaScheme):
+            top = base + block
+            stale = [held for held in _tagged(scheme.machine)
+                     if held.length and held.base < top and base < held.base + held.length]
+            assert not stale, f"block {base:#x}+{block} reissued while {stale} survive"
+        return base, block
+
+    with mock.patch.object(MallocRevocationShim, "malloc", checked_malloc), \
+            mock.patch.object(HeapScheme, "_carve", checked_carve):
+        yield

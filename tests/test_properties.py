@@ -12,7 +12,8 @@ color bits:
   with sweeps run to completion and with every sweep window from 1 to 8
   words;
 * the PVT buffer on and off give identical outcome lists;
-* the color allocator's invariants hold after every sweep;
+* the color allocator's invariants hold after every sweep, and no color is
+  reissued while a tagged capability of it survives;
 * the text format round-trips the trace.
 
 Cornucopia's sweep clears a tag exactly when the capability's range
@@ -50,7 +51,7 @@ from colorcap.trace import (
     format_trace,
     parse_trace,
 )
-from helpers import validate
+from helpers import reissue_checked, validate
 
 REGS = 3
 SLOTS = 4
@@ -165,7 +166,7 @@ _READ_PAST_A_LIVE_BLOCK = Trace(
 @example(trace=_READ_PAST_A_LIVE_BLOCK, threshold=0.5)
 def test_picasso_matches_the_oracle(trace, threshold):
     config = RunConfig(color_bits=7, threshold_fraction=threshold)
-    with validated_sweeps():
+    with validated_sweeps(), reissue_checked():
         expected = outcomes(trace, config)
         for window in range(1, 9):
             outcomes(trace, RunConfig(color_bits=7, threshold_fraction=threshold,

@@ -2,9 +2,10 @@
 
 One property replays each drawn trace under all five schemes, on the
 simulator and on the model, and demands equal `Metrics` and outcomes, or
-the same `OutOfMemory` or `PoolExhausted` when a run ends early.  Pinned
-examples reach what short drawn traces rarely do, and known mutants of the
-simulator must fail the comparison.  Every heap op of the simulator is
+the same `OutOfMemory` or `PoolExhausted` when a run ends early, while the
+reissue invariant holds on the simulator.  Pinned examples reach what short
+drawn traces rarely do, and known mutants of the simulator must fail the
+comparison or the invariant.  Every heap op of the simulator is
 checked against a flat free list as it happens, and so is the heap's index.
 """
 
@@ -22,11 +23,12 @@ import reference
 from colorcap import harness, heap, schemes
 from colorcap.harness import RunConfig, run_trace
 from colorcap.heap import BUCKET_SPLIT, GRANULE, FreeListHeap, OutOfMemory
-from colorcap.machine import FaultKind
+from colorcap.machine import FaultKind, TaggedMachine
 from colorcap.mrs import MallocRevocationShim, PoolExhausted
 from colorcap.schemes import MIN_QUARANTINE_BYTES, SCHEME_NAMES
 from colorcap.trace import Trace, parse_trace
 from colorcap.unr import _Builder
+from helpers import reissue_checked
 from test_properties import traces
 
 
@@ -170,7 +172,7 @@ configs = st.builds(
 @example(**pinned(_LONE_BUCKET, 80))
 @example(**pinned(_WIDE_RELEASE, 1 << 14, color_bits=10, threshold_fraction=0.5))
 def test_every_scheme_matches_the_reference(trace, config, split, floor):
-    with patched(split, floor):
+    with patched(split, floor), reissue_checked():
         for scheme in SCHEME_NAMES:
             model = whole_run(trace, scheme, config, True)
             assert whole_run(trace, scheme, config) == model, scheme
@@ -245,8 +247,8 @@ def test_matches_flat_free_list_at_bench_scale():
 
 
 def _unlogged_sweep(start=MallocRevocationShim._start_job):
-    def unlogged(shim):
-        start(shim)
+    def unlogged(shim, *args):
+        start(shim, *args)
         shim.machine.cap_writes = None
 
     return mock.patch.object(MallocRevocationShim, "_start_job", unlogged)
@@ -276,3 +278,41 @@ def test_mutants_fail_the_comparison(mutant, scheme, case):
     assert whole_run(trace, scheme, config) == whole_run(trace, scheme, config, True)
     with mutant():
         assert whole_run(trace, scheme, config) != whole_run(trace, scheme, config, True)
+
+
+def _registers_only_with_all_memory(sweep_scan=TaggedMachine.sweep_scan):
+    """The finalize skipping the register scan: a scan of given words never
+    visits the registers."""
+
+    def scan(machine, select, addresses=None, include_registers=True):
+        return sweep_scan(machine, select, addresses, include_registers and addresses is None)
+
+    return mock.patch.object(TaggedMachine, "sweep_scan", scan)
+
+
+def _unswept_quarantine():
+    """Cornucopia releasing its quarantine without a sweep: its selector
+    dooms nothing."""
+    return mock.patch.object(schemes, "quarantine_selector", lambda blocks: lambda pairs: [])
+
+
+# The quarantined r0 stays in its register while the sweep runs: cornucopia
+# carves its block again at the next malloc.
+_STALE_REGISTER = ["malloc r0 4096", "malloc r1 16", "spill r1 0", "free r0", "malloc r2 16"]
+
+
+@pytest.mark.parametrize("mutant, scheme, case", [
+    (_registers_only_with_all_memory, "picasso",
+     pinned(_BEHIND_THE_CURSOR, 1024, color_bits=4, threshold_fraction=0.99, sweep_window=1)),
+    (_unlogged_sweep, "picasso",
+     pinned(_BEHIND_THE_CURSOR, 1024, color_bits=4, threshold_fraction=0.99, sweep_window=1)),
+    (_unswept_quarantine, "cornucopia", pinned(_STALE_REGISTER, 8192)),
+    (_unswept_quarantine, "cornucopia-rof", pinned(_STALE_REGISTER, 8192)),
+], ids=["finalize_skips_registers", "unlogged_sweep", "unswept_quarantine",
+        "unswept_quarantine_rof"])
+def test_mutants_break_the_reissue_invariant(mutant, scheme, case):
+    trace, config = case["trace"], case["config"]
+    with reissue_checked():
+        run_trace(trace, scheme, config)
+        with mutant(), pytest.raises(AssertionError, match="reissued while"):
+            run_trace(trace, scheme, config)
