@@ -35,9 +35,9 @@ from .harness import (
     run_corpus,
     run_trace,
 )
-from .heap import FreeListHeap, HeapScheme, OutOfMemory
+from .heap import FreeListHeap, HeapScheme, OutOfMemory, RevocationJob
 from .machine import FaultKind, NUM_REGISTERS, PvtBuffer, TaggedMachine
-from .mrs import MallocRevocationShim, PoolExhausted, RevocationJob
+from .mrs import MallocRevocationShim, PoolExhausted
 from .schemes import SCHEME_NAMES, make_scheme
 from .trace import ParseError, Trace, parse_trace, format_trace
 from .unr import BitmapNode, Exhausted, NotClaimed, Run, UnrState

@@ -236,7 +236,7 @@ class RunConfig:
     quarantine_fraction: float = 0.25
     heap_size: int = 1 << 20
     pvt_buffer: bool = True
-    sweep_window: Optional[int] = None  # None = sweep to completion at trigger
+    sweep_window: Optional[int] = None  # tagged words a sweep scans per malloc; None: all at once
     versioning_fallback: bool = True
 
     def validate(self) -> None:

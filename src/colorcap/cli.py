@@ -99,10 +99,9 @@ def _sweep_window(text: str) -> Optional[int]:
         return None
     if text.startswith("windowed:"):
         try:
-            window = int(text.split(":", 1)[1])
+            return int(text.split(":", 1)[1])
         except ValueError:
             raise ConfigError("sweep window must be an integer") from None
-        return window
     raise ConfigError("--sweep must be `sync` or `windowed:<N>`")
 
 
@@ -213,8 +212,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--heap-size", type=int, default=RunConfig.heap_size, dest="heap_size")
     parser.add_argument("--pvt-buffer", choices=("on", "off"), default="on",
                         dest="pvt_buffer")
-    parser.add_argument("--sweep", default="sync",
-                        help="`sync` or `windowed:<words per step>`")
+    parser.add_argument("--sweep", default="sync", help="`sync` or `windowed:<words per malloc>`"
+                        " for every sweep; cornucopia-rof always sweeps at once")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("json", "csv", "human"), default="json")
     parser.add_argument("--out", help="directory for report files "

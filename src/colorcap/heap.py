@@ -9,22 +9,26 @@ largest size alongside, so first-fit skips whole buckets: an alloc or free
 costs O(buckets + bucket size), not O(free blocks).  `HeapScheme` owns one
 heap, its root capability, the live map and the counters the harness harvests;
 schemes layer their own bookkeeping (colors, quarantine, versions) on top.
+
+Every sweep is one `RevocationJob`, which `HeapScheme` starts, advances and
+finalizes; a sweeping scheme supplies only `_freeze`, which takes its
+targets and builds their selector, and `_release`, which reclaims them.
+With no window (`RunConfig.sweep_window` None) a job clears every doomed
+tag of memory and the registers in one `TaggedMachine.sweep_scan` call.  A
+windowed job sorts the tagged addresses at its start, scans `sweep_window`
+of them per malloc, logs the tagged stores made meanwhile, and finalizes
+with a short stop-the-world pass over those words and the registers.
+Picasso, cornucopia and versioning's fallback sweep this way; only
+cornucopia-rof always sweeps at once (see `schemes`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Final, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Final, Optional
 
-from .capability import (
-    PERM_LOAD,
-    PERM_STORE,
-    PERMS_APP,
-    PERMS_ROOT,
-    UNSEALED,
-    Capability,
-    derive,
-)
+from .capability import PERM_LOAD, PERM_STORE, PERMS_APP, PERMS_ROOT, UNSEALED, Capability, derive
 
 if TYPE_CHECKING:
     from .machine import FaultKind, TaggedMachine
@@ -168,6 +172,20 @@ class FreeListHeap:
                 maxes[j] = max(sizes)
 
 
+@dataclass
+class RevocationJob:
+    """One in-flight sweep: its selector, the targets its scheme releases,
+    a windowed job's sorted snapshot of the tagged addresses and cursor, the
+    tags cleared, and the words stored to since (the machine's `cap_writes`)."""
+
+    select: Callable
+    targets: Any
+    addresses: Optional[list[int]] = None
+    cursor: int = 0
+    swept: int = 0
+    rewrites: set[int] = field(default_factory=set)
+
+
 class HeapScheme:
     """What `run_trace` drives: a heap, its root capability, the live map,
     the counters harvested into `Metrics`, and the allocator calls.
@@ -200,6 +218,8 @@ class HeapScheme:
         self.peak_resident_bytes = 0
         self.peak_unr_bytes = 0
         self.pvt_bytes = 0  # only picasso keeps a provenance-validity table
+        self.sweep_window = config.sweep_window
+        self.job: Optional[RevocationJob] = None  # the sweep in flight
 
     def _sample(self) -> None:
         if self.live_bytes > self.peak_live_bytes:
@@ -212,8 +232,8 @@ class HeapScheme:
 
     def _carve(self, size: int) -> tuple[int, int]:
         """Carve a block for `size` bytes from the heap and count it live.
-        Out of memory with blocks in quarantine, revoke them and retry once,
-        as Cornucopia does, before giving up."""
+        Out of memory with blocks in quarantine, frozen by a sweep or not,
+        revoke them all and retry once, as Cornucopia does, before giving up."""
         block = (size + GRANULE - 1) & -GRANULE  # rounded up to granules
         try:
             base = self.heap.alloc(block)  # quarantined blocks are off the list
@@ -226,6 +246,48 @@ class HeapScheme:
         self.allocations += 1
         self._sample()
         return base, block
+
+    def _start_job(self, window: Optional[int]) -> None:
+        """Start a sweep of the targets `_freeze` takes; with no window it
+        runs to completion at once, else `window` words per `_advance`."""
+        addresses = None if window is None else sorted(self.machine.caps)
+        self.job = job = RevocationJob(*self._freeze(), addresses)
+        self.machine.cap_writes = job.rewrites
+        self.revocations += 1
+        self._sample()
+        if window is None:
+            self._advance(None)
+
+    def _advance(self, window: Optional[int]) -> None:
+        """Scan up to `window` more words (None: all), then finalize once done."""
+        if self.revocation_step(window):
+            self.revocation_finalize()
+
+    def revocation_step(self, window: Optional[int] = None) -> bool:
+        """Scan up to `window` more tagged words (None: all); True once all
+        are.  A job with no window scans memory and registers in one call."""
+        job = self.job
+        addresses = job.addresses
+        if addresses is None:
+            job.swept += self.machine.sweep_scan(job.select)
+            return True
+        end = len(addresses) if window is None else min(job.cursor + window, len(addresses))
+        chunk = addresses[job.cursor : end]  # registers wait for the finalize
+        job.swept += self.machine.sweep_scan(job.select, chunk, include_registers=False)
+        job.cursor = end
+        return end == len(addresses)
+
+    def revocation_finalize(self) -> None:
+        """Complete a fully scanned job: stop logging stores, re-visit the
+        logged words and the registers if windowed, release the targets."""
+        job = self.job
+        self.machine.cap_writes = None
+        if job.addresses is not None:
+            job.swept += self.machine.sweep_scan(job.select, sorted(job.rewrites))
+        self._release(job.targets)
+        self.swept_tags += job.swept
+        self.job = None
+        self._sample()
 
     def malloc(self, size: int) -> Capability:
         base, block = self._carve(size)

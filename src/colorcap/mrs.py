@@ -1,44 +1,29 @@
 """Malloc revocation shim: color lifecycle, double-free detection, and
 revocation sweeps over the tagged machine.
 
-Allocation claims the lowest free color before it carves the block, stamps
-the color onto the capability with the shim's sw_vmem authority, and strips
-that authority from what the application receives.  Free retracts the
-color's provenance-validity bit - detecting double frees as a side effect -
-and returns the block to the free list immediately; no quarantine is needed
-because retraction already makes every stale capability fault.
-
-The shim is a `heap.HeapScheme`: heap, root capability, live map, counters
-and block carving come from the base; its own `malloc` and `free` hold the
-color lifecycle (`m_malloc` and `m_free` alias them for the bench's spans).
-
-Colors stay out of rotation until a revocation sweep completes.  The PVT
-is the only record of which colors are retracted; the shim keeps just their
-number, `pending`.  A sweep starts in one place, `malloc`'s threshold
-test: some color is pending, no sweep is in flight, and fewer colors are
-unclaimed than the threshold (`RunConfig.threshold_fraction` of the pool,
-at least 1, so an empty pool is below it).  The job snapshots the PVT,
-whose set bits are then exactly the pending colors and become its targets,
-expands the snapshot into a table of one byte per color for its `doomed`
-selector, and logs the tagged capability stores made while it runs;
-`_advance` scans memory clearing matching tags (`TaggedMachine.sweep_scan`),
-then re-visits the logged words and the registers, clears the snapshot's
-bits and batch releases the colors, the table's runs of target bytes, so a
-finished sweep costs O(runs), not O(targets).  Colors retracted after the
-snapshot wait for the next sweep.  The snapshot doubles the PVT in the
-modelled resident bytes while the sweep is in flight; the table, 8x the
-PVT, is host memory held only for as long.
-A sweep window (`RunConfig.sweep_window`) bounds the words scanned per
-allocation call; without one, a sweep runs to completion in the call that
-advances it.  The shim reads both settings from `machine.config`.
+The shim claims the lowest free color before it carves a block, stamps it
+onto the capability with the shim's sw_vmem authority, and hands that out
+without the authority.  Free retracts the color's provenance-validity bit,
+which also detects double frees, and returns the block to the heap at once.
+The PVT is the only record of retracted colors; the shim counts them
+(`pending`).  A sweep starts only at `malloc`'s threshold test: a color is
+pending, no sweep is in flight, and fewer colors are unclaimed than the
+threshold (`RunConfig.threshold_fraction` of the pool, at least 1, so an
+empty pool is below it).  It is the one revocation job of `heap.HeapScheme`,
+for which the shim supplies `_freeze` and `_release`.  Its targets are a
+PVT snapshot, whose set bits are then the pending colors, and the table of
+one byte per color its selector reads; its release clears the snapshot's
+bits and batch releases the table's runs, O(runs), not O(targets).  Colors
+retracted later wait for the next sweep.  The snapshot doubles the PVT in
+the modelled resident bytes while the sweep runs; the table, 8x the PVT, is
+host memory held only for as long.  `m_malloc` and `m_free` alias `malloc`
+and `free` for the bench's spans.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .capability import PERMS_APP, Capability, derive
 from .heap import HeapScheme, OutOfMemory
@@ -58,45 +43,13 @@ _BIT = [bytes(byte >> k & 1 for byte in range(256)) for k in range(8)]
 _RUNS = re.compile(rb"\x01\x01*")
 
 
-@dataclass
-class RevocationJob:
-    """One in-flight sweep: the PVT as it stood when the sweep started (its
-    set bits are the target colors), a cursor over the tagged addresses
-    captured then, the words given a tagged capability since (`rewrites`,
-    which the machine fills as `cap_writes`), and `targets`, the target set
-    as one byte per color, 1 for a target, expanded from the snapshot by
-    eight C-level translations with no step per color."""
-
-    snapshot: bytes
-    addresses: list[int]
-    cursor: int = 0
-    swept: int = 0
-    rewrites: set[int] = field(default_factory=set)
-    targets: bytearray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.targets = targets = bytearray(8 * len(self.snapshot))
-        for k in range(8):
-            targets[k::8] = self.snapshot.translate(_BIT[k])
-
-    @property
-    def done(self) -> bool:
-        return self.cursor >= len(self.addresses)
-
-    def doomed(self, pairs) -> list[int]:
-        """Sweep selector: the keys whose capability's color is a target.
-
-        Total over any (key, capability) pairs, read once: an uncolored
-        (UNSEALED or 0), negative or sealed (past the table) otype is never
-        a target.
-        """
-        targets = self.targets
-        size = len(targets)
-        return [
-            key
-            for key, cap in pairs
-            if 0 < (otype := cap.otype) < size and targets[otype]
-        ]
+def color_selector(targets: bytearray):
+    """The sweep selector that dooms every capability whose color is 1 in
+    `targets`, one byte per color; no otype below 1 or past the table is."""
+    size = len(targets)
+    return lambda pairs: [
+        key for key, cap in pairs if 0 < (otype := cap.otype) < size and targets[otype]
+    ]
 
 
 class MallocRevocationShim(HeapScheme):
@@ -109,9 +62,7 @@ class MallocRevocationShim(HeapScheme):
         self.pool = config.color_count - 1  # color 0 is reserved
         self.unr = UnrState(self.pool)
         self.threshold_count = math.ceil(config.threshold_fraction * self.pool)
-        self.sweep_window = config.sweep_window
         self.pending = 0  # colors retracted since the last sweep started
-        self.job: Optional[RevocationJob] = None
         self.pvt_bytes = config.pvt_bytes
         self._sample()
 
@@ -136,9 +87,8 @@ class MallocRevocationShim(HeapScheme):
         """Allocate >= size bytes and return a freshly colored capability.
 
         Advances the sweep in flight, if any; below the threshold, starts
-        one.  Claims the lowest free color; with none free, finishes the
-        sweep in flight first.  `_carve` then takes the block and the one
-        peak sample.  Raises PoolExhausted (every color live) or OutOfMemory.
+        one.  Claims the lowest free color, finishing the sweep in flight if
+        none is free, then carves.  Raises PoolExhausted or OutOfMemory.
         """
         if size <= 0:
             raise ValueError("allocation size must be positive")
@@ -148,9 +98,7 @@ class MallocRevocationShim(HeapScheme):
         if self.pool - unr.population < self.threshold_count and (
             self.job is None and self.pending
         ):
-            self._start_job()
-            if self.sweep_window is None:
-                self._advance(None)
+            self._start_job(self.sweep_window)
         try:
             color = unr.alloc_first_free()
         except Exhausted:
@@ -202,44 +150,20 @@ class MallocRevocationShim(HeapScheme):
 
     # -- revocation ----------------------------------------------------------
 
-    def _start_job(self) -> None:
+    def _freeze(self):
         # With no job in flight the PVT's set bits are the pending colors, so
         # the snapshot's are the targets; later retractions wait for the next.
-        self.job = job = RevocationJob(bytes(self.machine.pvt), sorted(self.machine.caps))
+        snapshot = bytes(self.machine.pvt)
+        table = bytearray(8 * len(snapshot))
+        for k in range(8):
+            table[k::8] = snapshot.translate(_BIT[k])
         self.pending = 0
-        self.machine.cap_writes = job.rewrites
-        self.revocations += 1
-        self._sample()
+        return color_selector(table), (snapshot, table)
 
-    def _advance(self, window: Optional[int]) -> None:
-        """Scan up to `window` more words (None: all), then finalize once done."""
-        job = self.job
-        if not job.done:
-            self.revocation_step(window)
-        if job.done:
-            self.revocation_finalize()
-
-    def revocation_step(self, window: Optional[int] = None) -> None:
-        """Advance the sweep over up to `window` tagged words (None: all)."""
-        job = self.job
-        end = len(job.addresses)
-        if window is not None:
-            end = min(job.cursor + window, end)
-        chunk = job.addresses[job.cursor : end]
-        job.swept += self.machine.sweep_scan(job.doomed, chunk, include_registers=False)
-        job.cursor = end
-
-    def revocation_finalize(self) -> None:
-        """Complete a fully scanned job: stop logging capability stores,
-        re-visit the words the job logged, scan the registers, clear the
-        target bits, and batch release the colors."""
-        job = self.job
-        self.machine.cap_writes = None
-        job.swept += self.machine.sweep_scan(job.doomed, sorted(job.rewrites))
-        self.machine.pvt_set_many(job.snapshot, retracted=False)
-        self.unr.batch_release(map(re.Match.span, _RUNS.finditer(job.targets)))
-        self.swept_tags += job.swept
-        self.job = None
-        self._sample()
+    def _release(self, targets) -> None:
+        """Clear the snapshot's bits and release the table's runs of colors."""
+        snapshot, table = targets
+        self.machine.pvt_set_many(snapshot, retracted=False)
+        self.unr.batch_release(map(re.Match.span, _RUNS.finditer(table)))
 
     m_malloc, m_free = malloc, free  # the names bench/layers.py wraps

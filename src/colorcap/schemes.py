@@ -5,23 +5,23 @@ root capability, the live map and the counters the harness harvests, so
 they differ only in what free does and how a stale capability is caught.
 Picasso is the malloc revocation shim itself; cornucopia (both variants)
 and versioning's fallback share one quarantine component,
-`_QuarantineScheme`, whose sweep selector is `quarantine_selector`.  Every
-scheme is a class in `SCHEMES`, keyed by its name, built from the machine
-alone; it reads its tunables (revocation threshold, sweep window,
-quarantine fraction, versioning fallback) from `machine.config`:
+`_QuarantineScheme`.  Every sweep is the one revocation job of
+`heap.HeapScheme`, with its window (`RunConfig.sweep_window`): picasso's
+selector dooms its target colors, the quarantine's, `quarantine_selector`,
+every capability into the blocks the sweep froze.  Every scheme is a class
+in `SCHEMES`, keyed by its name, built from the machine alone; it reads its
+tunables (revocation threshold, sweep window, quarantine fraction,
+versioning fallback) from `machine.config`:
 
 * picasso         - colored capabilities, provenance retraction, threshold
                     sweeps, immediate heap reuse.
 * cornucopia      - freed blocks wait in a quarantine list until a sweep
                     revokes every capability into them; reuse waits.
-* cornucopia-rof  - same, but every free triggers the sweep immediately.
+* cornucopia-rof  - same, but every free sweeps to completion at once,
+                    whatever the window, so the block is reusable on return.
 * versioning      - 4-bit granule versions carried in the capability otype;
                     frees recolor the granules; version wrap optionally
-                    falls back to quarantine plus sweeping.  The versions
-                    are a byte table, one byte per granule up to the
-                    highest block ever carved, read and written with
-                    C-level bytes operations rather than a Python loop per
-                    granule; an address past the table reads as version 0.
+                    falls back to quarantine plus sweeping.
 * none            - spatial/tag checks only; no temporal protection.
 """
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .capability import PERM_LOAD, PERM_STORE, PERMS_APP, UNSEALED, Capability, ConfigError
+from .capability import PERM_LOAD, PERM_STORE, PERMS_APP, UNSEALED, Capability, ConfigError, derive
 from .heap import HeapScheme
 from .machine import FaultKind, TaggedMachine
 from .mrs import MallocRevocationShim
@@ -75,9 +75,9 @@ class PicassoScheme(MallocRevocationShim):
 class _QuarantineScheme(HeapScheme):
     """Cornucopia-style quarantine (Filardo et al., IEEE S&P 2020): freed
     blocks wait, as (base, top) pairs in one list, until a sweep has
-    revoked every capability into them; running out of heap forces that
-    sweep early (see `HeapScheme._carve`).  Its selector is built once per
-    sweep by `quarantine_selector`."""
+    revoked every capability into them.  A sweep freezes the list as its
+    targets, and blocks freed while it runs wait for the next one; running
+    out of heap forces both sweeps early (see `HeapScheme._carve`)."""
 
     revoke_on_free = False
 
@@ -86,39 +86,50 @@ class _QuarantineScheme(HeapScheme):
         self.quarantine_fraction = machine.config.quarantine_fraction
         self.quarantine: list[tuple[int, int]] = []  # disjoint, in free order
 
+    def malloc(self, size: int) -> Capability:
+        if self.job is not None:
+            self._advance(self.sweep_window)
+        base, block = self._carve(size)
+        self.live[base] = block
+        return derive(self.root, base, block, PERMS_APP, self._color_count)
+
     def _quarantine(self, base: int, size: int) -> None:
-        """Hold a freed block back; sweep at once under `revoke_on_free`,
-        else once the quarantine reaches its share of the resident bytes."""
+        """Hold a freed block back; sweep at once under `revoke_on_free`, else
+        start a sweep, if none runs, once the quarantine reaches its share."""
         self.quarantine.append((base, base + size))
         self.quarantine_bytes += size
         self._sample()  # the only point after a free where a peak can rise
-        if self.revoke_on_free or self.quarantine_bytes >= max(
+        if self.revoke_on_free:
+            self._start_job(None)
+        elif self.quarantine_bytes >= max(
             MIN_QUARANTINE_BYTES,
             self.quarantine_fraction * (self.live_bytes + self.quarantine_bytes),
-        ):
-            self.revoke()
+        ) and self.job is None:
+            self._start_job(self.sweep_window)
 
     def revoke(self) -> None:
-        """Sweep memory and registers for capabilities into the quarantine,
-        then give its blocks back to the heap, each adjacent run as one block."""
-        self.revocations += 1
-        blocks = self.quarantine
-        if blocks:
-            blocks.sort()
-            self.swept_tags += self.machine.sweep_scan(quarantine_selector(blocks))
-            start = end = blocks[0][0]
-            for base, top in blocks:
-                if base != end:  # a gap closes the run
-                    self.heap.free(start, end - start)
-                    start = base
-                end = top
-            self.heap.free(start, end - start)
-        self.quarantine = []
-        self.quarantine_bytes = 0
+        """Finish the sweep in flight, if any, then sweep what is left of the
+        quarantine at once."""
+        if self.job is not None:
+            self._advance(None)
+        if self.quarantine:
+            self._start_job(None)
 
-    def _held(self, addr: int) -> bool:
-        """Is `addr` inside a quarantined block?  Fault path only."""
-        return any(base <= addr < top for base, top in self.quarantine)
+    def _freeze(self):
+        blocks, self.quarantine = sorted(self.quarantine), []
+        return quarantine_selector(blocks), blocks
+
+    def _release(self, blocks) -> None:
+        """Give the blocks back to the heap, each adjacent run as one block."""
+        start = end = blocks[0][0]
+        for base, top in blocks:
+            if base != end:  # a gap closes the run
+                self.heap.free(start, end - start)
+                self.quarantine_bytes -= end - start
+                start = base
+            end = top
+        self.heap.free(start, end - start)
+        self.quarantine_bytes -= end - start
 
 
 class CornucopiaScheme(_QuarantineScheme):
@@ -132,8 +143,10 @@ class CornucopiaScheme(_QuarantineScheme):
             return FaultKind.MALFORMED_FREE
         base = cap.base
         size = self.live.pop(base, None)
-        if size is None:  # a live block's base is never quarantined
-            return FaultKind.DOUBLE_FREE if self._held(base) else FaultKind.MALFORMED_FREE
+        if size is None:  # a live block's base is never quarantined or frozen
+            frozen = self.job.targets if self.job is not None else []
+            held = any(start <= base < top for start, top in self.quarantine + frozen)
+            return FaultKind.DOUBLE_FREE if held else FaultKind.MALFORMED_FREE
         self.live_bytes -= size
         self.frees += 1
         self._quarantine(base, size)
@@ -194,6 +207,8 @@ class VersioningScheme(_QuarantineScheme):
         self.versions = bytearray()
 
     def malloc(self, size: int) -> Capability:
+        if self.job is not None:
+            self._advance(self.sweep_window)
         base, block = self._carve(size)
         versions = self.versions
         lo = (base - self.heap_base) >> 4

@@ -4,8 +4,9 @@ one flat list; `DictVersioning` keeps granule versions in a dict, and its
 malloc gives a block its first granule's version; `SetColors` keeps
 picasso's colors as a set, claimed lowest first, and the PVT as the set of
 retracted colors; `ListQuarantine` holds cornucopia's freed blocks in a
-list; `per_capability_sweep` tests one capability at a time, in address
-order; `ListClearingPvtBuffer` empties every set on a flush; and
+list, and a sweep freezes that list; `FlatScheme.start_sweep` runs every
+sweep, and `per_capability_sweep` tests one capability at a time, in
+address order; `ListClearingPvtBuffer` empties every set on a flush; and
 `EagerPackMemory` packs a capability when it is stored and moves data one
 byte at a time.
 
@@ -231,6 +232,10 @@ class FlatScheme:
         self.heap = FlatHeap(machine.config.heap_base, machine.config.heap_size)
         self.live: dict = {}
         self.quarantine: list[tuple[int, int]] = []
+        self.frozen: list[tuple[int, int]] = []  # the running sweep's blocks
+        self.sweep = None  # a running sweep's doomed test
+        self.unscanned: list[int] = []  # the words it has still to scan
+        self.swept = 0  # the tags it has cleared
         self.allocations = self.frees = self.revocations = self.swept_tags = 0
         self.live_bytes = self.quarantine_bytes = self.pvt_bytes = 0
         self.peak_live_bytes = self.peak_quarantine_bytes = self.peak_resident_bytes = 0
@@ -243,13 +248,13 @@ class FlatScheme:
         self.peak_resident_bytes = max(self.peak_resident_bytes, resident)
 
     def carve(self, size: int) -> tuple[int, int]:
-        """A block of `size` rounded up to granules; out of heap with a
-        quarantine, sweep it and try once more."""
+        """A block of `size` rounded up to granules; out of heap with blocks
+        quarantined or frozen, sweep them all and try once more."""
         block = -(-size // GRANULE) * GRANULE
         try:
             base = self.heap.alloc(block)
         except OutOfMemory:
-            if not self.quarantine:
+            if not self.quarantine and not self.frozen:
                 raise
             self.revoke()
             base = self.heap.alloc(block)
@@ -259,9 +264,37 @@ class FlatScheme:
         return base, block
 
     def malloc(self, size: int) -> Capability:
+        if self.sweep is not None:
+            self.advance(self.machine.config.sweep_window)
         base, block = self.carve(size)
         self.live[base] = block
         return Capability(base, base, block, PERMS_APP, UNSEALED, True)
+
+    def start_sweep(self, doomed, window) -> None:
+        """Count a sweep that untags each capability `doomed` names: the
+        tagged words as they stand, in address order, `window` per malloc
+        (all at once without a window), then the words stored to since it
+        started and the registers; then `finish`."""
+        self.sweep, self.unscanned, self.swept = doomed, sorted(self.machine.memory.caps), 0
+        self.machine.logged = set()
+        self.revocations += 1
+        self.sample()
+        if window is None:
+            self.advance(None)
+
+    def advance(self, window) -> None:
+        """Scan up to `window` more words (None: all); once every word is
+        scanned, finish the sweep."""
+        chunk = self.unscanned[:window]
+        del self.unscanned[:window]
+        self.swept += per_capability_sweep(self.machine, self.sweep, chunk, registers=False)
+        if not self.unscanned:
+            logged, self.machine.logged = self.machine.logged, None
+            self.swept += per_capability_sweep(self.machine, self.sweep, sorted(logged))
+            self.finish()
+            self.swept_tags += self.swept
+            self.sweep = None
+            self.sample()
 
     def free(self, cap):
         if cap is not None and cap.tag and cap.base in self.live:
@@ -287,7 +320,8 @@ class FlatScheme:
 
 class ListQuarantine(FlatScheme):
     """Cornucopia: a freed block waits in the quarantine list until a sweep
-    of memory and registers revokes every capability into it."""
+    of memory and registers revokes every capability into it.  A sweep
+    freezes the list; blocks freed while it runs wait for the next."""
 
     name = "cornucopia"
     revoke_on_free = False
@@ -296,7 +330,7 @@ class ListQuarantine(FlatScheme):
         if cap is None or not cap.tag:
             return FaultKind.MALFORMED_FREE
         if cap.base not in self.live:
-            if any(base <= cap.base < top for base, top in self.quarantine):
+            if any(base <= cap.base < top for base, top in self.quarantine + self.frozen):
                 return FaultKind.DOUBLE_FREE
             return FaultKind.MALFORMED_FREE
         size = self.live.pop(cap.base)
@@ -306,22 +340,35 @@ class ListQuarantine(FlatScheme):
         return None
 
     def hold(self, base: int, size: int) -> None:
-        """Quarantine a block; sweep at once under revoke-on-free, or when
-        the quarantine reaches its share of the resident bytes."""
+        """Quarantine a block; sweep at once under revoke-on-free, or, with
+        no sweep running, when the quarantine reaches its share of the
+        resident bytes."""
         self.quarantine.append((base, base + size))
         self.quarantine_bytes += size
         self.sample()
         share = self.machine.config.quarantine_fraction * (self.live_bytes + self.quarantine_bytes)
-        if self.revoke_on_free or self.quarantine_bytes >= max(MIN_QUARANTINE_BYTES, share):
-            self.revoke()
+        if self.revoke_on_free:
+            self.freeze(None)
+        elif self.sweep is None and self.quarantine_bytes >= max(MIN_QUARANTINE_BYTES, share):
+            self.freeze(self.machine.config.sweep_window)
+
+    def freeze(self, window) -> None:
+        """Sweep the quarantine's blocks, frozen as they stand."""
+        self.frozen, self.quarantine = self.quarantine, []
+        self.start_sweep(overlaps_a_block(self.frozen), window)
+
+    def finish(self) -> None:
+        for base, top in self.frozen:
+            self.heap.free(base, top - base)
+            self.quarantine_bytes -= top - base
+        self.frozen = []
 
     def revoke(self) -> None:
-        self.revocations += 1
-        self.swept_tags += per_capability_sweep(self.machine, overlaps_a_block(self.quarantine))
-        for base, top in self.quarantine:
-            self.heap.free(base, top - base)
-        self.quarantine = []
-        self.quarantine_bytes = 0
+        """Out of heap: finish the running sweep, then sweep the rest at once."""
+        if self.sweep is not None:
+            self.advance(None)
+        if self.quarantine:
+            self.freeze(None)
 
 
 class RevokeOnFree(ListQuarantine):
@@ -341,6 +388,8 @@ class DictVersioning(ListQuarantine):
         self.versions: dict[int, int] = {}
 
     def malloc(self, size: int) -> Capability:
+        if self.sweep is not None:
+            self.advance(self.machine.config.sweep_window)
         base, block = self.carve(size)
         version = self.versions.get(base, 0)
         for granule in range(base, base + block, GRANULE):
@@ -386,9 +435,8 @@ class DictVersioning(ListQuarantine):
 class SetColors(FlatScheme):
     """Picasso: malloc claims the lowest unclaimed color, free retracts it.
     A malloc that finds fewer colors unclaimed than the threshold, no sweep
-    and a retracted color starts a sweep, which scans `sweep_window` words
-    per malloc (all without a window), then the words stored to since it
-    started and the registers, and releases its targets."""
+    and a retracted color starts a sweep of the retracted colors, which
+    releases them when it finishes."""
 
     name = "picasso"
 
@@ -400,34 +448,26 @@ class SetColors(FlatScheme):
         self.unr = UnrState(self.pool)
         self.threshold = math.ceil(config.threshold_fraction * self.pool)
         self.targets = None  # a sweep's target colors while it runs
-        self.unscanned: list[int] = []  # the words it has still to scan
-        self.swept = 0  # the tags it has cleared
         self.pvt_bytes = config.pvt_bytes
         self.sample()
 
     def sample(self) -> None:
         unr_bytes = self.unr.node_memory()
-        pvt = self.pvt_bytes * (1 if self.targets is None else 2)  # a sweep holds a snapshot
+        pvt = self.pvt_bytes * (1 if self.sweep is None else 2)  # a sweep holds a snapshot
         self.peak_live_bytes = max(self.peak_live_bytes, self.live_bytes)
         self.peak_unr_bytes = max(self.peak_unr_bytes, unr_bytes)
         self.peak_resident_bytes = max(self.peak_resident_bytes, self.live_bytes + pvt + unr_bytes)
 
     def malloc(self, size: int) -> Capability:
         window = self.machine.config.sweep_window
-        if self.targets is not None:
+        if self.sweep is not None:
             self.advance(window)
         unclaimed = self.pool - len(self.claimed)
-        if unclaimed < self.threshold and self.targets is None and self.machine.retracted:
+        if unclaimed < self.threshold and self.sweep is None and self.machine.retracted:
             self.targets = frozenset(self.machine.retracted)
-            self.unscanned = sorted(self.machine.memory.caps)
-            self.swept = 0
-            self.machine.logged = set()
-            self.revocations += 1
-            self.sample()
-            if window is None:
-                self.advance(None)
+            self.start_sweep(self.doomed, window)
         if len(self.claimed) == self.pool:
-            if self.targets is None:
+            if self.sweep is None:
                 raise PoolExhausted("provenance identifiers exhausted")
             self.advance(None)
         color = min(set(range(1, self.pool + 1)) - self.claimed)
@@ -456,20 +496,10 @@ class SetColors(FlatScheme):
         self.frees += 1
         return None
 
-    def advance(self, window) -> None:
-        """Scan up to `window` more words (None: all); once every word is
-        scanned, finish the sweep."""
-        chunk = self.unscanned[:window]
-        del self.unscanned[:window]
-        self.swept += per_capability_sweep(self.machine, self.doomed, chunk, registers=False)
-        if not self.unscanned:
-            logged, self.machine.logged = self.machine.logged, None
-            self.swept += per_capability_sweep(self.machine, self.doomed, sorted(logged))
-            self.machine.set_pvt(self.targets, retracted=False)
-            self.release(self.targets)
-            self.swept_tags += self.swept
-            self.targets = None
-            self.sample()
+    def finish(self) -> None:
+        self.machine.set_pvt(self.targets, retracted=False)
+        self.release(self.targets)
+        self.targets = None
 
     def doomed(self, cap) -> bool:
         return cap.otype in self.targets

@@ -58,6 +58,8 @@ TRACES = {"spill-sweep": _spill_sweep, "locality": _locality}
 
 CASES = {
     "churn": RunConfig(color_bits=8),
+    # Picasso's, cornucopia's and versioning's fallback sweeps scan 7 words
+    # per malloc; cornucopia-rof sweeps at once.
     "churn-window7": RunConfig(color_bits=8, sweep_window=7),
     "churn-nobuffer": RunConfig(color_bits=8, pvt_buffer=False),
     "churn-nofallback": RunConfig(color_bits=8, versioning_fallback=False),
@@ -98,9 +100,9 @@ GOLDEN = {
     "churn/versioning": ("9d658485b641afa2", "5b1115ab667eb044"),
     "churn/none": ("9f091406a243f055", "6e79ebf36a0ecc15"),
     "churn-window7/picasso": ("8b0b0a3c2b997160", "5b1115ab667eb044"),
-    "churn-window7/cornucopia": ("f59a81555a0eea50", "eeb7df1a13f0a768"),
+    "churn-window7/cornucopia": ("0f47d7dc90e9ae4e", "eeb7df1a13f0a768"),
     "churn-window7/cornucopia-rof": ("7131189e72afa7ef", "6569fc8f57c691a7"),
-    "churn-window7/versioning": ("9d658485b641afa2", "5b1115ab667eb044"),
+    "churn-window7/versioning": ("7a7387517e1b8d92", "5b1115ab667eb044"),
     "churn-window7/none": ("9f091406a243f055", "6e79ebf36a0ecc15"),
     "churn-nobuffer/picasso": ("bf85ef4152c5331e", "5b1115ab667eb044"),
     "churn-nobuffer/cornucopia": ("f59a81555a0eea50", "eeb7df1a13f0a768"),

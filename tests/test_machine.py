@@ -21,7 +21,7 @@ from colorcap.machine import (
     PvtBuffer,
     TaggedMachine,
 )
-from colorcap.mrs import RevocationJob
+from colorcap.mrs import color_selector
 from colorcap.schemes import quarantine_selector
 from helpers import load_data, store_data
 from reference import ListClearingPvtBuffer, ReferenceMachine, per_capability_sweep
@@ -308,12 +308,12 @@ class TestPvt:
 
 
 def colored(*colors):
-    """The sweep selector of a revocation that targets `colors`: a job whose
-    PVT snapshot, laid out as `machine()`'s table, has their bits set."""
-    snapshot = bytearray(small_config().pvt_bytes)
+    """The sweep selector of a revocation that targets `colors`: a target
+    table of one byte per color of `machine()`, 1 at each of them."""
+    targets = bytearray(small_config().color_count)
     for color in colors:
-        snapshot[color >> 3] |= 1 << (color & 7)
-    return RevocationJob(bytes(snapshot), []).doomed
+        targets[color] = 1
+    return color_selector(targets)
 
 
 class TestSweep:

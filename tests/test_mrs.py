@@ -230,7 +230,7 @@ class TestThreshold:
             assert mrs.job is None and mrs.swept_tags == 1
             assert cap.otype == caps[0].otype
         else:  # one word to sweep, and the next malloc polls it
-            assert mrs.job is not None and not mrs.job.done
+            assert mrs.job is not None and mrs.job.cursor < len(mrs.job.addresses) == 1
 
     def test_single_outstanding_job(self):
         machine, mrs = make(color_bits=4, threshold=0.99, window=1)
@@ -242,10 +242,11 @@ class TestThreshold:
         job = mrs.job
         mrs.free(caps[1])  # retracted while the sweep is in flight
         mrs.malloc(16)  # advances the sweep one word and starts no other
-        assert mrs.job is job and not job.done
+        assert mrs.job is job and job.cursor < len(job.addresses)
         assert mrs.revocations == 1
         assert mrs.pending == 1
-        assert machine.pvb_retracted(caps[1].otype) and not job.targets[caps[1].otype]
+        snapshot, table = job.targets
+        assert machine.pvb_retracted(caps[1].otype) and not table[caps[1].otype]
 
 
 class TestRevocation:
@@ -404,7 +405,7 @@ class TestConservation:
                 assert mrs.free(cap) is None
             else:
                 live.append(mrs.malloc(16))
-            targets = mrs.job.targets.count(1) if mrs.job else 0
+            targets = mrs.job.targets[1].count(1) if mrs.job else 0
             assert mrs.unr.population == len(mrs.live) + mrs.pending + targets
             # The PVT is the only record of retracted colors: its set bits
             # are the pending colors and a job's targets, and the job's
@@ -412,10 +413,10 @@ class TestConservation:
             pvt = set_bits(machine.pvt)
             assert len(pvt) == mrs.pending + targets
             if mrs.job:
-                snapshot = set_bits(mrs.job.snapshot)
-                assert snapshot <= pvt
-                assert snapshot == {c for c, flag in enumerate(mrs.job.targets) if flag}
-                assert len(mrs.job.targets) == machine.config.color_count
+                snapshot, table = mrs.job.targets
+                assert set_bits(snapshot) <= pvt
+                assert set_bits(snapshot) == {c for c, flag in enumerate(table) if flag}
+                assert len(table) == machine.config.color_count
                 seen_job = True
         assert seen_job
         validate(mrs.unr)
@@ -426,7 +427,7 @@ class TestConservation:
         mrs.free(caps[0])
         with pytest.raises(OutOfMemory):
             mrs.malloc(128)
-        targets = mrs.job.targets.count(1) if mrs.job else 0
+        targets = mrs.job.targets[1].count(1) if mrs.job else 0
         assert mrs.unr.population == len(mrs.live) + mrs.pending + targets
         assert mrs.unr.population == 6
         validate(mrs.unr)

@@ -1,9 +1,9 @@
 """Every scheme against the whole-run reference model in `reference.py`.
 
 One property replays each drawn trace under all five schemes, on the
-simulator and on the model, and demands equal `Metrics` and outcomes, or
-the same `OutOfMemory` or `PoolExhausted` when a run ends early, while the
-reissue invariant holds on the simulator.  Pinned examples reach what short
+simulator and on the model, and demands equal `Metrics` and outcomes with
+no false positive, or the same `OutOfMemory` or `PoolExhausted` when a run
+ends early, while the reissue invariant holds on the simulator.  Pinned examples reach what short
 drawn traces rarely do, and known mutants of the simulator must fail the
 comparison or the invariant.  Every heap op of the simulator is
 checked against a flat free list as it happens, and so is the heap's index.
@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 import reference
 from colorcap import harness, heap, schemes
 from colorcap.harness import RunConfig, run_trace
-from colorcap.heap import BUCKET_SPLIT, GRANULE, FreeListHeap, OutOfMemory
+from colorcap.heap import BUCKET_SPLIT, GRANULE, FreeListHeap, HeapScheme, OutOfMemory
 from colorcap.machine import FaultKind, TaggedMachine
-from colorcap.mrs import MallocRevocationShim, PoolExhausted
+from colorcap.mrs import PoolExhausted
 from colorcap.schemes import MIN_QUARANTINE_BYTES, SCHEME_NAMES
 from colorcap.trace import Trace, parse_trace
 from colorcap.unr import _Builder
@@ -140,6 +140,16 @@ _LONE_BUCKET = ["malloc r0 32", "malloc r1 16", "malloc r2 16", "malloc r3 16", 
 # the run 512-513 to a node builder whose bitmap has room for one ID.
 _WIDE_RELEASE = ["malloc r1 16"] + ["malloc r0 16"] * 510 + [
     "malloc r2 16", "malloc r3 16", "free r1", "free r2", "free r3", "malloc r4 16"]
+# A window-1 sweep over four slots; a stale copy spilled behind its cursor
+# is revoked when the sweep finishes.
+_BEHIND_THE_CURSOR = ["malloc r0 16"] + [f"malloc r1 16\nspill r1 {slot}" for slot in range(4)] + [
+    "free r0", "malloc r2 16", "malloc r2 16", "spill r0 0"] + ["malloc r2 16"] * 3 + [
+    "reload r3 0", "read r3 0 8"]
+# The same for cornucopia, whose window-1 sweep starts at the free of r0
+# and whose finalize revokes the copy and r0 before r0's block is reused.
+_QUARANTINE_BEHIND_THE_CURSOR = ["malloc r0 4096"] + [
+    f"malloc r1 16\nspill r1 {slot}" for slot in range(4)] + [
+    "free r0", "malloc r2 16", "spill r0 0"] + ["malloc r2 16"] * 3 + ["reload r3 0", "read r3 0 8"]
 
 configs = st.builds(
     RunConfig,
@@ -171,11 +181,13 @@ configs = st.builds(
 @example(**pinned(_CHECKERBOARD + _BRIDGE + _PLACED, 32 * _FREED))
 @example(**pinned(_LONE_BUCKET, 80))
 @example(**pinned(_WIDE_RELEASE, 1 << 14, color_bits=10, threshold_fraction=0.5))
+@example(**pinned(_QUARANTINE_BEHIND_THE_CURSOR, 8192, sweep_window=1))
 def test_every_scheme_matches_the_reference(trace, config, split, floor):
     with patched(split, floor), reissue_checked():
         for scheme in SCHEME_NAMES:
             model = whole_run(trace, scheme, config, True)
             assert whole_run(trace, scheme, config) == model, scheme
+            assert type(model[0]) is not dict or model[0]["false_positives"] == 0, scheme
 
 
 def simulated(case, scheme, ops=None):
@@ -213,6 +225,12 @@ def test_pinned_examples_reach_their_case():
     assert list(map(len, bridged.bases)) == [BUCKET_SPLIT, _FREED - BUCKET_SPLIT - 1]
     assert bridged.sizes[0][-1] == 48  # the bridge: two free granules and the freed one
     assert simulated(pinned(_LONE_BUCKET, 80), "none", 6)[0].heap.bases == []
+    windowed = pinned(_QUARANTINE_BEHIND_THE_CURSOR, 8192, sweep_window=1)
+    corn = simulated(windowed, "cornucopia", 12)[0]
+    assert corn.job.cursor == 1 and corn.job.rewrites == {windowed["config"].scratch_base}
+    corn, outcomes = simulated(windowed, "cornucopia")
+    assert corn.revocations == 1 and corn.swept_tags == 2
+    assert outcomes[-1] is FaultKind.UNTAGGED_OPERAND
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3a")
@@ -246,23 +264,23 @@ def test_matches_flat_free_list_at_bench_scale():
     assert peak_buckets >= 80
 
 
-def _unlogged_sweep(start=MallocRevocationShim._start_job):
-    def unlogged(shim, *args):
-        start(shim, *args)
-        shim.machine.cap_writes = None
+def _unlogged_sweep(start=HeapScheme._start_job):
+    def unlogged(scheme, window):
+        start(scheme, window)
+        scheme.machine.cap_writes = None
 
-    return mock.patch.object(MallocRevocationShim, "_start_job", unlogged)
+    return mock.patch.object(HeapScheme, "_start_job", unlogged)
 
 
 # r1's block lies between two quarantined ones and ends where the second
 # starts; the malloc that runs out of heap sweeps both, and r1 must survive.
 _ABUTTING = ["malloc r0 16", "malloc r1 16", "malloc r2 16", "free r0", "free r2", "malloc r3 16",
              "read r1 0 8"]
-# A window-1 sweep over four slots; a stale copy spilled behind its cursor
-# is revoked when the sweep finishes.
-_BEHIND_THE_CURSOR = ["malloc r0 16"] + [f"malloc r1 16\nspill r1 {slot}" for slot in range(4)] + [
-    "free r0", "malloc r2 16", "malloc r2 16", "spill r0 0"] + ["malloc r2 16"] * 3 + [
-    "reload r3 0", "read r3 0 8"]
+_WINDOWED = {
+    "picasso": pinned(_BEHIND_THE_CURSOR, 1024, color_bits=4, threshold_fraction=0.99,
+                      sweep_window=1),
+    "cornucopia": pinned(_QUARANTINE_BEHIND_THE_CURSOR, 8192, sweep_window=1),
+}
 
 
 @pytest.mark.parametrize("mutant, scheme, case", [
@@ -270,9 +288,9 @@ _BEHIND_THE_CURSOR = ["malloc r0 16"] + [f"malloc r1 16\nspill r1 {slot}" for sl
      pinned(_ABUTTING, 48)),
     (lambda: mock.patch.object(_Builder, "release", lambda builder, n: builder.run(False, n)),
      "picasso", pinned(_WIDE_RELEASE, 1 << 14, color_bits=10, threshold_fraction=0.5)),
-    (_unlogged_sweep, "picasso",
-     pinned(_BEHIND_THE_CURSOR, 1024, color_bits=4, threshold_fraction=0.99, sweep_window=1)),
-], ids=["bisect_right", "release_as_one_run", "unlogged_sweep"])
+    (_unlogged_sweep, "picasso", _WINDOWED["picasso"]),
+    (_unlogged_sweep, "cornucopia", _WINDOWED["cornucopia"]),
+], ids=["bisect_right", "release_as_one_run", "unlogged_sweep", "unlogged_quarantine_sweep"])
 def test_mutants_fail_the_comparison(mutant, scheme, case):
     trace, config = case["trace"], case["config"]
     assert whole_run(trace, scheme, config) == whole_run(trace, scheme, config, True)
@@ -302,14 +320,16 @@ _STALE_REGISTER = ["malloc r0 4096", "malloc r1 16", "spill r1 0", "free r0", "m
 
 
 @pytest.mark.parametrize("mutant, scheme, case", [
-    (_registers_only_with_all_memory, "picasso",
-     pinned(_BEHIND_THE_CURSOR, 1024, color_bits=4, threshold_fraction=0.99, sweep_window=1)),
-    (_unlogged_sweep, "picasso",
-     pinned(_BEHIND_THE_CURSOR, 1024, color_bits=4, threshold_fraction=0.99, sweep_window=1)),
+    (_registers_only_with_all_memory, "picasso", _WINDOWED["picasso"]),
+    (_registers_only_with_all_memory, "cornucopia", _WINDOWED["cornucopia"]),
+    (_unlogged_sweep, "picasso", _WINDOWED["picasso"]),
+    (_unlogged_sweep, "cornucopia", _WINDOWED["cornucopia"]),
     (_unswept_quarantine, "cornucopia", pinned(_STALE_REGISTER, 8192)),
     (_unswept_quarantine, "cornucopia-rof", pinned(_STALE_REGISTER, 8192)),
-], ids=["finalize_skips_registers", "unlogged_sweep", "unswept_quarantine",
-        "unswept_quarantine_rof"])
+    (_unswept_quarantine, "cornucopia", _WINDOWED["cornucopia"]),
+], ids=["finalize_skips_registers", "finalize_skips_registers_quarantine", "unlogged_sweep",
+        "unlogged_quarantine_sweep", "unswept_quarantine", "unswept_quarantine_rof",
+        "unswept_windowed_quarantine"])
 def test_mutants_break_the_reissue_invariant(mutant, scheme, case):
     trace, config = case["trace"], case["config"]
     with reissue_checked():

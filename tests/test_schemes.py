@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import pytest
 
@@ -10,6 +11,7 @@ from colorcap.machine import FaultKind, TaggedMachine
 from colorcap.schemes import (
     MIN_QUARANTINE_BYTES,
     SCHEME_NAMES,
+    SCHEMES,
     CornucopiaRofScheme,
     CornucopiaScheme,
     NoneScheme,
@@ -96,10 +98,11 @@ class TestCornucopia:
         assert m.regs[4].tag is True
 
     def test_empty_quarantine_revoke(self):
+        # Nothing quarantined and no sweep in flight: nothing to sweep.
         corn = CornucopiaScheme(machine())
         heap = corn.heap.free_blocks
         corn.revoke()
-        assert corn.revocations == 1 and corn.swept_tags == 0
+        assert corn.revocations == 0 and corn.swept_tags == 0
         assert corn.heap.free_blocks == heap
 
     def test_double_free_detected_by_shadow(self):
@@ -294,6 +297,78 @@ class TestVersioning:
                 tracemalloc.stop()
         assert metrics[0] == metrics[1]
         assert abs(peaks[0] - peaks[1]) < 1_000_000, peaks
+
+
+class TestWindowedQuarantine:
+    """A quarantine sweep under a window: the one revocation job, advanced
+    `sweep_window` words per malloc."""
+
+    def test_a_sweep_freezes_the_quarantine(self):
+        m = machine(sweep_window=1)
+        corn = CornucopiaScheme(m)
+        a, b, _, d = (corn.malloc(4096) for _ in range(4))
+        m.regs[0] = d  # one tagged word, so the sweep outlives the free
+        assert corn.free(a) is None  # a quarter of the resident bytes
+        job = corn.job
+        assert corn.revocations == 1 and job.targets == [(a.base, a.base + 4096)]
+        assert corn.free(b) is None  # waits for the next sweep
+        assert corn.job is job and corn.quarantine == [(b.base, b.base + 4096)]
+        assert corn.quarantine_bytes == corn.peak_quarantine_bytes == 8192
+        assert corn.free(a) is FaultKind.DOUBLE_FREE  # frozen, still held
+        again = corn.malloc(4096)  # an empty snapshot: the sweep finishes
+        assert corn.job is None and again.base == a.base
+        assert corn.quarantine_bytes == 4096 and corn.revocations == 1
+        assert m.regs[0].tag  # live
+
+    def test_out_of_memory_finishes_the_sweep_then_sweeps_the_rest(self):
+        m = machine(sweep_window=1, heap_size=0x4000)
+        corn = CornucopiaScheme(m)
+        blocks = [corn.malloc(1024) for _ in range(16)]
+        for i in range(4):
+            m.store_cap(blocks[15], 16 * i, blocks[i])  # copies, stale once freed
+        for block in blocks[:4]:  # the fourth free starts a sweep of four words
+            assert corn.free(block) is None
+        assert corn.revocations == 1 and corn.job is not None
+        assert corn.free(blocks[4]) is None  # quarantined behind the sweep
+        again = corn.malloc(2048)
+        assert corn.job is None and corn.revocations == 2
+        assert not corn.quarantine and corn.quarantine_bytes == 0
+        assert corn.swept_tags == 4 and again.base == blocks[0].base
+
+    @pytest.mark.parametrize("scheme, heap_size", [
+        ("cornucopia", 1 << 20), ("cornucopia", 8192), ("versioning", 1 << 20)])
+    def test_each_malloc_scans_at_most_the_window(self, scheme, heap_size):
+        # Every memory word a sweep step scans is counted against the malloc
+        # that advanced it.  Exempt: the finalize's pass over the logged
+        # words and the registers, and an out-of-memory malloc, which
+        # finishes every sweep at once.
+        trace = gen_churn(1500, 40, (16, 48, 128, 256), seed=11, touch_rate=0.5,
+                          inject="mixed", inject_rate=0.05)
+        config = RunConfig(color_bits=8, sweep_window=7, heap_size=heap_size)
+        cls = SCHEMES[scheme]
+        sweep_scan, malloc, revoke = TaggedMachine.sweep_scan, cls.malloc, cls.revoke
+        words, exempt = [0], set()
+
+        def scan(machine, select, addresses=None, include_registers=True):
+            if not include_registers:  # a step
+                words[-1] += len(addresses)
+            return sweep_scan(machine, select, addresses, include_registers)
+
+        def counted_malloc(self, size):
+            words.append(0)
+            return malloc(self, size)
+
+        def out_of_memory(self):
+            exempt.add(len(words) - 1)
+            revoke(self)
+
+        with mock.patch.object(TaggedMachine, "sweep_scan", scan), mock.patch.multiple(
+            cls, malloc=counted_malloc, revoke=out_of_memory
+        ):
+            metrics = run_trace(trace, scheme, config).metrics
+        assert metrics.false_positives == 0 and metrics.revocations > 0
+        assert max(n for i, n in enumerate(words) if i not in exempt) == 7
+        assert bool(exempt) == (heap_size == 8192)
 
 
 class TestOutOfMemory:
