@@ -13,7 +13,10 @@ histogram, the expectation mismatches and the per-op outcomes are built
 from that record after the loop.
 
 run_trace is a pure function of (trace, scheme, config): identical inputs
-produce identical metrics and outcome sequences.
+produce identical metrics and outcome sequences.  Its data digest is FNV-1a
+over the bytes read: as h ^ b == h + ((l ^ b) - l) for l = h & 0xFF, and the
+next low byte depends on l and b alone, FNV(h, data) is h * P**n + S(l, data)
+mod 2**64.  A run memoises (P**n, S) by (l, data), up to `_STEP_MEMO_CAP` keys.
 """
 
 from __future__ import annotations
@@ -95,6 +98,16 @@ METRIC_FIELDS = tuple(f.name for f in fields(Metrics))
 _SCRATCH_BINDING = -2
 _FILL_SALT = 0x9E
 _RAMP = bytes(range(256)) * 2  # any 256 consecutive byte values are one slice
+_STEP_MEMO_CAP = 4096  # digest steps a run memoises, each for a read of at most 16 bytes
+
+
+def _fnv_step(low: int, data: bytes) -> tuple[int, int]:
+    """(mult, add): FNV-1a over `data` from any h with h & 0xFF == low is h * mult + add."""
+    h = low
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    mult = pow(0x100000001B3, len(data), 1 << 64)
+    return mult, (h - low * mult) & 0xFFFFFFFFFFFFFFFF
 
 
 def _fill_bytes(index: int, width: int, cap: Capability) -> bytes:
@@ -157,6 +170,7 @@ def run_trace(
     violations = escapes = false_positives = 0
     faults: dict[int, FaultKind] = {}  # op index -> fault, for faulting ops only
     digest = 0xCBF29CE484222325  # FNV-1a over read results (good-trace identity)
+    steps: dict[tuple[int, bytes], tuple[int, int]] = {}  # (low byte, read) -> _fnv_step
     index = -1
 
     try:
@@ -168,8 +182,12 @@ def run_trace(
             if code == OP_READ:
                 outcome = load(regs[a], b, c)
                 if type(outcome) is not FaultKind:
-                    for byte in outcome:
-                        digest = ((digest ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+                    step = steps.get(key := (digest & 0xFF, outcome))
+                    if step is None:
+                        step = _fnv_step(*key)
+                        if len(outcome) <= 16 and len(steps) < _STEP_MEMO_CAP:
+                            steps[key] = step
+                    digest = (digest * step[0] + step[1]) & 0xFFFFFFFFFFFFFFFF
                     outcome = None
                 binding = bound[a]
                 legal = binding is not None and (

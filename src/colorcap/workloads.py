@@ -15,6 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 from .machine import FaultKind
 from .trace import (
+    MAX_WIDTH,
     OP_COPY,
     OP_DERIVE,
     OP_FREE,
@@ -176,8 +177,8 @@ def gen_locality(
     trace costs one pointer per op."""
     if not 1 <= n_allocs <= 30:
         raise ValueError("n_allocs must be in [1, 30]")
-    if width < 1:
-        raise ValueError("width must be >= 1")
+    if not 1 <= width <= MAX_WIDTH:
+        raise ValueError(f"width must be in [1, {MAX_WIDTH}]")
     if size < width:
         raise ValueError("size must be >= width")
     if rounds < 1:

@@ -12,7 +12,7 @@ from colorcap.cli import CORPUS_FIELDS, main
 from colorcap.harness import METRIC_FIELDS, RunConfig, run_trace
 from colorcap.machine import NUM_REGISTERS
 from colorcap.schemes import SCHEME_NAMES
-from colorcap.trace import MAX_SLOTS, OP_TABLE
+from colorcap.trace import MAX_SLOTS, MAX_WIDTH, OP_TABLE
 from colorcap.workloads import gen_churn
 
 
@@ -49,7 +49,7 @@ class TestRun:
 
     def test_write_wider_than_memory_faults(self, capsys, tmp_path):
         trace = tmp_path / "wide.trace"
-        trace.write_text(f"malloc r0 64\nwrite r0 0 {2**50} !fault=SpatialOutOfBounds\n")
+        trace.write_text(f"malloc r0 64\nwrite r0 0 {MAX_WIDTH} !fault=SpatialOutOfBounds\n")
         code, out, _ = run_cli(capsys, "run", "--scheme", "picasso", "--trace", str(trace))
         assert code == 0
         assert json.loads(out)["fault_SpatialOutOfBounds"] == 1
@@ -89,6 +89,7 @@ class TestRun:
             ("size=4", "size must be >= width"),
             ("rounds=0", "rounds must be >= 1"),
             ("rounds=-1", "rounds must be >= 1"),
+            (f"width={MAX_WIDTH + 1},size={MAX_WIDTH + 1}", f"width must be in [1, {MAX_WIDTH}]"),
         ],
     )
     def test_locality_bad_field_exits_two_by_name(self, capsys, spec, message):
@@ -292,14 +293,29 @@ class TestHostLimits:
             f" (0..{MAX_SLOTS - 1})\n"
         )
 
+    @pytest.mark.parametrize("op", ["read", "write"])
+    def test_access_wider_than_the_spill_region_exits_two(self, capsys, tmp_path, op):
+        # Without the bound, a 16 MiB access walks or builds the whole block
+        # in host memory: seconds and about 120 MB per op.
+        trace = tmp_path / "wide.trace"
+        trace.write_text(f"malloc r0 {1 << 24}\n{op} r0 0 {1 << 24}\n")
+        code, out, err = run_cli(capsys, "run", "--scheme", "none", "--heap-size", str(1 << 25),
+                                 "--trace", str(trace))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"colorcap: error: line 2, column {len(op) + 7}: width {1 << 24} out of range"
+            f" (0..{MAX_WIDTH})\n"
+        )
+
 
 def _operand(kind):
     if kind == "r":
         return st.integers(0, NUM_REGISTERS - 1).map("r{}".format)
-    # A read or write as wide as a multi-GiB heap block walks or builds it
-    # whole, so widths stop one granule past the widest spill region; every
-    # other integer may exceed any host limit.
-    top = 16 * MAX_SLOTS + 16 if kind == "a width" else 10**30
+    # A width past MAX_WIDTH is a ParseError, and widths stop one granule
+    # past it, so the drawn traces still replay; every other integer may
+    # exceed any host limit.
+    top = MAX_WIDTH + 16 if kind == "a width" else 10**30
     return st.integers(0, top).map(str)
 
 

@@ -11,6 +11,11 @@ Sweeps are the one exception to the aim, because they are O(tagged memory)
 in the modelled system too: a frame that starts one (`_SWEEP_CODES`) runs
 untraced, with everything it calls, and is only counted.
 
+The read runs count the same way, per read: a block written once, then
+one payload of 1, 8 or 16 bytes inside one word read over and over.  Once
+the warm-up has met every memo key of the read digest, a read's cost must
+not grow with its width either.
+
 Python calls are counted beside the opcodes, as the frames that start
 outside a sweep (`call` events), so a call the modelled system does not
 make shows up as one.
@@ -21,8 +26,8 @@ counts differ across CPython versions and move with every feature, so none
 is pinned: the tests print them instead (`pytest -s`).  Call counts follow
 the code's structure, so one difference between schemes is pinned.  The
 counts cannot see C-level work: a `max` over a heap bucket, the PVT's
-big-int steps, `bytes.translate` or a slice fill stay with the bench and
-timeit.
+or the digest's big-int steps, `bytes.translate` or a slice fill stay with
+the bench and timeit.
 """
 
 import random
@@ -32,10 +37,11 @@ from unittest import mock
 
 import pytest
 
+from colorcap import harness
 from colorcap.harness import RunConfig, run_trace
 from colorcap.heap import FreeListHeap, HeapScheme
 from colorcap.schemes import SCHEME_NAMES
-from colorcap.trace import OP_FREE, OP_MALLOC, OP_RELOAD, OP_SPILL, Trace
+from colorcap.trace import OP_FREE, OP_MALLOC, OP_READ, OP_RELOAD, OP_SPILL, OP_WRITE, Trace
 
 PAIRS = 200
 #: The frames of the one revocation job that every sweeping scheme runs:
@@ -65,7 +71,7 @@ class Tally:
 
     def enter(self, frame, event, arg):
         """The global trace function: picks each new frame's local one."""
-        if self.sweeping or frame.f_code is _churn.__code__:
+        if self.sweeping or frame.f_code in _SOURCES:
             return None
         if frame.f_code in _SWEEP_CODES:
             self.sweeping = True
@@ -76,6 +82,16 @@ class Tally:
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
         return self.count
+
+
+def _start_counting(tally):
+    """Called from an op generator: count in run_trace's frame, already
+    running, and in every frame that starts from now on."""
+    caller = sys._getframe(2)
+    caller.f_trace_lines = False
+    caller.f_trace_opcodes = True
+    caller.f_trace = tally.count
+    sys.settrace(tally.enter)
 
 
 def _churn(live, sizes, seed, tally, warm_pairs):
@@ -94,11 +110,7 @@ def _churn(live, sizes, seed, tally, warm_pairs):
         yield (OP_FREE, 1, 0, 0)
         yield (OP_MALLOC, 0, size, 0)
         yield (OP_SPILL, 0, slot, 0)
-    caller = sys._getframe(1)  # run_trace's frame, already running
-    caller.f_trace_lines = False
-    caller.f_trace_opcodes = True
-    caller.f_trace = tally.count
-    sys.settrace(tally.enter)
+    _start_counting(tally)
     for slot, size in pairs:
         yield (OP_RELOAD, 1, slot, 0)
         yield (OP_FREE, 1, 0, 0)
@@ -120,6 +132,55 @@ def per_pair(scheme, live=1000, sizes=(16,), heap_size=1 << 20, color_bits=16, w
         sys.settrace(None)  # a run that fails stops counting too
     assert metrics.faults_total == 0 and metrics.ops == 2 * live + 4 * (warm_pairs + PAIRS)
     return tally.ops / PAIRS, tally.calls / PAIRS, tally.sweeps
+
+
+#: Reads of one payload before counting.  Its FNV-1a step permutes the
+#: digest's low byte, so the memo keys of later reads all recur in these.
+WARM_READS = 300
+READS = 200
+
+
+def _reads(width, tally):
+    """The ops of one 16-byte block written once, WARM_READS untraced reads
+    of its first `width` bytes and READS counted ones."""
+    yield (OP_MALLOC, 0, 16, 0)
+    yield (OP_WRITE, 0, 0, 16)
+    read = (OP_READ, 0, 0, width)
+    for _ in range(WARM_READS):
+        yield read
+    _start_counting(tally)
+    for _ in range(READS):
+        yield read
+    sys.settrace(None)
+
+
+#: The op generators: their own frames are never counted.
+_SOURCES = {_churn.__code__, _reads.__code__}
+
+
+def per_read(scheme, width):
+    """Opcodes and calls per counted read."""
+    tally = Tally()
+    try:
+        metrics = run_trace(Trace(ops=_reads(width, tally)), scheme).metrics
+    finally:
+        sys.settrace(None)
+    assert metrics.faults_total == 0 and metrics.ops == 2 + WARM_READS + READS
+    return tally.ops / READS, tally.calls / READS
+
+
+def check_reads(scheme):
+    """A steady-state read inside one word costs the same at every width:
+    its digest step is one memo hit, with no work per byte."""
+    counts = {width: per_read(scheme, width) for width in (1, 8, 16)}
+    print(f"\n{scheme} reads: " + ", ".join(
+        f"{width} B {ops:.1f} ops {calls:.1f} calls" for width, (ops, calls) in counts.items()))
+    assert counts[1] == counts[8] == counts[16], (scheme, counts)
+
+
+@pytest.mark.parametrize("scheme", SCHEME_NAMES)
+def test_read_cost_does_not_grow_with_width(scheme):
+    check_reads(scheme)
 
 
 #: One axis at a time, each from the base shape: 1k live, a 1 MiB heap and
@@ -208,10 +269,16 @@ def _summing_sample(sample=HeapScheme._sample):
     return mock.patch.object(HeapScheme, "_sample", sample_summing_live)
 
 
+def _per_byte_digest():
+    """No memo: every read takes `_fnv_step`'s loop over its bytes."""
+    return mock.patch.object(harness, "_STEP_MEMO_CAP", 0)
+
+
 @pytest.mark.parametrize("mutant, check", [
     (_flattening_alloc, check_mixed),
     (_summing_sample, check_flat),
-], ids=["alloc_reads_free_blocks", "sample_sums_live"])
+    (_per_byte_digest, check_reads),
+], ids=["alloc_reads_free_blocks", "sample_sums_live", "per_byte_digest"])
 def test_mutants_fail(mutant, check):
     # Twenty pairs show the growth, and keep the traced O(live) work short.
     with mutant(), mock.patch.object(sys.modules[__name__], "PAIRS", 20):

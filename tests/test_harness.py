@@ -15,7 +15,7 @@ from colorcap.harness import (
     run_corpus,
     run_trace,
 )
-from colorcap import cli
+from colorcap import cli, harness
 from colorcap.machine import FaultKind, TaggedMachine
 from colorcap.schemes import SCHEME_NAMES, make_scheme
 from colorcap.trace import (
@@ -315,8 +315,11 @@ class TestFillBytes:
          ("write r0 0 W", FaultKind.UNTAGGED_OPERAND)],
     )
     def test_write_wider_than_memory_faults_without_building_it(self, scheme, text, fault):
-        trace = parse_trace(text.replace("W", str(2**50)).replace(" / ", "\n"))
-        result = run_trace(trace, scheme, collect_outcomes=True)
+        # `parse_trace` stops widths at MAX_WIDTH, so the wide write is
+        # built through the API.
+        ops = parse_trace(text.replace("W", "1").replace(" / ", "\n")).ops
+        ops[-1] = (OP_WRITE, ops[-1][1], 0, 2**50)
+        result = run_trace(Trace(ops=ops), scheme, collect_outcomes=True)
         assert result.outcomes[-1] is fault
         assert result.metrics.faults_total == 1
 
@@ -339,21 +342,99 @@ def _fnv_masked(digest: int, data: bytes) -> int:
     return digest
 
 
+def _check_digest(reads, size, scheme):
+    """Replay one write that fills a `size`-byte block, then `reads` as
+    (offset, width) pairs, and compare the run's digest with FNV-1a.
+    Returns each read's memo key: the digest's low byte and the bytes read."""
+    ops = [(OP_MALLOC, 0, size, 0), (OP_WRITE, 0, 0, size)]
+    ops += [(OP_READ, 0, offset, width) for offset, width in reads]
+    block = _fill_bytes(1, size, Capability(0, 0, size))
+    expected = 0xCBF29CE484222325
+    keys = []
+    for offset, width in reads:
+        keys.append((expected & 0xFF, block[offset : offset + width]))
+        expected = _fnv_masked(expected, keys[-1][1])
+    metrics = run_trace(Trace(ops=ops, name="reads"), scheme).metrics
+    assert metrics.faults_total == 0
+    assert metrics.data_digest == f"{expected:016x}"
+    return keys
+
+
+def _steps_taken(monkeypatch):
+    """The (low byte, bytes read) of every `_fnv_step` call from here on:
+    the reads that missed the memo."""
+    taken = []
+    step = harness._fnv_step
+
+    def counted(low, data):
+        taken.append((low, data))
+        return step(low, data)
+
+    monkeypatch.setattr(harness, "_fnv_step", counted)
+    return taken
+
+
+#: One 8-byte payload read 300 times, then another: the digest's low byte
+#: takes at most 256 values, so each payload's keys repeat and hit.
+REPEATED = [(0, 8)] * 300 + [(24, 8)] * 300
+
+
 class TestReadDigest:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 63), st.integers(0, 64)), min_size=1, max_size=20))
     def test_run_digest_is_fnv1a_of_the_bytes_read(self, reads):
         # Reads of 0-64 bytes, inside and across words, after one write
         # (op 1) fills the whole block.
-        ops = [(OP_MALLOC, 0, 128, 0), (OP_WRITE, 0, 0, 128)]
-        ops += [(OP_READ, 0, offset, width) for offset, width in reads]
-        block = _fill_bytes(1, 128, None)
-        expected = 0xCBF29CE484222325
-        for offset, width in reads:
-            expected = _fnv_masked(expected, block[offset : offset + width])
         for scheme in ("picasso", "none"):
-            metrics = run_trace(Trace(ops=ops, name="reads"), scheme).metrics
-            assert metrics.data_digest == f"{expected:016x}"
+            _check_digest(reads, 128, scheme)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.binary(max_size=64))
+    def test_step_continues_fnv1a_from_any_state_with_its_low_byte(self, h, data):
+        mult, add = harness._fnv_step(h & 0xFF, data)
+        assert (h * mult + add) & 0xFFFFFFFFFFFFFFFF == _fnv_masked(h, data)
+
+    @pytest.mark.parametrize("scheme", ["picasso", "none"])
+    def test_repeated_reads_take_the_hit_path(self, scheme, monkeypatch):
+        taken = _steps_taken(monkeypatch)
+        keys = _check_digest(REPEATED, 64, scheme)
+        # Each key is computed once, at its first read, and most reads hit.
+        assert taken == list(dict.fromkeys(keys))
+        assert len(taken) <= 2 * 256 < len(REPEATED)
+
+    def test_a_memo_keyed_by_the_payload_alone_fails(self, monkeypatch):
+        # The mutant hands every read of one payload the step of the first
+        # low byte it met.
+        by_payload = {}
+        step = harness._fnv_step
+        monkeypatch.setattr(
+            harness, "_fnv_step", lambda low, data: by_payload.setdefault(data, step(low, data))
+        )
+        with pytest.raises(AssertionError):
+            _check_digest(REPEATED, 64, "none")
+
+    def test_reads_wider_than_a_word_are_never_stored(self, monkeypatch):
+        # 300 reads of one 17-byte payload meet some low byte twice, and
+        # wider ones reach 4,096 bytes, across words and unaligned.
+        reads = [(3, 17)] * 300 + [(0, 4096), (1, 4095), (100, 1000), (16, 32)] * 5
+        taken = _steps_taken(monkeypatch)
+        _check_digest(reads, 4200, "none")
+        assert len(taken) == len(reads)
+
+    def test_keys_past_the_cap_are_computed_every_time(self, monkeypatch):
+        # Eight narrow payloads, each read 300 times, under a cap of 3.  A
+        # payload's step permutes the low byte, so its keys recur from the
+        # first one on.
+        monkeypatch.setattr(harness, "_STEP_MEMO_CAP", 3)
+        reads = [(offset, offset + 9) for offset in range(8) for _ in range(300)]
+        taken = _steps_taken(monkeypatch)
+        keys = _check_digest(reads, 64, "picasso")
+        # The first three keys are stored and never computed again; every
+        # other read computes its step.
+        stored = list(dict.fromkeys(keys))[:3]
+        first = {key: i for i, key in reversed(list(enumerate(keys)))}
+        assert taken == [key for i, key in enumerate(keys) if key not in stored or first[key] == i]
+        assert len(taken) < len(keys)
 
 
 class TestMetricsSchema:

@@ -3,13 +3,17 @@ import pytest
 from colorcap.machine import FaultKind
 from colorcap.trace import (
     MAX_SLOTS,
+    MAX_WIDTH,
     OP_FREE,
     OP_MALLOC,
     OP_READ,
+    OP_WRITE,
     ParseError,
     format_trace,
     parse_trace,
 )
+
+OP_CODES = {"read": OP_READ, "write": OP_WRITE}
 
 
 class TestParse:
@@ -105,6 +109,17 @@ class TestParse:
             parse_trace(f"scratch r0\n{op} r0 {MAX_SLOTS}")
         assert (exc.value.line, exc.value.column) == (2, len(op) + 5)  # the slot token
         assert exc.value.reason == f"slot index {MAX_SLOTS} out of range (0..{MAX_SLOTS - 1})"
+
+    @pytest.mark.parametrize("op", ["read", "write"])
+    def test_width_bounded_by_the_spill_region(self, op):
+        # The widest scratch read, 16 bytes per slot: a width past it would
+        # walk or build a block of a large heap in host memory.
+        assert MAX_WIDTH == 16 * MAX_SLOTS == 1 << 20
+        assert list(parse_trace(f"{op} r0 8 {MAX_WIDTH}").ops) == [(OP_CODES[op], 0, 8, MAX_WIDTH)]
+        with pytest.raises(ParseError) as exc:
+            parse_trace(f"malloc r0 16\n{op} r0 8 {MAX_WIDTH + 1} !ok")
+        assert (exc.value.line, exc.value.column) == (2, len(op) + 7)  # the width token
+        assert exc.value.reason == f"width {MAX_WIDTH + 1} out of range (0..{MAX_WIDTH})"
 
     def test_hex_literals_accepted(self):
         trace = parse_trace("malloc r0 0x40")

@@ -5,7 +5,7 @@ import pytest
 
 from colorcap.harness import run_trace
 from colorcap.machine import FaultKind
-from colorcap.trace import OP_FREE, OP_MALLOC
+from colorcap.trace import MAX_WIDTH, OP_FREE, OP_MALLOC, OP_WRITE
 from colorcap.workloads import (
     SplitMix64,
     gen_churn,
@@ -102,6 +102,11 @@ class TestLocality:
         metrics = run_trace(gen_locality(29, 10, 64, 8), "picasso").metrics
         assert metrics.pvt_misses == 1  # all 29 colors share one table word
         assert metrics.faults_total == 0
+
+    def test_width_bounded_as_a_parsed_read(self):
+        assert list(gen_locality(1, 1, MAX_WIDTH, MAX_WIDTH).ops)[1] == (OP_WRITE, 0, 0, MAX_WIDTH)
+        with pytest.raises(ValueError, match=rf"^width must be in \[1, {MAX_WIDTH}\]$"):
+            gen_locality(1, 1, MAX_WIDTH + 1, MAX_WIDTH + 1)
 
 
 # SHA-256 of repr(list(trace.ops)), recorded before generators shared their
