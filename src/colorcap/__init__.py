@@ -8,18 +8,15 @@ from .capability import (
     PERM_LOAD_CAP,
     PERM_STORE,
     PERM_STORE_CAP,
-    PERM_SW_VMEM,
     PERMS_APP,
     PERMS_DATA,
     PERMS_NONE,
-    PERMS_ROOT,
     UNSEALED,
     Capability,
     CapabilityError,
     ColorOutOfRange,
     ConfigError,
     MonotonicityViolation,
-    PermissionDenied,
     RunConfig,
     SealedOperand,
     UntaggedOperand,

@@ -7,7 +7,9 @@ carry a provenance color, and a validity tag.  The permissions are a mask of
 PERM_* bits, the same byte that the packed record carries, so a subset test
 or a permission check is one `&`.  Derivation is monotonic - a child never
 exceeds its parent's bounds or permissions - and no operation in this module
-can turn an untagged capability back into a tagged one.
+can turn an untagged capability back into a tagged one.  Nothing here sets a
+color: an allocator builds each capability it hands out, color included,
+and derivation copies the parent's otype.
 
 The object type partitions into three interpretations against a threshold
 (OTYPETH): UNSEALED (-1) means an ordinary capability, values strictly
@@ -51,10 +53,6 @@ class MonotonicityViolation(CapabilityError):
     pass
 
 
-class PermissionDenied(CapabilityError):
-    pass
-
-
 class ColorOutOfRange(CapabilityError):
     pass
 
@@ -64,15 +62,12 @@ PERM_LOAD: Final = 1
 PERM_STORE: Final = 2
 PERM_LOAD_CAP: Final = 4
 PERM_STORE_CAP: Final = 8
-PERM_SW_VMEM: Final = 16
 
 PERMS_NONE: Final = 0
 PERMS_DATA: Final = PERM_LOAD | PERM_STORE
 #: What an application receives from an allocator: full data and capability
-#: access, never sw_vmem.
+#: access.
 PERMS_APP: Final = PERMS_DATA | PERM_LOAD_CAP | PERM_STORE_CAP
-#: Allocator root authority; sw_vmem gates color assignment.
-PERMS_ROOT: Final = PERMS_APP | PERM_SW_VMEM
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -118,22 +113,15 @@ NULL_CAP: Final = Capability(0, 0, 0)
 
 
 def derive(
-    parent: Capability,
-    new_base: int,
-    new_length: int,
-    new_perms: int,
-    otypeth: int,
-    color: Optional[int] = None,
+    parent: Capability, new_base: int, new_length: int, new_perms: int, otypeth: int
 ) -> Capability:
     """Derive a capability with narrowed bounds and permissions.
 
-    The child's address is placed at its new base and the otype is copied
-    from the parent, or set to `color`: assigning a provenance color needs
-    a parent holding sw_vmem, so only the trusted allocator can stamp one,
-    and an unsealed, uncolored parent; `otypeth` is the run's
+    The child's address is placed at its new base and the otype, color
+    included, is copied from the parent; `otypeth` is the run's
     `RunConfig.color_count`.  Raises UntaggedOperand / SealedOperand for
-    unusable parents, MonotonicityViolation if bounds or permissions would
-    widen, and PermissionDenied / ColorOutOfRange for a bad color.
+    unusable parents and MonotonicityViolation if bounds or permissions
+    would widen.
     """
     if not parent.tag:
         raise UntaggedOperand("cannot derive from an untagged capability")
@@ -149,14 +137,6 @@ def derive(
         )
     if new_perms & ~parent.perms:
         raise MonotonicityViolation("permissions exceed the parent's")
-    if color is not None:
-        if not parent.perms & PERM_SW_VMEM:
-            raise PermissionDenied("authorizing capability lacks sw_vmem")
-        if not 0 < color < otypeth:
-            raise ColorOutOfRange(f"color {color} not in (0, {otypeth})")
-        if otype != UNSEALED:
-            raise SealedOperand("capability already carries an otype")
-        otype = color
     return Capability(new_base, new_base, new_length, new_perms, otype, True)
 
 
@@ -191,8 +171,8 @@ def pack(cap: Capability) -> bytes:
     )
 
 
-def unpack(data: bytes, tag: bool = False) -> Capability:
-    """Rebuild a capability from its packed image.
+def unpack(data: bytes) -> Capability:
+    """Rebuild an untagged capability from its packed image.
 
     Used for untagged words only (the all-ones otype byte reads back as
     UNSEALED); tagged words are reconstructed from the exact stored value.
@@ -208,7 +188,6 @@ def unpack(data: bytes, tag: bool = False) -> Capability:
         length=length,
         perms=data[14],
         otype=UNSEALED if data[15] == 0xFF else data[15],
-        tag=tag,
     )
 
 

@@ -7,8 +7,8 @@ free block that fits, frees coalesce with both neighbors, and allocation is at
 two parallel int lists of bases and sizes with the bucket's first base and
 largest size alongside, so first-fit skips whole buckets: an alloc or free
 costs O(buckets + bucket size), not O(free blocks).  `HeapScheme` owns one
-heap, its root capability, the live map and the counters the harness harvests;
-schemes layer their own bookkeeping (colors, quarantine, versions) on top.
+heap, the live map and the counters the harness harvests; schemes layer their
+own bookkeeping (colors, quarantine, versions) on top.
 
 Every sweep is one `RevocationJob`, which `HeapScheme` starts, advances and
 finalizes; a sweeping scheme supplies only `_freeze`, which takes its
@@ -28,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Final, Optional
 
-from .capability import PERM_LOAD, PERM_STORE, PERMS_APP, PERMS_ROOT, UNSEALED, Capability, derive
+from .capability import PERM_LOAD, PERM_STORE, PERMS_APP, UNSEALED, Capability
 
 if TYPE_CHECKING:
     from .machine import FaultKind, TaggedMachine
@@ -187,25 +187,17 @@ class RevocationJob:
 
 
 class HeapScheme:
-    """What `run_trace` drives: a heap, its root capability, the live map,
-    the counters harvested into `Metrics`, and the allocator calls.
-    `malloc` hands out plain narrowed capabilities; `load` and `store` call
-    the machine's `check_access`, then copy with `read_bytes`/`write_bytes`
-    directly.  Each scheme supplies its own `free`."""
+    """What `run_trace` drives: a heap, the live map, the counters harvested
+    into `Metrics`, and the allocator calls.  `malloc` advances the sweep in
+    flight, if any, and builds an unsealed capability to exactly the carved
+    block; `load` and `store` call the machine's `check_access`, then copy
+    with `read_bytes`/`write_bytes` directly.  Each scheme supplies its own
+    `free`."""
 
     def __init__(self, machine: TaggedMachine) -> None:
         config = machine.config
         self.machine = machine
         self.heap = FreeListHeap(config.heap_base, config.heap_size)
-        self.root = Capability(
-            address=config.heap_base,
-            base=config.heap_base,
-            length=config.heap_size,
-            perms=PERMS_ROOT,
-            otype=UNSEALED,
-            tag=True,
-        )
-        self._color_count = config.color_count  # the otype threshold
         self.live: dict = {}  # base -> the scheme's allocation record
         self.allocations = 0
         self.frees = 0
@@ -290,9 +282,11 @@ class HeapScheme:
         self._sample()
 
     def malloc(self, size: int) -> Capability:
+        if self.job is not None:
+            self._advance(self.sweep_window)
         base, block = self._carve(size)
         self.live[base] = block
-        return derive(self.root, base, block, PERMS_APP, self._color_count)
+        return Capability(base, base, block, PERMS_APP, UNSEALED, True)
 
     def free(self, cap: Capability) -> Optional[FaultKind]:
         raise NotImplementedError

@@ -1,10 +1,10 @@
 """Malloc revocation shim: color lifecycle, double-free detection, and
 revocation sweeps over the tagged machine.
 
-The shim claims the lowest free color before it carves a block, stamps it
-onto the capability with the shim's sw_vmem authority, and hands that out
-without the authority.  Free retracts the color's provenance-validity bit,
-which also detects double frees, and returns the block to the heap at once.
+The shim claims the lowest free color before it carves a block, and hands
+out a capability to exactly that block with the color as its otype.  Free
+retracts the color's provenance-validity bit, which also detects double
+frees, and returns the block to the heap at once.
 The PVT is the only record of retracted colors; the shim counts them
 (`pending`).  A sweep starts only at `malloc`'s threshold test: a color is
 pending, no sweep is in flight, and fewer colors are unclaimed than the
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 
-from .capability import PERMS_APP, Capability, derive
+from .capability import PERMS_APP, Capability
 from .heap import HeapScheme, OutOfMemory
 from .machine import FaultKind, TaggedMachine
 from .unr import Exhausted, UnrState
@@ -53,12 +53,15 @@ def color_selector(targets: bytearray):
 
 
 class MallocRevocationShim(HeapScheme):
-    """The heap scheme plus colors: `live` maps base -> (size, color), and
-    nothing is ever quarantined."""
+    """The heap scheme plus colors, driven as the picasso scheme: `live`
+    maps base -> (size, color), and nothing is ever quarantined."""
+
+    name = "picasso"
 
     def __init__(self, machine: TaggedMachine) -> None:
         super().__init__(machine)
         config = machine.config
+        self._color_count = config.color_count  # the otype threshold
         self.pool = config.color_count - 1  # color 0 is reserved
         self.unr = UnrState(self.pool)
         self.threshold_count = math.ceil(config.threshold_fraction * self.pool)
@@ -113,9 +116,8 @@ class MallocRevocationShim(HeapScheme):
         except OutOfMemory:
             unr.free_one(color)
             raise
-        cap = derive(self.root, base, block, PERMS_APP, self._color_count, color)
         self.live[base] = (block, color)
-        return cap
+        return Capability(base, base, block, PERMS_APP, color, True)
 
     # -- free --------------------------------------------------------------
 

@@ -1,10 +1,11 @@
 """Comparison allocators over the shared tagged machine.
 
 All five schemes build on `heap.HeapScheme`, which sets up the heap, the
-root capability, the live map and the counters the harness harvests, so
-they differ only in what free does and how a stale capability is caught.
-Picasso is the malloc revocation shim itself; cornucopia (both variants)
-and versioning's fallback share one quarantine component,
+live map and the counters the harness harvests, so they differ only in the
+otype malloc stamps, what free does and how a stale capability is caught.
+Picasso is the malloc revocation shim itself, `PicassoScheme` a second name
+for it; none and cornucopia (both variants) share `HeapScheme.malloc`, and
+cornucopia and versioning's fallback share one quarantine component,
 `_QuarantineScheme`.  Every sweep is the one revocation job of
 `heap.HeapScheme`, with its window (`RunConfig.sweep_window`): picasso's
 selector dooms its target colors, the quarantine's, `quarantine_selector`,
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .capability import PERM_LOAD, PERM_STORE, PERMS_APP, UNSEALED, Capability, ConfigError, derive
+from .capability import PERM_LOAD, PERM_STORE, PERMS_APP, UNSEALED, Capability, ConfigError
 from .heap import HeapScheme
 from .machine import FaultKind, TaggedMachine
 from .mrs import MallocRevocationShim
@@ -65,11 +66,7 @@ def quarantine_selector(blocks: list[tuple[int, int]]):
     ]
 
 
-class PicassoScheme(MallocRevocationShim):
-    """The malloc revocation shim driven as a scheme, with its own `malloc`
-    and `free`.  Retraction replaces quarantine: nothing is quarantined."""
-
-    name = "picasso"
+PicassoScheme = MallocRevocationShim
 
 
 class _QuarantineScheme(HeapScheme):
@@ -85,13 +82,6 @@ class _QuarantineScheme(HeapScheme):
         super().__init__(machine)
         self.quarantine_fraction = machine.config.quarantine_fraction
         self.quarantine: list[tuple[int, int]] = []  # disjoint, in free order
-
-    def malloc(self, size: int) -> Capability:
-        if self.job is not None:
-            self._advance(self.sweep_window)
-        base, block = self._carve(size)
-        self.live[base] = block
-        return derive(self.root, base, block, PERMS_APP, self._color_count)
 
     def _quarantine(self, base: int, size: int) -> None:
         """Hold a freed block back; sweep at once under `revoke_on_free`, else
@@ -202,7 +192,6 @@ class VersioningScheme(_QuarantineScheme):
 
     def __init__(self, machine: TaggedMachine) -> None:
         super().__init__(machine)
-        self.exhaustion_fallback = machine.config.versioning_fallback
         self.heap_base = machine.config.heap_base
         self.versions = bytearray()
 
@@ -220,8 +209,7 @@ class VersioningScheme(_QuarantineScheme):
         # the allocation must present one version, so propagate the first.
         versions[lo:hi] = _FILL[version] * n
         self.live[base] = block
-        # The version rides in the otype directly; version 0 is legitimate
-        # here, so the color-assignment path (which reserves 0) is bypassed.
+        # The version rides in the otype; unlike a color, it may be 0.
         return Capability(base, base, block, PERMS_APP, version, True)
 
     def free(self, cap):
@@ -250,7 +238,7 @@ class VersioningScheme(_QuarantineScheme):
         del self.live[cap.base]
         self.live_bytes -= size
         self.frees += 1
-        if wrapped and self.exhaustion_fallback:
+        if wrapped and self.machine.config.versioning_fallback:
             self._quarantine(cap.base, size)
         else:
             self.heap.free(cap.base, size)

@@ -9,13 +9,10 @@ from colorcap.capability import (
     PERMS_APP,
     PERMS_DATA,
     PERMS_NONE,
-    PERMS_ROOT,
     UNSEALED,
     Capability,
-    ColorOutOfRange,
     ConfigError,
     MonotonicityViolation,
-    PermissionDenied,
     RunConfig,
     SealedOperand,
     UntaggedOperand,
@@ -109,56 +106,6 @@ class TestDerive:
         assert child.otype == 7
 
 
-class TestDeriveColor:
-    """Coloring is a derivation: `derive(..., OTYPETH, color=...)` from the allocator's
-    sw_vmem authority."""
-
-    def test_smallest_valid_color(self):
-        auth = cap(perms=PERMS_ROOT)
-        colored = derive(auth, 0x1000, 0x100, PERMS_APP, OTYPETH, color=1)
-        assert colored.otype == 1
-        assert colored.otype < OTYPETH
-
-    def test_requires_sw_vmem(self):
-        # Only the trusted allocator may assign provenance identifiers.
-        auth = cap(perms=PERMS_APP)
-        with pytest.raises(PermissionDenied):
-            derive(auth, 0x1000, 0x100, PERMS_APP, OTYPETH, color=1)
-
-    def test_color_range_boundaries(self):
-        auth = cap(perms=PERMS_ROOT)
-        with pytest.raises(ColorOutOfRange):
-            derive(auth, 0x1000, 0x100, PERMS_APP, OTYPETH, color=0)
-        with pytest.raises(ColorOutOfRange):
-            derive(auth, 0x1000, 0x100, PERMS_APP, OTYPETH, color=OTYPETH)
-
-    def test_recolor_rejected(self):
-        auth = cap(perms=PERMS_ROOT)
-        once = derive(auth, 0x1000, 0x100, PERMS_ROOT, OTYPETH, color=5)
-        with pytest.raises(SealedOperand):
-            derive(once, 0x1000, 0x100, PERMS_APP, OTYPETH, color=6)
-
-    def test_untagged_operands(self):
-        auth = cap(perms=PERMS_ROOT)
-        with pytest.raises(UntaggedOperand):
-            derive(cap(perms=PERMS_ROOT, tag=False), 0x1000, 0x100, PERMS_APP, OTYPETH, color=1)
-        with pytest.raises(UntaggedOperand):
-            derive(clear_tag(auth), 0x1000, 0x100, PERMS_APP, OTYPETH, color=1)
-
-    def test_only_otype_changes(self):
-        auth = cap(perms=PERMS_ROOT)
-        before = derive(auth, 0x1040, 0x20, PERMS_DATA, OTYPETH)
-        after = derive(auth, 0x1040, 0x20, PERMS_DATA, OTYPETH, color=9)
-        assert (after.address, after.base, after.length) == (
-            before.address,
-            before.base,
-            before.length,
-        )
-        assert after.perms == before.perms
-        assert after.tag == before.tag
-        assert (before.otype, after.otype) == (UNSEALED, 9)
-
-
 class TestClearTag:
     def test_fields_preserved(self):
         before = cap(otype=3)
@@ -188,7 +135,7 @@ def widens(child: int, parent: int) -> bool:
 class TestMonotonicityChains:
     @given(st.data())
     def test_random_derivation_chain(self, data):
-        current = Capability(0x1000, 0x1000, 0x1000, PERMS_ROOT, UNSEALED, True)
+        current = Capability(0x1000, 0x1000, 0x1000, 0b11111, UNSEALED, True)
         for _ in range(data.draw(st.integers(1, 8))):
             lo = data.draw(st.integers(0, current.length))
             hi = data.draw(st.integers(lo, current.length))
@@ -218,11 +165,11 @@ class TestMonotonicityChains:
 class TestPacking:
     def test_round_trip_small_color(self):
         original = Capability(0x1040, 0x1000, 0x80, PERMS_APP, 17, True)
-        assert unpack(pack(original), tag=True) == original
+        assert unpack(pack(original)) == clear_tag(original)
 
     def test_unsealed_round_trip(self):
         original = cap(perms=PERMS_DATA)
-        assert unpack(pack(original), tag=True) == original
+        assert unpack(pack(original)) == clear_tag(original)
 
     def test_every_mask_round_trips(self):
         for perms in range(32):

@@ -5,7 +5,6 @@ import tracemalloc
 import pytest
 
 from colorcap.capability import (
-    PERM_SW_VMEM,
     PERMS_APP,
     UNSEALED,
     Capability,
@@ -48,7 +47,7 @@ class TestMalloc:
         assert cap.length == 32
         assert cap.base == mrs.machine.config.heap_base
         assert cap.tag
-        assert not cap.perms & PERM_SW_VMEM
+        assert cap.perms == PERMS_APP
 
     def test_size_rounds_to_granule(self):
         _, mrs = make()
@@ -124,8 +123,9 @@ class TestRetraction:
     the bench wraps."""
 
     def test_bench_names_are_the_scheme_functions(self):
-        assert PicassoScheme.malloc is MallocRevocationShim.m_malloc
-        assert PicassoScheme.free is MallocRevocationShim.m_free
+        assert PicassoScheme is MallocRevocationShim
+        assert MallocRevocationShim.malloc is MallocRevocationShim.m_malloc
+        assert MallocRevocationShim.free is MallocRevocationShim.m_free
 
     def test_free_sets_exactly_its_bit_and_invalidates_once(self):
         machine, mrs = make()

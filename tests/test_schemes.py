@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from colorcap.capability import ConfigError, derive
+from colorcap.capability import PERMS_APP, UNSEALED, ConfigError, derive
 from colorcap.harness import RunConfig, run_trace
 from colorcap.heap import OutOfMemory
 from colorcap.machine import FaultKind, TaggedMachine
@@ -19,12 +19,35 @@ from colorcap.schemes import (
     make_scheme,
 )
 from colorcap.workloads import gen_churn
+from helpers import claimed_ids, oracle_min_free
 
 
 def machine(**kw):
     kw.setdefault("color_bits", 10)
     kw.setdefault("heap_size", 0x40000)
     return TaggedMachine(RunConfig(**kw))
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_malloc_builds_the_capability_it_hands_out(name):
+    # Every allocator builds its capability itself: tagged, addressed at its
+    # base, bounded to the block, with the application's permissions and the
+    # otype its scheme stamps.  The block freed first leaves picasso's color
+    # retracted and versioning's granules one version on.
+    scheme = make_scheme(name, machine())
+    assert scheme.free(scheme.malloc(40)) is None
+    if name == "picasso":
+        expected = oracle_min_free(claimed_ids(scheme.unr), scheme.pool)
+    cap = scheme.malloc(40)
+    assert cap.tag
+    assert cap.address == cap.base
+    assert cap.length == 48
+    assert cap.perms == PERMS_APP
+    if name == "versioning":
+        expected = scheme.versions[(cap.base - scheme.heap_base) >> 4]
+    elif name != "picasso":
+        expected = UNSEALED
+    assert cap.otype == expected
 
 
 class TestCornucopia:
@@ -451,4 +474,3 @@ class TestFactory:
             corn = make_scheme(name, TaggedMachine(config))
             assert corn.name == name
             assert corn.quarantine_fraction == 0.5
-        assert make_scheme("versioning", TaggedMachine(config)).exhaustion_fallback is False
