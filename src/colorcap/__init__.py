@@ -13,13 +13,10 @@ from .capability import (
     PERMS_NONE,
     UNSEALED,
     Capability,
-    CapabilityError,
     ColorOutOfRange,
     ConfigError,
-    MonotonicityViolation,
+    FaultKind,
     RunConfig,
-    SealedOperand,
-    UntaggedOperand,
     clear_tag,
     derive,
     pack,
@@ -33,7 +30,7 @@ from .harness import (
     run_trace,
 )
 from .heap import FreeListHeap, HeapScheme, OutOfMemory, RevocationJob
-from .machine import FaultKind, NUM_REGISTERS, PvtBuffer, TaggedMachine
+from .machine import NUM_REGISTERS, PvtBuffer, TaggedMachine
 from .mrs import MallocRevocationShim, PoolExhausted
 from .schemes import SCHEME_NAMES, make_scheme
 from .trace import ParseError, Trace, parse_trace, format_trace

@@ -4,12 +4,13 @@ threshold rule.
 A capability is the unit of authority in the simulated machine: an address,
 exact (base, length) bounds, permissions, an object-type field that can
 carry a provenance color, and a validity tag.  The permissions are a mask of
-PERM_* bits, the same byte that the packed record carries, so a subset test
-or a permission check is one `&`.  Derivation is monotonic - a child never
-exceeds its parent's bounds or permissions - and no operation in this module
-can turn an untagged capability back into a tagged one.  Nothing here sets a
-color: an allocator builds each capability it hands out, color included,
-and derivation copies the parent's otype.
+PERM_* bits, the same byte that the packed record carries, so a permission
+check is one `&`.  `derive` narrows only the base: the child keeps its
+parent's top, perms and otype, so it never exceeds its parent.  Like every
+checked op it returns its fault, a `FaultKind` member, rather than raising
+it, and no operation in this module can turn an untagged capability back
+into a tagged one.  Nothing here sets a color: an allocator builds each
+capability it hands out, color included.
 
 The object type partitions into three interpretations against a threshold
 (OTYPETH): UNSEALED (-1) means an ordinary capability, values strictly
@@ -27,6 +28,7 @@ and its default, written once, and the geometry derived from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import ClassVar, Final, Optional
 
 COLOR_BITS_DEFAULT: Final = 21
@@ -37,24 +39,20 @@ CAPABILITY_WIDTH: Final = 16  # bytes occupied by one capability record
 UNSEALED: Final = -1
 
 
-class CapabilityError(Exception):
-    """A capability-manipulation rule was violated."""
-
-
-class UntaggedOperand(CapabilityError):
+class ColorOutOfRange(Exception):
     pass
 
 
-class SealedOperand(CapabilityError):
-    pass
+class FaultKind(str, Enum):
+    """An architectural fault, returned (never raised) by checked ops."""
 
-
-class MonotonicityViolation(CapabilityError):
-    pass
-
-
-class ColorOutOfRange(CapabilityError):
-    pass
+    SPATIAL_OUT_OF_BOUNDS = "SpatialOutOfBounds"
+    UNTAGGED_OPERAND = "UntaggedOperand"
+    PERMISSION_DENIED = "PermissionDenied"
+    PROVENANCE_RETRACTED = "ProvenanceRetracted"
+    SEALED_DEREFERENCE = "SealedDereference"
+    MALFORMED_FREE = "MalformedFree"
+    DOUBLE_FREE = "DoubleFree"
 
 
 #: Permission bits, in the packed record's perms byte.
@@ -112,32 +110,18 @@ _set_address, _set_base, _set_length, _set_perms, _set_otype, _set_tag = (
 NULL_CAP: Final = Capability(0, 0, 0)
 
 
-def derive(
-    parent: Capability, new_base: int, new_length: int, new_perms: int, otypeth: int
-) -> Capability:
-    """Derive a capability with narrowed bounds and permissions.
-
-    The child's address is placed at its new base and the otype, color
-    included, is copied from the parent; `otypeth` is the run's
-    `RunConfig.color_count`.  Raises UntaggedOperand / SealedOperand for
-    unusable parents and MonotonicityViolation if bounds or permissions
-    would widen.
-    """
+def derive(parent: Capability, offset: int, otypeth: int) -> Capability | FaultKind:
+    """The capability to [parent.base + offset, parent's top), with the
+    parent's perms and otype, color included, and its address at its base;
+    or the fault.  `otypeth` is the run's `RunConfig.color_count`."""
     if not parent.tag:
-        raise UntaggedOperand("cannot derive from an untagged capability")
-    otype = parent.otype
-    if otype >= otypeth:
-        raise SealedOperand("cannot derive from a sealed capability")
-    base = parent.base
-    top = base + parent.length
-    if new_length < 0 or new_base < base or new_base + new_length > top:
-        raise MonotonicityViolation(
-            f"bounds [{new_base:#x},{new_base + new_length:#x}) exceed "
-            f"[{base:#x},{top:#x})"
-        )
-    if new_perms & ~parent.perms:
-        raise MonotonicityViolation("permissions exceed the parent's")
-    return Capability(new_base, new_base, new_length, new_perms, otype, True)
+        return FaultKind.UNTAGGED_OPERAND
+    if parent.otype >= otypeth:
+        return FaultKind.SEALED_DEREFERENCE
+    if not 0 <= offset <= parent.length:
+        return FaultKind.SPATIAL_OUT_OF_BOUNDS
+    base = parent.base + offset
+    return Capability(base, base, parent.length - offset, parent.perms, parent.otype, True)
 
 
 def clear_tag(cap: Capability) -> Capability:

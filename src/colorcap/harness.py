@@ -4,13 +4,15 @@ metrics.
 
 The oracle is state in the replay loop: a binding per register and per
 spill slot (allocation id * 2, bit 0 set for an interior capability, or
-the scratch binding) plus the set of live ids.  It rules every access and
-free temporally legal or violating without consulting the scheme, which
-makes escape and false-positive counts meaningful: an escape is a
-violating operation the scheme let through, a false positive is a legal
-operation it faulted.  A fault is recorded once, by op index; the fault
-histogram, the expectation mismatches and the per-op outcomes are built
-from that record after the loop.
+the scratch binding) plus the set of live ids.  A faulting derive or
+reload leaves NULL_CAP in its register and unbinds it, as an empty
+register is.  The oracle rules every access and free temporally legal or
+violating without consulting the scheme, which makes escape and
+false-positive counts meaningful: an escape is a violating operation the
+scheme let through, a false positive is a legal operation it faulted.  A
+fault is recorded once, by op index; the fault histogram, the expectation
+mismatches and the per-op outcomes are built from that record after the
+loop.
 
 run_trace is a pure function of (trace, scheme, config): identical inputs
 produce identical metrics and outcome sequences.  Its data digest is FNV-1a
@@ -30,10 +32,8 @@ from .capability import (
     PERMS_APP,
     UNSEALED,
     Capability,
-    CapabilityError,
     ConfigError,
     RunConfig,
-    UntaggedOperand,
     derive,
 )
 from .machine import NUM_REGISTERS, FaultKind, TaggedMachine
@@ -117,7 +117,7 @@ def _fill_bytes(index: int, width: int, cap: Capability) -> bytes:
     A write wider than its capability's length fails the bounds check at
     any width, and every check before that one ignores the width.  So past
     256 bytes at most `cap.length + 1` bytes are built, one for an empty
-    register's NULL_CAP, whose write faults UntaggedOperand before it touches
+    register's NULL_CAP, whose write faults UNTAGGED_OPERAND before it touches
     memory: the write faults exactly as it would with the full payload.
     A negative width builds `cap.length + 1` bytes too, so the write fails
     the bounds check as a read of that width does.
@@ -235,30 +235,24 @@ def run_trace(
                 result = load_cap(scratch_auth, b * 16)
                 if type(result) is FaultKind:
                     faults[index] = result
-                    result = NULL_CAP
-                regs[a] = result
-                bound[a] = slots.get(b)
+                    regs[a], bound[a] = NULL_CAP, None
+                else:
+                    regs[a], bound[a] = result, slots.get(b)
                 continue
             elif code == OP_COPY:
                 regs[a] = regs[b]
                 bound[a] = bound[b]
                 continue
             elif code == OP_DERIVE:
-                parent = regs[b]
-                try:
-                    regs[a] = derive(
-                        parent, parent.base + c, parent.length - c, parent.perms, otypeth
-                    )
-                except UntaggedOperand:
-                    faults[index] = FaultKind.UNTAGGED_OPERAND
-                    regs[a] = NULL_CAP
-                except CapabilityError:
-                    faults[index] = FaultKind.SPATIAL_OUT_OF_BOUNDS
-                    regs[a] = NULL_CAP
+                result = derive(regs[b], c, otypeth)
+                if type(result) is FaultKind:
+                    faults[index] = result
+                    regs[a], bound[a] = NULL_CAP, None
+                    continue
                 binding = bound[b]
                 if binding is not None and binding != _SCRATCH_BINDING and c > 0:
                     binding |= 1  # interior: freeing it is malformed
-                bound[a] = binding
+                regs[a], bound[a] = result, binding
                 continue
             elif code == OP_SCRATCH:
                 regs[a] = scratch_auth

@@ -9,9 +9,10 @@ non-capability write to a word clears its tag; a read or write inside one
 word takes one dict probe and one slice or splice.  A sweep clears the
 tags that one selector call picks out of the tagged words and registers.
 
-Checked accesses return faults rather than raise them: a fault is its
-`FaultKind` member, success is None.  `check_access` takes the PERM_* bit
-that the access needs, so its permission check is one `&`.
+Every checked op, `capability.derive` included, returns its fault rather
+than raising it: a fault is its `FaultKind` member, and a successful access
+returns None.  `check_access` takes the PERM_* bit that the access needs,
+so its permission check is one `&`.
 
 The provenance-validity table (PVT) holds one bit per color; bit = 1 means
 the color has been retracted and every dereference through a capability of
@@ -27,7 +28,6 @@ PVB_SETS`: the same words would share a set, so no count would move.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Callable, Final, Iterable, Optional
 
 from .capability import (
@@ -37,6 +37,7 @@ from .capability import (
     PERM_STORE_CAP,
     Capability,
     ColorOutOfRange,
+    FaultKind,
     RunConfig,
     clear_tag,
     pack,
@@ -44,20 +45,6 @@ from .capability import (
 )
 
 NUM_REGISTERS: Final = 32
-
-
-class FaultKind(str, Enum):
-    """An architectural fault, returned (never raised) by checked accesses."""
-
-    SPATIAL_OUT_OF_BOUNDS = "SpatialOutOfBounds"
-    UNTAGGED_OPERAND = "UntaggedOperand"
-    PERMISSION_DENIED = "PermissionDenied"
-    PROVENANCE_RETRACTED = "ProvenanceRetracted"
-    SEALED_DEREFERENCE = "SealedDereference"
-    MALFORMED_FREE = "MalformedFree"
-    DOUBLE_FREE = "DoubleFree"
-
-
 _ZERO_WORD: Final = bytes(16)
 PVB_SETS: Final = 16
 PVB_WAYS: Final = 4

@@ -197,6 +197,28 @@ class TestRunTrace:
         assert metrics.uaf_escapes == 0
         assert metrics.oracle_violations == 0
 
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    @pytest.mark.parametrize(
+        "trace",
+        # A derive past its parent's length; and a reload of slot 5 of a
+        # 1-slot trace, after a spill there that faulted too.
+        [parse_trace("malloc r0 32\nderive r1 r0 48\nread r1 0 8\n"),
+         Trace(ops=[(OP_MALLOC, 0, 32, 0), (OP_SPILL, 0, 5, 0), (OP_RELOAD, 1, 5, 0),
+                    (OP_READ, 1, 0, 8)], slots=1)],
+        ids=["derive", "reload"],
+    )
+    def test_faulting_derive_or_reload_unbinds_its_register(self, scheme, trace):
+        # The register holds NULL_CAP, as an empty register does: the read
+        # through it faults, and the oracle calls it a violation, not a
+        # false positive against the live allocation.
+        result = run_trace(trace, scheme, collect_outcomes=True)
+        spatial, untagged = FaultKind.SPATIAL_OUT_OF_BOUNDS, FaultKind.UNTAGGED_OPERAND
+        assert result.outcomes == [None] + [spatial] * (len(trace.ops) - 2) + [untagged]
+        metrics = result.metrics
+        assert (metrics.oracle_violations, metrics.uaf_escapes, metrics.false_positives) == (
+            1, 0, 0
+        )
+
     def test_parse_and_run_round_trip(self):
         trace = parse_trace(
             "malloc r0 64\nwrite r0 0 8\nfree r0\nread r0 0 8 !fault=ProvenanceRetracted\n"

@@ -153,6 +153,14 @@ _READ_PAST_A_LIVE_BLOCK = Trace(
     name="property",
 )
 
+# A derive 16 bytes past a live block's end faults and leaves r1 unbound:
+# the read through it is a violation, not a false positive.
+_DERIVE_PAST_A_LIVE_BLOCK = Trace(
+    ops=[(OP_MALLOC, 0, 32, 0), (OP_DERIVE, 1, 0, 48), (OP_READ, 1, 0, 8)],
+    slots=SLOTS,
+    name="property",
+)
+
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
@@ -164,6 +172,7 @@ _READ_PAST_A_LIVE_BLOCK = Trace(
 @example(trace=_overwritten_spill_slot(4), threshold=0.5)
 @example(trace=_overwritten_spill_slot(0), threshold=0.5)
 @example(trace=_READ_PAST_A_LIVE_BLOCK, threshold=0.5)
+@example(trace=_DERIVE_PAST_A_LIVE_BLOCK, threshold=0.5)
 def test_picasso_matches_the_oracle(trace, threshold):
     config = RunConfig(color_bits=7, threshold_fraction=threshold)
     with validated_sweeps(), reissue_checked():

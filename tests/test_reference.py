@@ -117,6 +117,9 @@ _HEAP_TOP = ["malloc r0 16", "malloc r1 16", "free r0", "derive r2 r1 16", "free
 # r1 is at version 1, so freeing r2 is a double free.
 _CARVED_TOP = ["malloc r0 16", "malloc r1 16", "free r1", "malloc r1 16", "derive r2 r1 16",
                "free r2", "read r2 0 0"]
+# A derive past its parent's top faults and unbinds r1, so the read through
+# it is a violation under every scheme, not a false positive.
+_DERIVE_PAST_THE_TOP = ["malloc r0 32", "derive r1 r0 48", "read r1 0 8"]
 # Freed granules 0..2 coalesce with the never-carved rest, and r2's block
 # runs one granule past the table's end; all four take granule 0's version.
 _PAST_THE_END = ["malloc r0 16", "malloc r1 32", "free r0", "free r1", "malloc r2 64",
@@ -177,6 +180,7 @@ configs = st.builds(
 @example(**pinned(_HEAP_TOP, 32))
 @example(**pinned(_CARVED_TOP, 1024))
 @example(**pinned(_PAST_THE_END, 1024))
+@example(**pinned(_DERIVE_PAST_THE_TOP, 1024))
 @example(**pinned(_CHECKERBOARD + _PLACED, 32 * _FREED))
 @example(**pinned(_CHECKERBOARD + _BRIDGE + _PLACED, 32 * _FREED))
 @example(**pinned(_LONE_BUCKET, 80))

@@ -4,7 +4,7 @@ from unittest import mock
 
 import pytest
 
-from colorcap.capability import PERMS_APP, UNSEALED, ConfigError, derive
+from colorcap.capability import PERMS_APP, UNSEALED, Capability, ConfigError
 from colorcap.harness import RunConfig, run_trace
 from colorcap.heap import OutOfMemory
 from colorcap.machine import FaultKind, TaggedMachine
@@ -106,7 +106,7 @@ class TestCornucopia:
         corn = CornucopiaScheme(m)
         auth = corn.malloc(64)
         cap = corn.malloc(64)
-        empty = derive(cap, cap.base, 0, cap.perms, m.config.color_count)
+        empty = Capability(cap.base, cap.base, 0, cap.perms, cap.otype, True)
         assert m.store_cap(auth, 0, cap) is None
         assert m.store_cap(auth, 16, empty) is None
         m.regs[3] = cap
@@ -138,8 +138,6 @@ class TestCornucopia:
         m = machine()
         corn = CornucopiaScheme(m)
         cap = corn.malloc(64)
-        from colorcap.capability import UNSEALED, Capability
-
         interior = Capability(cap.base + 16, cap.base + 16, 16, cap.perms, UNSEALED, True)
         assert corn.free(interior) is FaultKind.MALFORMED_FREE
         untagged = Capability(cap.base, cap.base, 64, cap.perms, UNSEALED, False)
@@ -148,7 +146,7 @@ class TestCornucopia:
     def test_interior_free_of_quarantined_block_is_double_free(self):
         corn = CornucopiaScheme(machine())
         cap = corn.malloc(64)
-        interior = derive(cap, cap.base + 16, 48, cap.perms, corn.machine.config.color_count)
+        interior = Capability(cap.base + 16, cap.base + 16, 48, cap.perms, cap.otype, True)
         assert corn.free(interior) is FaultKind.MALFORMED_FREE  # block live
         assert corn.free(cap) is None
         assert corn.free(interior) is FaultKind.DOUBLE_FREE
@@ -159,7 +157,7 @@ class TestCornucopia:
         b = corn.malloc(64)
         assert b.base == a.base + 64
         assert corn.free(b) is None
-        empty = derive(a, a.base + 64, 0, a.perms, corn.machine.config.color_count)
+        empty = Capability(a.base + 64, a.base + 64, 0, a.perms, a.otype, True)
         assert corn.free(empty) is FaultKind.DOUBLE_FREE
         assert corn.live == {a.base: 64}
 
@@ -241,8 +239,6 @@ class TestVersioning:
         assert ver.free(cap) is FaultKind.DOUBLE_FREE
 
     def test_free_uncolored_or_interior(self):
-        from colorcap.capability import Capability, PERMS_APP, UNSEALED
-
         m = machine()
         ver = VersioningScheme(m)
         cap = ver.malloc(64)
