@@ -187,9 +187,9 @@ class RunConfig:
     Defaults: 21 color bits (a 256 KiB provenance-validity table, and an
     otype threshold of color_count, so every otype from 2**color_bits up
     is sealed), a 1% revocation threshold, a 1/4 quarantine limit, a 1 MiB
-    heap, the PVT buffer on, sweeps to completion at their trigger, and
-    versioning's quarantine fallback on.  The heap starts at `heap_base`
-    and the harness's capability scratch region follows it.
+    heap, sweeps to completion at their trigger, and versioning's
+    quarantine fallback on.  The heap starts at `heap_base` and the
+    harness's capability scratch region follows it.
     """
 
     heap_base: ClassVar[int] = 0x0001_0000
@@ -198,7 +198,6 @@ class RunConfig:
     threshold_fraction: float = 0.01
     quarantine_fraction: float = 0.25
     heap_size: int = 1 << 20
-    pvt_buffer: bool = True
     sweep_window: Optional[int] = None  # tagged words a sweep scans per malloc; None: all at once
     versioning_fallback: bool = True
 

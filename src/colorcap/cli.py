@@ -111,7 +111,6 @@ def _config_from(args) -> RunConfig:
         threshold_fraction=args.threshold_fraction,
         quarantine_fraction=args.quarantine_fraction,
         heap_size=args.heap_size,
-        pvt_buffer=args.pvt_buffer == "on",
         sweep_window=_sweep_window(args.sweep),
     )
     config.validate()
@@ -210,8 +209,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default=RunConfig.quarantine_fraction, dest="quarantine_fraction",
                         help="quarantine limit as a fraction of allocated bytes")
     parser.add_argument("--heap-size", type=int, default=RunConfig.heap_size, dest="heap_size")
-    parser.add_argument("--pvt-buffer", choices=("on", "off"), default="on",
-                        dest="pvt_buffer")
     parser.add_argument("--sweep", default="sync", help="`sync` or `windowed:<words per malloc>`"
                         " for every sweep; cornucopia-rof always sweeps at once")
     parser.add_argument("--seed", type=int, default=0)

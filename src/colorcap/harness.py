@@ -227,8 +227,9 @@ def run_trace(
                     live.discard(binding >> 1)
             elif code == OP_SPILL:
                 outcome = store_cap(scratch_auth, b * 16, regs[a])
-                if outcome is not None:
+                if outcome is not None:  # nothing stored: the slot keeps its binding
                     faults[index] = outcome
+                    continue
                 slots[b] = bound[a]
                 continue
             elif code == OP_RELOAD:
@@ -304,10 +305,10 @@ def run_trace(
         peak_quarantine_bytes=adapter.peak_quarantine_bytes,
         peak_unr_bytes=adapter.peak_unr_bytes,
         pvt_bytes=adapter.pvt_bytes,
-        pvt_lookups=machine.pvt_lookups,
-        pvt_hits=buffer.hits if buffer else 0,
-        pvt_misses=buffer.misses if buffer else 0,
-        pvt_invalidations=buffer.invalidations if buffer else 0,
+        pvt_lookups=buffer.hits + buffer.misses,  # one hit or miss per lookup
+        pvt_hits=buffer.hits,
+        pvt_misses=buffer.misses,
+        pvt_invalidations=buffer.invalidations,
         data_digest=f"{digest:016x}",
     )
     for kind, count in Counter(faults.values()).items():

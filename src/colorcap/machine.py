@@ -18,12 +18,13 @@ The provenance-validity table (PVT) holds one bit per color; bit = 1 means
 the color has been retracted and every dereference through a capability of
 that color faults.  `check_access` does that check inline, reading the
 table through a small set-associative buffer of 128-bit table words,
-invalidated (one counter bump) whenever a table bit actually changes, which
-keeps the buffer transparent: enabling or disabling it can never change
-fault behavior, only the hit/miss counters.  The buffer is keyed by
-table-word index (color >> 7).  Keyed by a 16-byte-aligned address, the
-set `((base >> 4) + word) % PVB_SETS` would be a fixed rotation of `word %
-PVB_SETS`: the same words would share a set, so no count would move.
+invalidated (one counter bump) whenever a table bit actually changes.  The
+buffer is transparent: a lookup only decides hit or miss, and the bit always
+comes from the table, so the buffer moves the hit/miss counters and never a
+fault.  The buffer is keyed by table-word index (color >> 7).  Keyed by a
+16-byte-aligned address, the set `((base >> 4) + word) % PVB_SETS` would be
+a fixed rotation of `word % PVB_SETS`: the same words would share a set, so
+no count would move.
 """
 
 from __future__ import annotations
@@ -104,7 +105,6 @@ class TaggedMachine:
         "regs",
         "pvt",
         "pvt_buffer",
-        "pvt_lookups",
         "_color_count",
         "cap_writes",
     )
@@ -118,8 +118,7 @@ class TaggedMachine:
         self.caps: dict[int, Capability] = {}
         self.regs: list[Capability] = [NULL_CAP] * NUM_REGISTERS
         self.pvt = bytearray(config.pvt_bytes)
-        self.pvt_buffer = PvtBuffer() if config.pvt_buffer else None
-        self.pvt_lookups = 0
+        self.pvt_buffer = PvtBuffer()
         self._color_count = config.color_count
         # The running revocation job's `rewrites` (None with no job): a
         # tagged store adds its address, so the job re-visits it.
@@ -130,11 +129,12 @@ class TaggedMachine:
     def pvb_retracted(self, color: int) -> bool:
         """Software read of a provenance-validity bit (allocator path).
 
-        Bypasses the buffer and the implicit-lookup counters.
+        Bypasses the buffer and its counters.
         """
         return (self.pvt[color >> 3] >> (color & 7)) & 1 == 1
 
-    # One bit; pvt_set_many would turn the whole table into an int.
+    # No `src/` code calls this: the shim's `free` retracts inline.  It stays
+    # for `bench/layers.py`'s `machine.pvt_set` span until ROADMAP item 11.
     def pvt_set(self, color: int, retracted: bool) -> None:
         """Write one provenance-validity bit.
 
@@ -150,8 +150,7 @@ class TaggedMachine:
         new = (cur | mask) if retracted else (cur & ~mask)
         if new != cur:
             self.pvt[idx] = new
-            if self.pvt_buffer is not None:
-                self.pvt_buffer.invalidations += 1
+            self.pvt_buffer.invalidations += 1
 
     def pvt_set_many(self, mask: bytes, retracted: bool) -> None:
         """Set or clear every bit of `mask`, a bitmap laid out as the table,
@@ -164,8 +163,7 @@ class TaggedMachine:
         new = cur | bits if retracted else cur & ~bits
         if new != cur:
             pvt[:] = new.to_bytes(len(pvt), "little")
-            if self.pvt_buffer is not None:
-                self.pvt_buffer.invalidations += 1
+            self.pvt_buffer.invalidations += 1
 
     # -- checked access -----------------------------------------------
 
@@ -183,9 +181,8 @@ class TaggedMachine:
         provenance retracted.
 
         The inline provenance-validity check runs only for colors, 0 < otype
-        < color_count, so UNSEALED (-1) and the reserved 0 skip it: one
-        implicit lookup, `PvtBuffer.lookup` for the hit or miss, then the
-        table bit.
+        < color_count, so UNSEALED (-1) and the reserved 0 skip it:
+        `PvtBuffer.lookup` counts the hit or miss, then the table bit decides.
         It precedes any memory effect, so a retracted store mutates nothing.
         """
         if not cap.tag:
@@ -200,9 +197,7 @@ class TaggedMachine:
         if width < 0 or start < base or start + width > base + cap.length:
             return FaultKind.SPATIAL_OUT_OF_BOUNDS
         if otype > 0 and provenance:
-            self.pvt_lookups += 1
-            if self.pvt_buffer is not None:
-                self.pvt_buffer.lookup(otype >> 7)
+            self.pvt_buffer.lookup(otype >> 7)
             if self.pvt[otype >> 3] >> (otype & 7) & 1:
                 return FaultKind.PROVENANCE_RETRACTED
         return None

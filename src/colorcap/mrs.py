@@ -141,8 +141,7 @@ class MallocRevocationShim(HeapScheme):
             return FaultKind.MALFORMED_FREE
         size = record[0]
         self.machine.pvt[otype >> 3] |= 1 << (otype & 7)
-        if self.machine.pvt_buffer is not None:
-            self.machine.pvt_buffer.invalidations += 1
+        self.machine.pvt_buffer.invalidations += 1
         self.pending += 1
         del self.live[cap.base]
         self.live_bytes -= size

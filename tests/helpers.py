@@ -1,12 +1,14 @@
 """Decoders of simulator state that tests use as oracles, the naive
 lowest-free-ID oracle, a node list that counts the passes over it, checked
-data access straight on a machine, and the reissue invariant."""
+data access straight on a machine, the reissue invariant, and a machine
+with no PVT buffer."""
 
 from contextlib import contextmanager
 from unittest import mock
 
 from colorcap.capability import PERM_LOAD, PERM_STORE
 from colorcap.heap import HeapScheme
+from colorcap.machine import PvtBuffer
 from colorcap.mrs import MallocRevocationShim
 from colorcap.schemes import CornucopiaScheme
 from colorcap.unr import BITMAP_CAPACITY, Run
@@ -157,4 +159,16 @@ def reissue_checked():
 
     with mock.patch.object(MallocRevocationShim, "malloc", checked_malloc), \
             mock.patch.object(HeapScheme, "_carve", checked_carve):
+        yield
+
+
+@contextmanager
+def unbuffered():
+    """Run as a machine with no PVT buffer does: every lookup is a miss that
+    fills nothing, so every check reads the table itself."""
+
+    def lookup(buffer, word):
+        buffer.misses += 1
+
+    with mock.patch.object(PvtBuffer, "lookup", lookup):
         yield

@@ -141,14 +141,14 @@ class ReferenceMachine:
         self.memory = EagerPackMemory()
         self.regs = [NULL_CAP] * NUM_REGISTERS
         self.retracted: set[int] = set()
-        self.pvt_buffer = ListClearingPvtBuffer() if config.pvt_buffer else None
-        self.pvt_lookups = 0
+        self.pvt_buffer = ListClearingPvtBuffer()
+        self.pvt_lookups = 0  # counted here, not derived from the buffer
         self.logged = None  # a running sweep's addresses of tagged stores
 
     def set_pvt(self, colors, retracted: bool) -> None:
         """Set or clear the colors' bits; a change flushes the buffer."""
         new = self.retracted | colors if retracted else self.retracted - colors
-        if new != self.retracted and self.pvt_buffer is not None:
+        if new != self.retracted:
             self.pvt_buffer.invalidate_all()
         self.retracted = new
 
@@ -167,8 +167,7 @@ class ReferenceMachine:
             return FaultKind.SPATIAL_OUT_OF_BOUNDS
         if provenance and otype > 0:
             self.pvt_lookups += 1
-            if self.pvt_buffer is not None:
-                self.pvt_buffer.lookup(otype >> 7)
+            self.pvt_buffer.lookup(otype >> 7)
             if otype in self.retracted:
                 return FaultKind.PROVENANCE_RETRACTED
         return None
@@ -515,8 +514,15 @@ SCHEMES = {cls.name: cls for cls in (SetColors, ListQuarantine, RevokeOnFree, Di
 
 @contextmanager
 def installed():
-    """Make `harness.run_trace` replay on the model."""
-    with mock.patch.object(harness, "TaggedMachine", ReferenceMachine), mock.patch.object(
+    """Make `harness.run_trace` replay on the model; yields the list of the
+    `ReferenceMachine`s that it builds."""
+    machines = []
+
+    def machine(config):
+        machines.append(ReferenceMachine(config))
+        return machines[-1]
+
+    with mock.patch.object(harness, "TaggedMachine", machine), mock.patch.object(
         harness, "make_scheme", lambda name, machine: SCHEMES[name](machine)
     ):
-        yield
+        yield machines

@@ -238,7 +238,7 @@ class TestCorpus:
         assert code == 1
 
 
-class TestSweepAndBufferFlags:
+class TestSweepFlag:
     def test_windowed_sweep_matches_run_trace(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--gen", "churn:n=1500,live=40,seed=11",
@@ -249,17 +249,6 @@ class TestSweepAndBufferFlags:
         expected = run_trace(gen_churn(1500, 40, seed=11), "picasso", config).metrics
         assert expected.revocations > 0
         assert json.loads(out) == expected.to_dict()
-
-    def test_pvt_buffer_off(self, capsys):
-        hits = {}
-        for flag in ("on", "off"):
-            code, out, _ = run_cli(
-                capsys, "run", "--gen", "locality:allocs=8,rounds=2", "--pvt-buffer", flag
-            )
-            assert code == 0
-            hits[flag] = json.loads(out)["pvt_hits"]
-        assert hits["on"] > 0
-        assert hits["off"] == 0
 
     @pytest.mark.parametrize(
         "sweep, message",

@@ -40,6 +40,7 @@ import pytest
 from colorcap import harness
 from colorcap.harness import RunConfig, run_trace
 from colorcap.heap import FreeListHeap, HeapScheme
+from colorcap.machine import PvtBuffer
 from colorcap.schemes import SCHEME_NAMES
 from colorcap.trace import OP_FREE, OP_MALLOC, OP_READ, OP_RELOAD, OP_SPILL, OP_WRITE, Trace
 
@@ -236,6 +237,21 @@ def test_picasso_pair_makes_one_call_more_than_none():
     assert calls == none_calls + 1, (calls, none_calls)
 
 
+def check_read_calls(scheme):
+    """A steady-state read of `scheme` makes 4 calls, one more than a read
+    of `none`'s 3."""
+    (ops, calls), (none_ops, none_calls) = per_read(scheme, 8), per_read("none", 8)
+    print(f"\n{scheme}/none reads: {ops:.1f}/{none_ops:.1f} ops, "
+          f"{calls:.1f}/{none_calls:.1f} calls")
+    assert (calls, none_calls) == (4, 3), (scheme, calls, none_calls)
+
+
+def test_picasso_read_makes_one_call_more_than_none():
+    # The paper's read checks its color's provenance-validity bit: one
+    # `PvtBuffer.lookup` call for the hit or miss, then the table bit inline.
+    check_read_calls("picasso")
+
+
 @pytest.mark.parametrize("scheme, calls", [("cornucopia", 12), ("versioning", 11)])
 def test_quarantine_pair_makes_no_more_calls_than_before_the_shared_job(scheme, calls):
     # The malloc that advances a sweep in flight tests for one and calls
@@ -281,13 +297,23 @@ def _per_byte_digest():
     return mock.patch.object(harness, "_STEP_MEMO_CAP", 0)
 
 
-@pytest.mark.parametrize("mutant, check", [
-    (_flattening_alloc, check_mixed),
-    (_summing_sample, check_flat),
-    (_per_byte_digest, check_reads),
-], ids=["alloc_reads_free_blocks", "sample_sums_live", "per_byte_digest"])
-def test_mutants_fail(mutant, check):
+def _wrapped_lookup(lookup=PvtBuffer.lookup):
+    """`check_access` reaches the buffer through one more frame."""
+
+    def lookup_through_a_wrapper(buffer, word):
+        lookup(buffer, word)
+
+    return mock.patch.object(PvtBuffer, "lookup", lookup_through_a_wrapper)
+
+
+@pytest.mark.parametrize("mutant, check, scheme", [
+    (_flattening_alloc, check_mixed, "none"),
+    (_summing_sample, check_flat, "none"),
+    (_per_byte_digest, check_reads, "none"),
+    (_wrapped_lookup, check_read_calls, "picasso"),
+], ids=["alloc_reads_free_blocks", "sample_sums_live", "per_byte_digest", "wrapped_lookup"])
+def test_mutants_fail(mutant, check, scheme):
     # Twenty pairs show the growth, and keep the traced O(live) work short.
     with mutant(), mock.patch.object(sys.modules[__name__], "PAIRS", 20):
         with pytest.raises(AssertionError):
-            check("none")
+            check(scheme)

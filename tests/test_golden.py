@@ -61,7 +61,6 @@ CASES = {
     # Picasso's, cornucopia's and versioning's fallback sweeps scan 7 words
     # per malloc; cornucopia-rof sweeps at once.
     "churn-window7": RunConfig(color_bits=8, sweep_window=7),
-    "churn-nobuffer": RunConfig(color_bits=8, pvt_buffer=False),
     "churn-nofallback": RunConfig(color_bits=8, versioning_fallback=False),
     # Out of heap with blocks in quarantine: cornucopia and versioning
     # revoke early and retry (43 and 2 revocations against 37 and 1).
@@ -104,11 +103,6 @@ GOLDEN = {
     "churn-window7/cornucopia-rof": ("7131189e72afa7ef", "6569fc8f57c691a7"),
     "churn-window7/versioning": ("7a7387517e1b8d92", "5b1115ab667eb044"),
     "churn-window7/none": ("9f091406a243f055", "6e79ebf36a0ecc15"),
-    "churn-nobuffer/picasso": ("bf85ef4152c5331e", "5b1115ab667eb044"),
-    "churn-nobuffer/cornucopia": ("f59a81555a0eea50", "eeb7df1a13f0a768"),
-    "churn-nobuffer/cornucopia-rof": ("7131189e72afa7ef", "6569fc8f57c691a7"),
-    "churn-nobuffer/versioning": ("9d658485b641afa2", "5b1115ab667eb044"),
-    "churn-nobuffer/none": ("9f091406a243f055", "6e79ebf36a0ecc15"),
     "churn-nofallback/picasso": ("ea4ce8ff48294851", "5b1115ab667eb044"),
     "churn-nofallback/cornucopia": ("f59a81555a0eea50", "eeb7df1a13f0a768"),
     "churn-nofallback/cornucopia-rof": ("7131189e72afa7ef", "6569fc8f57c691a7"),

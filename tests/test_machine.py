@@ -58,17 +58,19 @@ class TestCheckAccess:
         m = machine()
         for otype in (UNSEALED, 0):  # otype 0 is reserved and reads as unsealed
             assert m.check_access(heap_cap(m, otype=otype), 0, 8, PERM_LOAD) is None
-        assert m.pvt_lookups == 0
+        buf = m.pvt_buffer
+        assert buf.hits + buf.misses == 0
 
     def test_colored_counts_lookup(self):
         m = machine()
+        buf = m.pvt_buffer
         cap = heap_cap(m, otype=5)
         m.check_access(cap, 0, 8, PERM_LOAD)
         m.check_access(cap, 0, 8, PERM_STORE)
-        assert m.pvt_lookups == 2
+        assert buf.hits + buf.misses == 2
         top = heap_cap(m, otype=m.config.color_count - 1)  # the largest color
         assert m.check_access(top, 0, 8, PERM_LOAD) is None
-        assert m.pvt_lookups == 3
+        assert buf.hits + buf.misses == 3
 
     def test_out_of_bounds(self):
         m = machine()
@@ -100,9 +102,10 @@ class TestCheckAccess:
         for otype in (otypeth, otypeth + 5):  # sealed from the threshold up, without a lookup
             sealed = heap_cap(m, otype=otype)
             assert m.check_access(sealed, 0, 8, PERM_LOAD) is FaultKind.SEALED_DEREFERENCE
-        assert m.pvt_lookups == 0
+        buf = m.pvt_buffer
+        assert buf.hits + buf.misses == 0
         assert m.check_access(heap_cap(m, otype=otypeth - 1), 0, 8, PERM_LOAD) is None
-        assert m.pvt_lookups == 1  # one below the threshold is a color
+        assert buf.hits + buf.misses == 1  # one below the threshold is a color
 
 
 class TestFaultPriority:

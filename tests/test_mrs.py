@@ -20,10 +20,9 @@ from colorcap.workloads import SplitMix64, gen_churn
 from helpers import claimed_ids, validate
 
 
-def make(color_bits=10, heap_size=0x4000, threshold=0.01, window=None, pvt_buffer=True):
+def make(color_bits=10, heap_size=0x4000, threshold=0.01, window=None):
     machine = TaggedMachine(RunConfig(color_bits=color_bits, heap_size=heap_size,
-                                      threshold_fraction=threshold, sweep_window=window,
-                                      pvt_buffer=pvt_buffer))
+                                      threshold_fraction=threshold, sweep_window=window))
     return machine, MallocRevocationShim(machine)
 
 
@@ -134,14 +133,6 @@ class TestRetraction:
         assert mrs.free(caps[1]) is None
         assert set_bits(machine.pvt) == {caps[1].otype}
         assert machine.pvt_buffer.invalidations == before + 1
-
-    def test_free_without_a_buffer(self):
-        machine, mrs = make(pvt_buffer=False)
-        cap = mrs.malloc(16)
-        assert mrs.free(cap) is None
-        assert machine.pvt_buffer is None
-        assert set_bits(machine.pvt) == {cap.otype}
-        assert mrs.pending == 1
 
     def test_double_free_writes_nothing(self):
         machine, mrs = make()

@@ -51,7 +51,7 @@ from colorcap.trace import (
     format_trace,
     parse_trace,
 )
-from helpers import reissue_checked, validate
+from helpers import reissue_checked, unbuffered, validate
 
 REGS = 3
 SLOTS = 4
@@ -180,8 +180,8 @@ def test_picasso_matches_the_oracle(trace, threshold):
         for window in range(1, 9):
             outcomes(trace, RunConfig(color_bits=7, threshold_fraction=threshold,
                                       sweep_window=window))
-        unbuffered = RunConfig(color_bits=7, threshold_fraction=threshold, pvt_buffer=False)
-        assert outcomes(trace, unbuffered) == expected
+        with unbuffered():
+            assert outcomes(trace, config) == expected
     parsed = parse_trace(format_trace(trace))
     assert parsed.ops == trace.ops
     assert parsed.slots <= trace.slots

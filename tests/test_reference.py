@@ -34,13 +34,18 @@ from test_properties import traces
 
 def whole_run(trace, scheme, config, model=False):
     """The run's `Metrics` and outcomes on the simulator (or the model), or
-    the type and message of the exception that ended it early."""
+    the type and message of the exception that ended it early.  The model's
+    `pvt_lookups` is its machine's own count, not the buffer's hits plus
+    misses that `run_trace` derives the field from."""
     try:
-        with reference.installed() if model else nullcontext():
+        with reference.installed() if model else nullcontext() as machines:
             result = run_trace(trace, scheme, config, collect_outcomes=True)
     except (OutOfMemory, PoolExhausted) as exc:
         return type(exc), str(exc)
-    return result.metrics.to_dict(), result.outcomes
+    metrics = result.metrics.to_dict()
+    if model:
+        metrics["pvt_lookups"] = machines[0].pvt_lookups
+    return metrics, result.outcomes
 
 
 def check_index(free_list: FreeListHeap) -> None:
@@ -160,7 +165,6 @@ configs = st.builds(
     threshold_fraction=st.sampled_from((0.01, 0.5, 0.97)),  # high ones sweep short traces
     heap_size=st.integers(6, 256).map(lambda granules: 16 * granules),
     quarantine_fraction=st.sampled_from((0.05, 0.25, 0.75)),
-    pvt_buffer=st.booleans(),
     sweep_window=st.one_of(st.none(), st.integers(1, 8)),
     versioning_fallback=st.booleans(),
 )
