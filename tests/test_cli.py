@@ -238,7 +238,7 @@ class TestCorpus:
         assert code == 1
 
 
-class TestSweepFlag:
+class TestSweepAndBufferFlags:
     def test_windowed_sweep_matches_run_trace(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--gen", "churn:n=1500,live=40,seed=11",
@@ -249,6 +249,16 @@ class TestSweepFlag:
         expected = run_trace(gen_churn(1500, 40, seed=11), "picasso", config).metrics
         assert expected.revocations > 0
         assert json.loads(out) == expected.to_dict()
+
+    def test_pvt_buffer_off(self, capsys):
+        # The buffer is always modelled; a script that still asks for an
+        # unbuffered run gets a usage error, not a buffered run.
+        code, out, err = run_cli(
+            capsys, "run", "--gen", "locality:allocs=8,rounds=2", "--pvt-buffer", "off"
+        )
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --pvt-buffer off" in err
 
     @pytest.mark.parametrize(
         "sweep, message",

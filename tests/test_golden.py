@@ -16,6 +16,7 @@ from colorcap.harness import RunConfig, run_trace
 from colorcap.schemes import SCHEME_NAMES
 from colorcap.trace import parse_trace
 from colorcap.workloads import gen_churn, gen_corpus, gen_locality
+from helpers import unbuffered
 
 
 def _churn():
@@ -61,6 +62,10 @@ CASES = {
     # Picasso's, cornucopia's and versioning's fallback sweeps scan 7 words
     # per malloc; cornucopia-rof sweeps at once.
     "churn-window7": RunConfig(color_bits=8, sweep_window=7),
+    # Run under `helpers.unbuffered`: every lookup misses and the table
+    # answers.  Outcomes and every other row equal `churn`'s; picasso's
+    # metrics differ only in pvt_hits (0) and pvt_misses (= pvt_lookups).
+    "churn-nobuffer": RunConfig(color_bits=8),
     "churn-nofallback": RunConfig(color_bits=8, versioning_fallback=False),
     # Out of heap with blocks in quarantine: cornucopia and versioning
     # revoke early and retry (43 and 2 revocations against 37 and 1).
@@ -88,7 +93,11 @@ def digests(case: str, scheme: str) -> tuple[str, str]:
             _sha([_outcomes(r) for r in results]),
         )
     trace = TRACES.get(case, _churn)()
-    result = run_trace(trace, scheme, CASES[case], collect_outcomes=True)
+    if case == "churn-nobuffer":
+        with unbuffered():
+            result = run_trace(trace, scheme, CASES[case], collect_outcomes=True)
+    else:
+        result = run_trace(trace, scheme, CASES[case], collect_outcomes=True)
     return _sha(result.metrics.to_dict()), _sha(_outcomes(result))
 
 
@@ -103,6 +112,11 @@ GOLDEN = {
     "churn-window7/cornucopia-rof": ("7131189e72afa7ef", "6569fc8f57c691a7"),
     "churn-window7/versioning": ("7a7387517e1b8d92", "5b1115ab667eb044"),
     "churn-window7/none": ("9f091406a243f055", "6e79ebf36a0ecc15"),
+    "churn-nobuffer/picasso": ("f58043e6f48a964a", "5b1115ab667eb044"),
+    "churn-nobuffer/cornucopia": ("f59a81555a0eea50", "eeb7df1a13f0a768"),
+    "churn-nobuffer/cornucopia-rof": ("7131189e72afa7ef", "6569fc8f57c691a7"),
+    "churn-nobuffer/versioning": ("9d658485b641afa2", "5b1115ab667eb044"),
+    "churn-nobuffer/none": ("9f091406a243f055", "6e79ebf36a0ecc15"),
     "churn-nofallback/picasso": ("ea4ce8ff48294851", "5b1115ab667eb044"),
     "churn-nofallback/cornucopia": ("f59a81555a0eea50", "eeb7df1a13f0a768"),
     "churn-nofallback/cornucopia-rof": ("7131189e72afa7ef", "6569fc8f57c691a7"),

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from colorcap.capability import (
+    PERM_LOAD,
     PERMS_APP,
     UNSEALED,
     Capability,
@@ -17,7 +18,7 @@ from colorcap.mrs import MallocRevocationShim, PoolExhausted
 from colorcap.schemes import PicassoScheme
 from colorcap.trace import OP_FREE, OP_MALLOC, OP_READ, OP_RELOAD, OP_SPILL, Trace, parse_trace
 from colorcap.workloads import SplitMix64, gen_churn
-from helpers import claimed_ids, validate
+from helpers import claimed_ids, unbuffered, validate
 
 
 def make(color_bits=10, heap_size=0x4000, threshold=0.01, window=None):
@@ -133,6 +134,19 @@ class TestRetraction:
         assert mrs.free(caps[1]) is None
         assert set_bits(machine.pvt) == {caps[1].otype}
         assert machine.pvt_buffer.invalidations == before + 1
+
+    def test_free_without_a_buffer(self):
+        # The fault comes from the table bit, not from the buffer: with
+        # every lookup a miss that fills nothing, a freed color still faults.
+        machine, mrs = make()
+        with unbuffered():
+            cap = mrs.malloc(16)
+            assert machine.check_access(cap, 0, 8, PERM_LOAD) is None
+            assert mrs.free(cap) is None
+            assert set_bits(machine.pvt) == {cap.otype}
+            assert mrs.pending == 1
+            assert machine.check_access(cap, 0, 8, PERM_LOAD) is FaultKind.PROVENANCE_RETRACTED
+        assert (machine.pvt_buffer.hits, machine.pvt_buffer.misses) == (0, 2)
 
     def test_double_free_writes_nothing(self):
         machine, mrs = make()
